@@ -2,7 +2,8 @@
 
 All standard-output is JSON (compact by default, indented with --pretty).
 Exit codes: 0 on success, 1 when a yes/no subcommand answers "no", 2 on
-usage or input errors.
+usage or input errors, which the library reports as ValueError (the format
+errors of the parsers included).
 """
 
 from __future__ import annotations
@@ -11,16 +12,11 @@ import argparse
 import json
 import sys
 
-from .cohen_macaulay import (
-    bipartite_cm_ordering,
-    cm_characteristic_profile,
-    cm_report_json,
-)
+from .cohen_macaulay import cm_characteristic_profile, cm_report_json
 from .complexes import (
     DEFAULT_SHELLING_BUDGET,
     NOT_SHELLABLE,
     ComplexFormatError,
-    independence_complex,
     is_shellable,
     parse_complex,
 )
@@ -38,38 +34,24 @@ DEFAULT_CM_CHARS = (0, 2, 3)
 DEFAULT_HARNESS_CHARS = (0, 2)
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
-def _load_graph(path: str):
+def _load(path: str, parse):
+    """Parse the file with parse_graph or parse_complex; format errors name the file."""
     try:
-        return parse_graph(_read_text(path))
-    except GraphFormatError as exc:
-        raise _UsageError(f"{path}: {exc}") from None
-
-
-def _load_complex(path: str):
-    try:
-        return parse_complex(_read_text(path))
-    except ComplexFormatError as exc:
-        raise _UsageError(f"{path}: {exc}") from None
+        return parse(_read_text(path))
+    except (GraphFormatError, ComplexFormatError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _fields(chars: list[int] | None, default: tuple[int, ...]) -> list[FieldSpec]:
-    values = tuple(chars) if chars else default
-    try:
-        return [FieldSpec(c) for c in values]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return [FieldSpec(c) for c in (tuple(chars) if chars else default)]
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -81,33 +63,26 @@ def _emit(obj, pretty: bool) -> None:
 
 
 def _cmd_cm(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     fields = _fields(args.char, DEFAULT_CM_CHARS)
     reports = cm_characteristic_profile(g, fields)
     _emit({"profile": [cm_report_json(r) for r in reports]}, args.pretty)
     return 0
 
 
-def _cmd_unmixed(args) -> int:
-    g = _load_graph(args.graph)
-    verdict = is_unmixed(g)
-    _emit({"unmixed": verdict}, args.pretty)
-    return 0 if verdict else 1
+def _yes_no(key: str, predicate):
+    """A subcommand answering predicate(graph) as {key: verdict}, exit 1 on no."""
 
+    def run(args) -> int:
+        verdict = predicate(_load(args.graph, parse_graph))
+        _emit({key: verdict}, args.pretty)
+        return 0 if verdict else 1
 
-def _cmd_perfect(args) -> int:
-    g = _load_graph(args.graph)
-    verdict = is_perfect(g)
-    _emit({"perfect": verdict}, args.pretty)
-    return 0 if verdict else 1
+    return run
 
 
 def _cmd_shellable(args) -> int:
-    cx = _load_complex(args.complex)
-    try:
-        res = is_shellable(cx, budget=args.budget)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    res = is_shellable(_load(args.complex, parse_complex), budget=args.budget)
     _emit(
         {
             "status": res.status,
@@ -120,7 +95,7 @@ def _cmd_shellable(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    cx = _load_complex(args.complex)
+    cx = _load(args.complex, parse_complex)
     fields = _fields(args.char, DEFAULT_CM_CHARS)
     out = {
         "dimension": cx.dimension(),
@@ -134,11 +109,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_matchings(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        found = perfect_r_matchings(g, args.r, limit=args.limit)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    g = _load(args.graph, parse_graph)
+    found = perfect_r_matchings(g, args.r, limit=args.limit)
     _emit(
         {
             "r": args.r,
@@ -150,16 +122,13 @@ def _cmd_matchings(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
+    text = _read_text(args.cover)
     try:
-        raw = json.loads(_read_text(args.cover))
-        members = [tuple(int(v) for v in c) for c in raw]
+        members = [tuple(int(v) for v in c) for c in json.loads(text)]
     except (ValueError, TypeError) as exc:
-        raise _UsageError(f"{args.cover}: expected a JSON list of cliques: {exc}") from None
-    try:
-        res = basic_clique_cover(g, members)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError(f"{args.cover}: expected a JSON list of cliques: {exc}") from None
+    res = basic_clique_cover(g, members)
     _emit(
         {
             "cliques": [list(c) for c in res.cliques],
@@ -171,8 +140,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_classg(args) -> int:
-    g = _load_graph(args.graph)
-    cover = alpha_clique_cover(g)
+    cover = alpha_clique_cover(_load(args.graph, parse_graph))
     _emit(
         {
             "in_class": cover is not None,
@@ -184,36 +152,28 @@ def _cmd_classg(args) -> int:
 
 
 def _cmd_harness(args) -> int:
-    chars = tuple(args.char) if args.char else DEFAULT_HARNESS_CHARS
-    try:
-        for c in chars:
-            FieldSpec(c)
-        if args.n_max < 1 or args.n_max > 9:
-            raise ValueError("--n-max must be between 1 and 9")
-        summary = run_battery(
-            n_max=args.n_max,
-            r=args.r,
-            characteristics=chars,
-            jobs=args.jobs,
-            report_path=args.output,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    chars = tuple(f.characteristic for f in _fields(args.char, DEFAULT_HARNESS_CHARS))
+    if args.n_max < 1 or args.n_max > 9:
+        raise ValueError("--n-max must be between 1 and 9")
+    summary = run_battery(
+        n_max=args.n_max,
+        r=args.r,
+        characteristics=chars,
+        jobs=args.jobs,
+        report_path=args.output,
+    )
     _emit(summary, args.pretty)
     return 0 if summary["violations_total"] == 0 else 1
 
 
 def _cmd_fixtures(args) -> int:
-    try:
-        text = fixture_text(args.name)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    text = fixture_text(args.name)
     if args.output:
         try:
             with open(args.output, "w", encoding="ascii", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.output}: {exc}") from None
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
         _emit({"written": args.output, "fixture": args.name}, args.pretty)
     else:
         _emit({"fixture": args.name, "text": text}, args.pretty)
@@ -227,73 +187,61 @@ def _build_parser() -> argparse.ArgumentParser:
         "clique covers and matchings for small graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="indent JSON output")
 
-    def add_pretty(p):
-        p.add_argument("--pretty", action="store_true", help="indent JSON output")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[pretty])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("cm", help="Cohen-Macaulayness profile of a graph")
+    p = command("cm", _cmd_cm, "Cohen-Macaulayness profile of a graph")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--char", type=int, action="append", metavar="C",
                    help="field characteristic, repeatable (default: 0 2 3)")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_cm)
 
-    p = sub.add_parser("unmixed", help="are all maximal independent sets equal-sized?")
+    p = command("unmixed", _yes_no("unmixed", is_unmixed),
+                "are all maximal independent sets equal-sized?")
     p.add_argument("graph")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_unmixed)
 
-    p = sub.add_parser("perfect", help="is the graph perfect?")
+    p = command("perfect", _yes_no("perfect", is_perfect), "is the graph perfect?")
     p.add_argument("graph")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_perfect)
 
-    p = sub.add_parser("shellable", help="exhaustive shellability search on a pure complex")
+    p = command("shellable", _cmd_shellable,
+                "exhaustive shellability search on a pure complex")
     p.add_argument("complex", help="facet-list file")
     p.add_argument("--budget", type=int, default=DEFAULT_SHELLING_BUDGET,
                    help="prefix-extension budget (default 10^8)")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_shellable)
 
-    p = sub.add_parser("homology", help="reduced Betti numbers of a complex")
+    p = command("homology", _cmd_homology, "reduced Betti numbers of a complex")
     p.add_argument("complex")
     p.add_argument("--char", type=int, action="append", metavar="C")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_homology)
 
-    p = sub.add_parser("matchings", help="perfect r-matchings of a graph")
+    p = command("matchings", _cmd_matchings, "perfect r-matchings of a graph")
     p.add_argument("graph")
     p.add_argument("--r", type=int, required=True, help="clique size")
     p.add_argument("--limit", type=int, default=None, help="stop after this many")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_matchings)
 
-    p = sub.add_parser("cover", help="disjointify a clique cover (JSON list file)")
+    p = command("cover", _cmd_cover, "disjointify a clique cover (JSON list file)")
     p.add_argument("graph")
     p.add_argument("cover", help="JSON file: list of cliques")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_cover)
 
-    p = sub.add_parser("classg", help="search for a cover by independence-number many cliques")
+    p = command("classg", _cmd_classg,
+                "search for a cover by independence-number many cliques")
     p.add_argument("graph")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_classg)
 
-    p = sub.add_parser("harness", help="run the verification sweeps")
+    p = command("harness", _cmd_harness, "run the verification sweeps")
     p.add_argument("--n-max", type=int, default=7, help="vertex bound (<= 9)")
     p.add_argument("--r", type=int, default=2, help="clique/partition size")
     p.add_argument("--char", type=int, action="append", metavar="C",
                    help="field characteristic, repeatable (default: 0 2)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, 1 to the CPU count (else exit 2)")
     p.add_argument("-o", "--output", default=None, help="line-delimited JSON report path")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_harness)
 
-    p = sub.add_parser("fixtures", help="write a bundled example graph")
+    p = command("fixtures", _cmd_fixtures, "write a bundled example graph")
     p.add_argument("name", help="one of: " + ", ".join(fixture_names()))
     p.add_argument("-o", "--output", default=None, help="destination path")
-    add_pretty(p)
-    p.set_defaults(func=_cmd_fixtures)
 
     return parser
 
@@ -307,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         sys.stderr.write(f"cmgraph: error: {exc}\n")
         return 2
 

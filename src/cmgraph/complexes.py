@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, maximal_independent_sets
+from .graphs import Graph, maximal_independent_sets, parse_counted_lines
 
 SHELLABLE = "shellable"
 NOT_SHELLABLE = "not_shellable"
@@ -120,29 +120,7 @@ def parse_complex(text: str) -> SimplicialComplex:
 
     Blank lines are skipped; ``#`` starts a comment line.
     """
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
-    if not rows:
-        raise ComplexFormatError("empty document: expected a header line 'n k'")
-    lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ComplexFormatError(f"line {lineno}: expected header 'n k', got {header!r}")
-    try:
-        n, k = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ComplexFormatError(
-            f"line {lineno}: expected two integers in header, got {header!r}"
-        ) from None
-    if n < 0 or k < 0:
-        raise ComplexFormatError(f"line {lineno}: header values must be nonnegative")
-    body = rows[1:]
-    if len(body) != k:
-        raise ComplexFormatError(f"expected {k} facet lines, found {len(body)}")
+    n, body = parse_counted_lines(text, ComplexFormatError, "n k", "facet")
     facets: list[tuple[int, ...]] = []
     for lineno, line in body:
         try:

@@ -8,7 +8,7 @@ pure and every returned collection is in a deterministic canonical order
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # canonical_form does a labelled search; past this size it is not a sensible
 # tool and callers get an explicit error instead of an open-ended computation.
@@ -81,6 +81,41 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def parse_counted_lines(
+    text: str, error: type[ValueError], header: str, unit: str
+) -> tuple[int, list[tuple[int, str]]]:
+    """The skeleton of the line formats: a two-integer header, then a body.
+
+    Blank lines are skipped and ``#`` starts a comment line.  The header
+    (named ``header``, e.g. 'n m') gives n and the number of ``unit`` lines
+    that must follow.  Returns n and the body as (line number, text) pairs;
+    a malformed header or a wrong body count raises ``error``.
+    """
+    rows: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            rows.append((lineno, line))
+    if not rows:
+        raise error(f"empty document: expected a header line '{header}'")
+    lineno, head = rows[0]
+    parts = head.split()
+    if len(parts) != 2:
+        raise error(f"line {lineno}: expected header '{header}', got {head!r}")
+    try:
+        n, count = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise error(
+            f"line {lineno}: expected two integers in header, got {head!r}"
+        ) from None
+    if n < 0 or count < 0:
+        raise error(f"line {lineno}: header values must be nonnegative")
+    body = rows[1:]
+    if len(body) != count:
+        raise error(f"expected {count} {unit} lines, found {len(body)}")
+    return n, body
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: header ``n m``, then m lines ``u v``.
 
@@ -88,29 +123,7 @@ def parse_graph(text: str) -> Graph:
     GraphFormatError on a malformed line, a vertex outside 1..n, a loop,
     a duplicate edge, or a wrong number of edge lines.
     """
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
-    if not rows:
-        raise GraphFormatError("empty document: expected a header line 'n m'")
-    lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise GraphFormatError(f"line {lineno}: expected header 'n m', got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError(
-            f"line {lineno}: expected two integers in header, got {header!r}"
-        ) from None
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"line {lineno}: header values must be nonnegative")
-    body = rows[1:]
-    if len(body) != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
+    n, body = parse_counted_lines(text, GraphFormatError, "n m", "edge")
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
     for lineno, line in body:
@@ -272,21 +285,25 @@ def clique_number(g: Graph) -> int:
     return max(len(c) for c in maximal_cliques(g))
 
 
-def is_connected(g: Graph) -> bool:
-    """True for graphs with at most one vertex and for connected graphs."""
-    if g.n <= 1:
-        return True
-    seen = 1 << 1
-    frontier = [1]
+def _reach(masks: tuple[int, ...], start: int, within: int) -> int:
+    """The mask of the vertices of within reachable from start inside it."""
+    seen = 1 << start
+    frontier = [start]
     while frontier:
         u = frontier.pop()
-        rest = g._masks[u] & ~seen
+        rest = masks[u] & within & ~seen
         seen |= rest
         while rest:
             b = rest & -rest
             frontier.append(b.bit_length() - 1)
             rest ^= b
-    return seen == _full_mask(g.n)
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """True for graphs with at most one vertex and for connected graphs."""
+    full = _full_mask(g.n)
+    return g.n <= 1 or _reach(g._masks, 1, full) == full
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:
@@ -403,17 +420,7 @@ def _induced_is_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
     for v in vs:
         if (g._masks[v] & m).bit_count() != 2:
             return False
-    seen = 1 << vs[0]
-    frontier = [vs[0]]
-    while frontier:
-        u = frontier.pop()
-        rest = g._masks[u] & m & ~seen
-        seen |= rest
-        while rest:
-            b = rest & -rest
-            frontier.append(b.bit_length() - 1)
-            rest ^= b
-    return seen.bit_count() == len(vs)
+    return _reach(g._masks, vs[0], m).bit_count() == len(vs)
 
 
 def _has_odd_hole(g: Graph) -> bool:

@@ -5,24 +5,28 @@ on n vertices arises from one on n - 1 by attaching a new vertex to some
 neighbourhood, so augmenting each (n-1)-vertex graph with every subset and
 deduplicating by canonical form is complete.  Hereditary constraints
 (colorability, clique bounds) prune during generation; the other filters are
-applied afterwards.
+applied afterwards.  Nothing is cached between calls.
 
-Verification sweeps reduce per-graph property records to verdicts listing
-counterexamples by canonical form.  Reports are line-delimited JSON, one
-graph per line, sorted by canonical form, byte-identical across runs.
+Every claim the harness checks is one entry of CLAIMS: its name, the filters
+of the ensemble it reads, whether it runs once per characteristic, and a
+check that reduces a per-graph property record to a counterexample reason.
+run_battery runs the whole table; verify_claim runs one entry.  Reports are
+line-delimited JSON, one graph per line, sorted by canonical form,
+byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
+from typing import Callable
 
 from .cohen_macaulay import bipartite_cm_ordering, cm_characteristic_profile
 from .covers import (
     alpha_clique_cover,
     degree_r_minus_1_vertices,
-    has_unique_perfect_r_matching,
     pairwise_part_matchings,
     perfect_r_matchings,
 )
@@ -81,9 +85,6 @@ class TheoremVerdict:
         return not self.counterexamples
 
 
-_family_cache: dict[tuple[int, int | None, int | None], tuple[Graph, ...]] = {}
-
-
 def _mask_has_clique(masks: tuple[int, ...], avail: int, size: int) -> bool:
     """Whether the vertices in avail contain a clique of the given size."""
     if size == 0:
@@ -101,83 +102,112 @@ def _mask_has_clique(masks: tuple[int, ...], avail: int, size: int) -> bool:
 
 def _hereditary_family(
     n: int, chi_bound: int | None, clique_bound: int | None
-) -> tuple[Graph, ...]:
-    """All graphs on n vertices up to isomorphism with chromatic number at
-    most chi_bound and clique number at most clique_bound, sorted by
-    canonical form."""
+) -> tuple[tuple[Graph, ...], ...]:
+    """Levels 1..n of the graphs up to isomorphism with chromatic number at
+    most chi_bound and clique number at most clique_bound, each level sorted
+    by canonical form.  A class is represented by its first child seen, with
+    parents in canonical order and subset masks ascending."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration supports at most n = {MAX_ENUM_N}")
-    key = (n, chi_bound, clique_bound)
-    cached = _family_cache.get(key)
-    if cached is not None:
-        return cached
-    if n == 1:
-        result = (Graph(1, ()),)
-    else:
-        parents = _hereditary_family(n - 1, chi_bound, clique_bound)
+    levels = [(Graph(1, ()),)]
+    for k in range(2, n + 1):
         seen: dict[bytes, Graph] = {}
-        for p in parents:
+        for p in levels[-1]:
             base = p.edges
-            for smask in range(1 << (n - 1)):
+            for smask in range(1 << (k - 1)):
                 if clique_bound is not None and _mask_has_clique(
                     p._masks, smask << 1, clique_bound
                 ):
                     continue
                 new_edges = base + tuple(
-                    (v, n) for v in range(1, n) if smask >> (v - 1) & 1
+                    (v, k) for v in range(1, k) if smask >> (v - 1) & 1
                 )
-                child = Graph(n, new_edges)
+                child = Graph(k, new_edges)
                 if chi_bound is not None and not is_k_colorable(child, chi_bound):
                     continue
-                key2 = canonical_form(child)
-                if key2 not in seen:
-                    seen[key2] = child
-        result = tuple(seen[k] for k in sorted(seen))
-    _family_cache[key] = result
-    return result
+                key = canonical_form(child)
+                if key not in seen:
+                    seen[key] = child
+        levels.append(tuple(seen[key] for key in sorted(seen)))
+    return tuple(levels)
+
+
+def _family_bounds(f: GraphFilters) -> tuple[int | None, int | None]:
+    """The (chromatic, clique) bounds of the hereditary family f reads.
+
+    A clique never outnumbers the colours, so the clique bound is capped at
+    the chromatic one: the family is the same, and the cheap clique prefilter
+    then spares the colouring test on every child containing K_{chi+1}.
+    """
+    chi, omega = f.r_partite, f.max_clique_size
+    if chi is not None and (omega is None or omega > chi):
+        omega = chi
+    return chi, omega
+
+
+# Post-filters in evaluation order: the filter field that enables each, and
+# the predicate, which reads the field's value.
+_POST_FILTERS = (
+    ("connected", lambda g, _: is_connected(g)),
+    ("r_partite", lambda g, r: r_partition(g, r) is not None),
+    ("max_clique_size", lambda g, s: {len(c) for c in maximal_cliques(g)} == {s}),
+    ("unmixed", lambda g, _: is_unmixed(g)),
+    ("perfect", lambda g, _: is_perfect(g)),
+    ("class_g", lambda g, _: alpha_clique_cover(g) is not None),
+)
+
+
+def _passes(g: Graph, f: GraphFilters, known: dict) -> bool:
+    """Whether g passes f's post-filters; known memoises the predicates
+    already evaluated on g, keyed by (field, value)."""
+    for field, predicate in _POST_FILTERS:
+        value = getattr(f, field)
+        if value is None or value is False:
+            continue
+        if (field, value) not in known:
+            known[(field, value)] = predicate(g, value)
+        if not known[(field, value)]:
+            return False
+    return True
+
+
+def _ensembles(
+    n_max: int, filter_sets: list[GraphFilters], n_min: int = 1
+) -> list[GraphEnsemble]:
+    """One ensemble per filter set over n_min..n_max vertices, ordered by
+    (n, canonical form).  The filter sets share one hereditary family, which
+    is built once and scanned once, evaluating every post-filter predicate at
+    most once per graph."""
+    ((chi, omega),) = {_family_bounds(f) for f in filter_sets}
+    picked: list[list[Graph]] = [[] for _ in filter_sets]
+    levels = _hereditary_family(n_max, chi, omega) if n_max >= n_min else ()
+    for level in levels[n_min - 1 :]:
+        for g in level:
+            known: dict = {}
+            for f, out in zip(filter_sets, picked):
+                if _passes(g, f, known):
+                    out.append(g)
+    return [GraphEnsemble(n_max, f, tuple(p)) for f, p in zip(filter_sets, picked)]
 
 
 def enumerate_graphs(n: int, filters: GraphFilters | None = None) -> GraphEnsemble:
     """All graphs on exactly n vertices (up to isomorphism) passing the filters."""
-    filters = filters or GraphFilters()
-    family = _hereditary_family(n, filters.r_partite, filters.max_clique_size)
-    out = []
-    for g in family:
-        if filters.connected and not is_connected(g):
-            continue
-        if filters.r_partite is not None and r_partition(g, filters.r_partite) is None:
-            continue
-        if filters.max_clique_size is not None and {
-            len(c) for c in maximal_cliques(g)
-        } != {filters.max_clique_size}:
-            continue
-        if filters.unmixed and not is_unmixed(g):
-            continue
-        if filters.perfect and not is_perfect(g):
-            continue
-        if filters.class_g and alpha_clique_cover(g) is None:
-            continue
-        out.append(g)
-    return GraphEnsemble(n, filters, tuple(out))
+    return _ensembles(n, [filters or GraphFilters()], n_min=n)[0]
 
 
 def enumerate_graphs_up_to(
     n_max: int, filters: GraphFilters | None = None
 ) -> GraphEnsemble:
-    """Union of enumerate_graphs(n) for n = 1..n_max, ordered by (n, canon)."""
-    filters = filters or GraphFilters()
-    graphs: list[Graph] = []
-    for n in range(1, n_max + 1):
-        graphs.extend(enumerate_graphs(n, filters).graphs)
-    return GraphEnsemble(n_max, filters, tuple(graphs))
+    """All graphs on 1..n_max vertices passing the filters, ordered by (n, canon)."""
+    return _ensembles(n_max, [filters or GraphFilters()])[0]
 
 
 def _graph_record(g: Graph, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
     """Everything the sweeps need to know about one graph, JSON-ready."""
     canon = canonical_form(g).decode("ascii")
-    reports = cm_characteristic_profile(g, [FieldSpec(c) for c in chars])
+    reports = cm_characteristic_profile(g, [FieldSpec(c) for c in chars]) if chars else []
     matchings = perfect_r_matchings(g, r, limit=2)
     hh_exists: bool | None = None
     if r == 2 and r_partition(g, 2) is not None:
@@ -205,8 +235,10 @@ def _graph_record(g: Graph, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
     return canon, record
 
 
-def _record_worker(args: tuple[Graph, int, tuple[int, ...]]) -> tuple[str, dict]:
-    return _graph_record(*args)
+def _check_jobs(jobs: int) -> None:
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must be between 1 and {cpus} (the CPU count), got {jobs}")
 
 
 def compute_records(
@@ -215,77 +247,48 @@ def compute_records(
     """Per-graph records, optionally fanned out over worker processes.
 
     The result is keyed by graph and independent of jobs: workers only map a
-    pure function, and assembly re-sorts by input order.
+    pure function, and assembly re-sorts by input order.  With no chars the
+    records carry an empty "cm" map.  Raises ValueError unless
+    1 <= jobs <= os.cpu_count().
     """
-    unique: list[Graph] = []
-    seen: set[Graph] = set()
-    for g in graphs:
-        if g not in seen:
-            seen.add(g)
-            unique.append(g)
+    _check_jobs(jobs)
+    unique = list(dict.fromkeys(graphs))
     items = [(g, r, chars) for g in unique]
     if jobs > 1 and len(items) > 1:
         chunk = max(1, len(items) // (jobs * 8))
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_record_worker, items, chunksize=chunk)
+            results = pool.starmap(_graph_record, items, chunksize=chunk)
     else:
-        results = [_record_worker(it) for it in items]
-    return {g: res for g, res in zip(unique, results)}
+        results = [_graph_record(*it) for it in items]
+    return dict(zip(unique, results))
 
 
-def _sweep(
-    claim: str,
-    ensemble: GraphEnsemble,
-    records: dict[Graph, tuple[str, dict]],
-    check,
-    violations: dict[str, list[str]] | None = None,
-) -> TheoremVerdict:
-    ces: list[tuple[str, str]] = []
-    for g in ensemble.graphs:
-        canon, rec = records[g]
-        reason = check(rec)
-        if reason:
-            ces.append((canon, reason))
-            if violations is not None:
-                violations.setdefault(canon, []).append(claim)
-    return TheoremVerdict(claim, len(ensemble.graphs), tuple(ces))
+@dataclass(frozen=True)
+class Claim:
+    """One entry of the claim table.
+
+    name is formatted with r, char and the ensemble's n_max.  filters(r) is
+    the ensemble the claim reads, or None when the claim does not apply at
+    r; ensemble is its key in the summary's ensemble_sizes.  check(record,
+    char) returns a counterexample reason or None, with char None unless
+    per_char; needs_chars are the characteristics a char-free check reads.
+    Hits of a claim that is not a violation are converse candidates.
+    """
+
+    name: str
+    ensemble: str
+    filters: Callable[[int], GraphFilters | None]
+    per_char: bool
+    check: Callable[[dict, int | None], str | None]
+    needs_chars: tuple[int, ...] = ()
+    violation: bool = True
 
 
-def _check_main(char: int):
-    key = str(char)
-
-    def check(rec: dict) -> str | None:
-        if rec["cm"][key] and not rec["degree_r_minus_1"]:
-            return f"cm over char {char} but no vertex of degree r-1"
-        return None
-
-    return check
+def _main_filters(r: int) -> GraphFilters:
+    return GraphFilters(r_partite=r, max_clique_size=r, class_g=True)
 
 
-def _check_uniqueness(char: int):
-    key = str(char)
-
-    def check(rec: dict) -> str | None:
-        if rec["cm"][key] and not rec["unique_perfect_r_matching"]:
-            return f"cm over char {char} without a unique perfect r-matching"
-        return None
-
-    return check
-
-
-def _check_alpha_cover(rec: dict) -> str | None:
-    if not rec["has_alpha_clique_cover"]:
-        return "no cover by independence_number many cliques"
-    return None
-
-
-def _check_parts(rec: dict) -> str | None:
-    if not rec["all_r_partitions_equal_and_matched"]:
-        return "some r-partition has unequal or unmatched blocks"
-    return None
-
-
-def _check_bipartite_equiv(rec: dict) -> str | None:
+def _check_bipartite_equiv(rec: dict, _) -> str | None:
     hh, cm0, cm2 = rec["hh_exists"], rec["cm"]["0"], rec["cm"]["2"]
     if not (hh == cm0 == cm2):
         return f"hh={hh} cm0={cm0} cm2={cm2} disagree"
@@ -297,71 +300,95 @@ def _check_bipartite_equiv(rec: dict) -> str | None:
     return None
 
 
-def verify_main_theorem(
-    ensemble: GraphEnsemble, r: int, field: FieldSpec, jobs: int = 1
+CLAIMS: dict[str, Claim] = {
+    # Every CM graph in the ensemble has a vertex of degree r - 1.
+    "main-theorem": Claim(
+        "main-theorem r={r} char={char}", "main", _main_filters, True,
+        lambda rec, c: f"cm over char {c} but no vertex of degree r-1"
+        if rec["cm"][str(c)] and not rec["degree_r_minus_1"] else None,
+    ),
+    # Every CM graph in the ensemble has exactly one perfect r-matching.
+    "uniqueness-corollary": Claim(
+        "uniqueness-corollary r={r} char={char}", "main", _main_filters, True,
+        lambda rec, c: f"cm over char {c} without a unique perfect r-matching"
+        if rec["cm"][str(c)] and not rec["unique_perfect_r_matching"] else None,
+    ),
+    # Every graph in the ensemble is coverable by independence_number cliques.
+    "alpha-clique-cover": Claim(
+        "alpha-clique-cover r={r}", "alpha-cover",
+        lambda r: GraphFilters(r_partite=r, max_clique_size=r, unmixed=True, perfect=True),
+        False,
+        lambda rec, _: None if rec["has_alpha_clique_cover"]
+        else "no cover by independence_number many cliques",
+    ),
+    # Every r-partition of every graph has equal, pairwise-matched blocks.
+    "parts-equal-and-matched": Claim(
+        "parts-equal-and-matched r={r}", "parts",
+        lambda r: GraphFilters(r_partite=r, max_clique_size=r, unmixed=True),
+        False,
+        lambda rec, _: None if rec["all_r_partitions_equal_and_matched"]
+        else "some r-partition has unequal or unmatched blocks",
+    ),
+    # On connected bipartite graphs the ordering criterion agrees with the
+    # homological one over characteristics 0 and 2, and on the unmixed ones
+    # CM-ness coincides with having a unique perfect 2-matching.
+    "bipartite-equivalences": Claim(
+        "bipartite-equivalences n<={n_max}", "bipartite",
+        lambda r: GraphFilters(connected=True, r_partite=2) if r == 2 else None,
+        False, _check_bipartite_equiv, needs_chars=(0, 2),
+    ),
+    # The converse of the main implication: a degree-(r-1) vertex and a
+    # unique perfect r-matching, yet not CM.  Kept for inspection.
+    "converse": Claim(
+        "converse r={r} char={char}", "main", _main_filters, True,
+        lambda rec, c: f"degree r-1 vertex and unique perfect r-matching, not cm over char {c}"
+        if rec["degree_r_minus_1"] and rec["unique_perfect_r_matching"]
+        and not rec["cm"][str(c)] else None,
+        violation=False,
+    ),
+}
+
+
+def _sweep(
+    claim: Claim,
+    ensemble: GraphEnsemble,
+    records: dict[Graph, tuple[str, dict]],
+    r: int,
+    char: int | None,
 ) -> TheoremVerdict:
-    """Every CM graph in the ensemble has a vertex of degree r - 1."""
-    records = compute_records(ensemble.graphs, r, (field.characteristic,), jobs)
-    claim = f"main-theorem r={r} char={field.characteristic}"
-    return _sweep(claim, ensemble, records, _check_main(field.characteristic))
-
-
-def verify_uniqueness_corollary(
-    ensemble: GraphEnsemble, r: int, field: FieldSpec, jobs: int = 1
-) -> TheoremVerdict:
-    """Every CM graph in the ensemble has exactly one perfect r-matching."""
-    records = compute_records(ensemble.graphs, r, (field.characteristic,), jobs)
-    claim = f"uniqueness-corollary r={r} char={field.characteristic}"
-    return _sweep(claim, ensemble, records, _check_uniqueness(field.characteristic))
-
-
-def verify_alpha_cover(ensemble: GraphEnsemble, r: int, jobs: int = 1) -> TheoremVerdict:
-    """Every graph in the ensemble is coverable by independence_number cliques."""
-    records = compute_records(ensemble.graphs, r, (), jobs)
-    claim = f"alpha-clique-cover r={r}"
-    return _sweep(claim, ensemble, records, _check_alpha_cover)
-
-
-def verify_parts_equal_and_matched(
-    ensemble: GraphEnsemble, r: int, jobs: int = 1
-) -> TheoremVerdict:
-    """Every r-partition of every graph has equal, pairwise-matched blocks."""
-    records = compute_records(ensemble.graphs, r, (), jobs)
-    claim = f"parts-equal-and-matched r={r}"
-    return _sweep(claim, ensemble, records, _check_parts)
-
-
-def verify_bipartite_equivalences(n_max: int, jobs: int = 1) -> TheoremVerdict:
-    """On connected bipartite graphs the ordering criterion agrees with the
-    homological one over characteristics 0 and 2, and on the unmixed ones
-    CM-ness coincides with having a unique perfect 2-matching."""
-    ensemble = enumerate_graphs_up_to(
-        n_max, GraphFilters(connected=True, r_partite=2)
-    )
-    records = compute_records(ensemble.graphs, 2, (0, 2), jobs)
-    return _sweep(
-        f"bipartite-equivalences n<={n_max}", ensemble, records, _check_bipartite_equiv
-    )
-
-
-def converse_counterexample_search(
-    ensemble: GraphEnsemble, r: int, field: FieldSpec, jobs: int = 1
-) -> tuple[Graph, ...]:
-    """Graphs with a degree-(r-1) vertex and a unique perfect r-matching that
-    are nevertheless not CM: the converse of the main implication fails on
-    these.  Returned (and persisted by the battery) for inspection."""
-    records = compute_records(ensemble.graphs, r, (field.characteristic,), jobs)
-    key = str(field.characteristic)
-    out = []
+    ces = []
     for g in ensemble.graphs:
-        _, rec = records[g]
-        if (
-            rec["degree_r_minus_1"]
-            and rec["unique_perfect_r_matching"]
-            and not rec["cm"][key]
-        ):
-            out.append(g)
-    return tuple(out)
+        canon, rec = records[g]
+        reason = claim.check(rec, char)
+        if reason:
+            ces.append((canon, reason))
+    name = claim.name.format(r=r, char=char, n_max=ensemble.n_max)
+    return TheoremVerdict(name, len(ensemble.graphs), tuple(ces))
+
+
+def verify_claim(
+    claim: str,
+    ensemble: GraphEnsemble,
+    r: int,
+    char: int | None = None,
+    jobs: int = 1,
+) -> TheoremVerdict:
+    """Run one claim of CLAIMS on an ensemble enumerated with its filters.
+
+    char is the field characteristic of a per-characteristic claim and must
+    be None for the others.  Raises ValueError for an unknown claim, an
+    ensemble with other filters, a missing or superfluous char, or jobs
+    outside 1..os.cpu_count().
+    """
+    spec = CLAIMS.get(claim)
+    if spec is None:
+        raise ValueError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
+    if ensemble.filters != spec.filters(r):
+        raise ValueError(f"{claim} at r = {r} reads the ensemble {spec.filters(r)}")
+    if spec.per_char != (char is not None):
+        raise ValueError(f"{claim} {'needs a' if spec.per_char else 'takes no'} characteristic")
+    chars = (char,) if spec.per_char else spec.needs_chars
+    return _sweep(spec, ensemble, compute_records(ensemble.graphs, r, chars, jobs), r, char)
 
 
 def report_lines(
@@ -381,13 +408,6 @@ def report_lines(
     return lines
 
 
-def write_report(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-
-
 def run_battery(
     n_max: int,
     r: int = 2,
@@ -395,106 +415,52 @@ def run_battery(
     jobs: int = 1,
     report_path: str | None = None,
 ) -> dict:
-    """Run every sweep at the given bounds and assemble a summary.
+    """Run every claim of CLAIMS at the given bounds and assemble a summary.
 
-    Records are computed once per distinct graph (optionally in parallel) and
-    shared by all verdicts, so the summary and the report are deterministic
-    regardless of jobs.
+    Every ensemble comes from one pass over one hereditary family.  Records are computed once per distinct graph (optionally in
+    parallel) and shared by all verdicts, so the summary and the report are
+    deterministic regardless of jobs.  Raises ValueError for no or invalid
+    characteristics, or jobs outside 1..os.cpu_count().
     """
     chars = tuple(characteristics)
     if not chars:
         raise ValueError("at least one characteristic is required")
     for c in chars:
         FieldSpec(c)
-    f_main = GraphFilters(r_partite=r, max_clique_size=r, class_g=True)
-    f_prop = GraphFilters(r_partite=r, max_clique_size=r, unmixed=True, perfect=True)
-    f_parts = GraphFilters(r_partite=r, max_clique_size=r, unmixed=True)
-    ensembles: dict[str, GraphEnsemble] = {
-        "main": enumerate_graphs_up_to(n_max, f_main),
-        "alpha-cover": enumerate_graphs_up_to(n_max, f_prop),
-        "parts": enumerate_graphs_up_to(n_max, f_parts),
-    }
-    if r == 2:
-        ensembles["bipartite"] = enumerate_graphs_up_to(
-            n_max, GraphFilters(connected=True, r_partite=2)
-        )
-    all_graphs: list[Graph] = []
-    for ens in ensembles.values():
-        all_graphs.extend(ens.graphs)
+    _check_jobs(jobs)
+    claims = [cl for cl in CLAIMS.values() if cl.filters(r) is not None]
+    filters = {cl.ensemble: cl.filters(r) for cl in claims}
+    ensembles = dict(zip(filters, _ensembles(n_max, list(filters.values()))))
+    all_graphs = [g for ens in ensembles.values() for g in ens.graphs]
     records = compute_records(tuple(all_graphs), r, chars, jobs)
 
+    runs = [(cl, c) for c in chars for cl in claims if cl.per_char]
+    runs += [
+        (cl, None)
+        for cl in claims
+        if not cl.per_char and set(cl.needs_chars) <= set(chars)
+    ]
     violations: dict[str, list[str]] = {}
     verdicts: list[TheoremVerdict] = []
-    for c in chars:
-        verdicts.append(
-            _sweep(
-                f"main-theorem r={r} char={c}",
-                ensembles["main"],
-                records,
-                _check_main(c),
-                violations,
-            )
-        )
-        verdicts.append(
-            _sweep(
-                f"uniqueness-corollary r={r} char={c}",
-                ensembles["main"],
-                records,
-                _check_uniqueness(c),
-                violations,
-            )
-        )
-    verdicts.append(
-        _sweep(
-            f"alpha-clique-cover r={r}",
-            ensembles["alpha-cover"],
-            records,
-            _check_alpha_cover,
-            violations,
-        )
-    )
-    verdicts.append(
-        _sweep(
-            f"parts-equal-and-matched r={r}",
-            ensembles["parts"],
-            records,
-            _check_parts,
-            violations,
-        )
-    )
-    if r == 2 and {0, 2} <= set(chars):
-        verdicts.append(
-            _sweep(
-                f"bipartite-equivalences n<={n_max}",
-                ensembles["bipartite"],
-                records,
-                _check_bipartite_equiv,
-                violations,
-            )
-        )
-
     converse: dict[str, list[str]] = {}
-    for c in chars:
-        key = str(c)
-        hits = []
-        for g in ensembles["main"].graphs:
-            canon, rec = records[g]
-            if (
-                rec["degree_r_minus_1"]
-                and rec["unique_perfect_r_matching"]
-                and not rec["cm"][key]
-            ):
-                hits.append(canon)
-        converse[key] = sorted(set(hits))
+    for cl, c in runs:
+        v = _sweep(cl, ensembles[cl.ensemble], records, r, c)
+        if not cl.violation:
+            converse[str(c)] = sorted({canon for canon, _ in v.counterexamples})
+            continue
+        verdicts.append(v)
+        for canon, _ in v.counterexamples:
+            violations.setdefault(canon, []).append(v.claim)
 
-    for g, (canon, rec) in records.items():
+    for canon, rec in records.values():
         rec["converse_candidate_chars"] = sorted(
             int(c) for c in converse if canon in converse[c]
         )
 
     lines = report_lines(records, violations)
     if report_path is not None:
-        write_report(report_path, lines)
+        with open(report_path, "w", encoding="ascii", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in lines)
 
     return {
         "n_max": n_max,

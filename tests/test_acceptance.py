@@ -21,10 +21,11 @@ from cmgraph.complexes import (
 )
 from cmgraph.graphs import Graph, canonical_form, delete_closed_neighborhood, is_unmixed
 from cmgraph.harness import (
+    GraphFilters,
     enumerate_graphs,
     enumerate_graphs_up_to,
     run_battery,
-    verify_bipartite_equivalences,
+    verify_claim,
 )
 from cmgraph.homology import FieldSpec, boundary_matrices, reduced_betti
 from test_complexes import RP2_FACETS, boundary_sphere
@@ -71,14 +72,16 @@ def test_criterion_3_extended_search_decides_not_shellable(fig1):
 def test_criterion_4_connected_bipartite_triple_agreement():
     """Matching ordering, char-0 and char-2 verdicts coincide through n = 8,
     and on unmixed graphs they coincide with unique-perfect-matching."""
-    verdict = verify_bipartite_equivalences(8)
+    ens = enumerate_graphs_up_to(8, GraphFilters(connected=True, r_partite=2))
+    verdict = verify_claim("bipartite-equivalences", ens, 2)
     assert verdict.graphs_checked == 253
     assert verdict.counterexamples == (), verdict.counterexamples
 
 
 @pytest.mark.extended
 def test_criterion_4_extended_n9():
-    verdict = verify_bipartite_equivalences(9)
+    ens = enumerate_graphs_up_to(9, GraphFilters(connected=True, r_partite=2))
+    verdict = verify_claim("bipartite-equivalences", ens, 2)
     assert verdict.counterexamples == (), verdict.counterexamples
 
 

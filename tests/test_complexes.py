@@ -18,6 +18,7 @@ from cmgraph.complexes import (
     stanley_reisner_generators,
 )
 from cmgraph.fixtures import FIG1_EDGES
+from cmgraph.graphs import GraphFormatError, parse_graph
 
 RP2_FACETS = [
     (1, 2, 3), (1, 2, 6), (1, 3, 4), (1, 4, 5), (1, 5, 6),
@@ -99,6 +100,30 @@ def test_parse_rejects(text, fragment):
     with pytest.raises(ComplexFormatError) as err:
         parse_complex(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,graph_message,complex_message",
+    [
+        ("", "empty document: expected a header line 'n m'",
+         "empty document: expected a header line 'n k'"),
+        ("# note\n\n3\n", "line 3: expected header 'n m', got '3'",
+         "line 3: expected header 'n k', got '3'"),
+        ("a b\n", "line 1: expected two integers in header, got 'a b'",
+         "line 1: expected two integers in header, got 'a b'"),
+        ("-1 0\n", "line 1: header values must be nonnegative",
+         "line 1: header values must be nonnegative"),
+        ("3 2\n1 2\n", "expected 2 edge lines, found 1",
+         "expected 2 facet lines, found 1"),
+    ],
+)
+def test_shared_header_errors_keep_each_format_wording(text, graph_message, complex_message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert str(err.value) == graph_message
+    with pytest.raises(ComplexFormatError) as err:
+        parse_complex(text)
+    assert str(err.value) == complex_message
 
 
 # ---------------------------------------------------------------------------

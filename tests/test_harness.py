@@ -1,19 +1,22 @@
+import hashlib
+import itertools
 import json
+import os
 
 import pytest
 
 import oracles
+from cmgraph import harness
+from cmgraph.cli import main
 from cmgraph.graphs import canonical_form, is_connected, r_partition
 from cmgraph.harness import (
+    CLAIMS,
     MAX_ENUM_N,
     GraphFilters,
-    converse_counterexample_search,
     enumerate_graphs,
     enumerate_graphs_up_to,
     run_battery,
-    verify_bipartite_equivalences,
-    verify_main_theorem,
-    verify_uniqueness_corollary,
+    verify_claim,
 )
 from cmgraph.homology import FieldSpec
 
@@ -124,36 +127,104 @@ def test_enumeration_size_limit():
 # sweeps
 
 
-def main_ensemble(n_max, r):
-    filters = GraphFilters(r_partite=r, max_clique_size=r, class_g=True)
-    return enumerate_graphs_up_to(n_max, filters)
+def claim_ensemble(claim, n_max, r):
+    """The ensemble a claim of the table reads, up to n_max vertices."""
+    return enumerate_graphs_up_to(n_max, CLAIMS[claim].filters(r))
 
 
 def test_degree_sweep_holds_for_bipartite_through_n6():
-    ens = main_ensemble(6, 2)
-    verdict = verify_main_theorem(ens, 2, Q)
+    ens = claim_ensemble("main-theorem", 6, 2)
+    verdict = verify_claim("main-theorem", ens, 2, char=0)
     assert verdict.holds and verdict.counterexamples == ()
     assert verdict.graphs_checked == len(ens.graphs)
 
 
 def test_uniqueness_sweep_holds_for_bipartite_through_n6():
-    verdict = verify_uniqueness_corollary(main_ensemble(6, 2), 2, Q)
+    ens = claim_ensemble("uniqueness-corollary", 6, 2)
+    verdict = verify_claim("uniqueness-corollary", ens, 2, char=0)
     assert verdict.holds
 
 
 def test_bipartite_equivalences_small():
-    verdict = verify_bipartite_equivalences(6)
+    ens = claim_ensemble("bipartite-equivalences", 6, 2)
+    verdict = verify_claim("bipartite-equivalences", ens, 2)
     assert verdict.holds
     assert verdict.graphs_checked == 27  # connected bipartite classes, n 2..6
 
 
 def test_converse_fails_already_at_n6():
     """Degree-one vertex plus unique matching does not force Cohen-Macaulay."""
-    ens = main_ensemble(6, 2)
-    found = converse_counterexample_search(ens, 2, Q)
+    ens = claim_ensemble("converse", 6, 2)
+    by_canon = {canonical_form(g).decode(): g for g in ens.graphs}
+    verdict = verify_claim("converse", ens, 2, char=0)
+    found = [by_canon[canon] for canon, _ in verdict.counterexamples]
     assert [(g.n, g.edges) for g in found] == [
         (6, ((1, 4), (1, 5), (2, 5), (2, 6), (3, 6)))  # a relabeled 6-path
     ]
+
+
+def _blocks_matched_brute(g, a, b):
+    """Equal blocks with a perfect matching between them, by permutations."""
+    return len(a) == len(b) and any(
+        all(oracles.is_clique(g, (u, w)) for u, w in zip(sorted(a), perm))
+        for perm in itertools.permutations(sorted(b))
+    )
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_char_free_claims_agree_with_oracles_through_n6(r):
+    """The two claims that read no characteristic run alone, and their
+    counterexamples are exactly the ones the brute-force oracles find."""
+    ens = claim_ensemble("alpha-clique-cover", 6, r)
+    assert ens.graphs
+    verdict = verify_claim("alpha-clique-cover", ens, r)
+    expected = [
+        canonical_form(g).decode()
+        for g in ens.graphs
+        if oracles.clique_cover_number_brute(g) != oracles.independence_number_brute(g)
+    ]
+    assert verdict.graphs_checked == len(ens.graphs)
+    assert [canon for canon, _ in verdict.counterexamples] == expected
+
+    ens = claim_ensemble("parts-equal-and-matched", 6, r)
+    assert ens.graphs
+    verdict = verify_claim("parts-equal-and-matched", ens, r)
+    expected = [
+        canonical_form(g).decode()
+        for g in ens.graphs
+        if not all(
+            _blocks_matched_brute(g, a, b)
+            for parts in oracles.all_r_partitions_brute(g, r)
+            for a, b in itertools.combinations(parts, 2)
+        )
+    ]
+    assert verdict.graphs_checked == len(ens.graphs)
+    assert [canon for canon, _ in verdict.counterexamples] == expected
+
+
+def test_char_free_records_skip_the_cm_decider(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cm_characteristic_profile called without characteristics")
+
+    monkeypatch.setattr(harness, "cm_characteristic_profile", refuse)
+    records = harness.compute_records(enumerate_graphs_up_to(4).graphs, 2, ())
+    assert records and all(rec["cm"] == {} for _, rec in records.values())
+
+
+def test_verify_claim_rejects_mismatched_calls():
+    ens = claim_ensemble("main-theorem", 4, 2)
+    with pytest.raises(ValueError, match="unknown claim"):
+        verify_claim("no-such-claim", ens, 2, char=0)
+    with pytest.raises(ValueError, match="reads the ensemble"):
+        verify_claim("parts-equal-and-matched", ens, 2)
+    with pytest.raises(ValueError, match="reads the ensemble"):
+        verify_claim("main-theorem", ens, 3, char=0)
+    with pytest.raises(ValueError, match="needs a characteristic"):
+        verify_claim("main-theorem", ens, 2)
+    with pytest.raises(ValueError, match="takes no characteristic"):
+        verify_claim("alpha-clique-cover", claim_ensemble("alpha-clique-cover", 4, 2), 2, char=0)
+    with pytest.raises(ValueError, match="reads the ensemble"):
+        verify_claim("bipartite-equivalences", claim_ensemble("bipartite-equivalences", 4, 2), 3)
 
 
 def test_smallest_degree_sweep_counterexample_is_genuine():
@@ -248,3 +319,83 @@ def test_battery_records_match_direct_computation(tmp_path):
         assert rec["cm"]["0"] == cm_graph(g, Q).is_cm
         assert rec["unique_perfect_r_matching"] == has_unique_perfect_r_matching(g, 2)
         assert rec["independence_number"] == oracles.independence_number_brute(g)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of run_battery(7, r) report bytes and of its summary (report_path
+# None) as compact sorted JSON, pinned before the claim table replaced the
+# hand-written sweeps.
+PINNED_BATTERY_SHA256 = {
+    2: (
+        "d630902b5b1cdbafecec565c3458c8c913b97fad7c24239b97b571f94a86c091",
+        "4a0303c4253fa0f5ed9693e513c3be521e5f3b38a9760ae9515ceca70e3d3011",
+    ),
+    3: (
+        "ecb69bee4e80131dfa7323e25053a7474cb5f1aaaec7e95e42b6a6231d2370f9",
+        "30e5f4e7b107c5ab652805523c0cab6e630c66a9a66b8014eac91cb7b4167d4b",
+    ),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_battery_report_and_summary_bytes_are_pinned(tmp_path, r):
+    path = tmp_path / "report.jsonl"
+    run_battery(7, r=r, report_path=str(path))
+    summary = run_battery(7, r=r)
+    text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    assert (_sha(path.read_bytes()), _sha(text.encode())) == PINNED_BATTERY_SHA256[r]
+
+
+def test_enumeration_keeps_no_state_between_calls(monkeypatch):
+    calls = []
+    real_colorable = harness.is_k_colorable
+
+    def counting_colorable(g, k):
+        calls.append(k)
+        return real_colorable(g, k)
+
+    monkeypatch.setattr(harness, "is_k_colorable", counting_colorable)
+    filters = GraphFilters(r_partite=2)
+    first = enumerate_graphs_up_to(6, filters)
+    after_first = len(calls)
+    second = enumerate_graphs_up_to(6, filters)
+    assert after_first > 0
+    assert len(calls) - after_first == after_first
+    assert first == second
+
+
+def test_battery_builds_each_family_once(monkeypatch):
+    built = []
+    real_family = harness._hereditary_family
+
+    def recording_family(n, chi, omega):
+        built.append((n, chi, omega))
+        return real_family(n, chi, omega)
+
+    monkeypatch.setattr(harness, "_hereditary_family", recording_family)
+    run_battery(6, r=2)
+    assert built == [(6, 2, 2)]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_jobs_outside_one_to_cpu_count_is_rejected(capsys, jobs):
+    with pytest.raises(ValueError, match="jobs must be between 1 and"):
+        run_battery(3, r=2, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be between 1 and"):
+        harness.compute_records(enumerate_graphs_up_to(3).graphs, 2, (0,), jobs=jobs)
+    code = main(["harness", "--n-max", "3", "--jobs", str(jobs)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("cmgraph: error: jobs must be between 1 and")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers")
+def test_parallel_report_matches_serial(tmp_path):
+    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    a = run_battery(5, r=2, jobs=1, report_path=str(serial))
+    b = run_battery(5, r=2, jobs=2, report_path=str(parallel))
+    assert parallel.read_bytes() == serial.read_bytes()
+    assert dict(a, report_path=None) == dict(b, report_path=None)
