@@ -216,10 +216,6 @@ def is_shelling_order(facets: Iterable[tuple[int, ...]]) -> bool:
     return True
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def is_shellable(
     cx: SimplicialComplex, budget: int = DEFAULT_SHELLING_BUDGET
 ) -> ShellingResult:
@@ -229,7 +225,9 @@ def is_shellable(
     set of facets placed, so the search memoizes dead facet-sets and is a
     complete decision procedure within the budget.  Each attempted prefix
     extension costs one step; exceeding the budget returns
-    "budget_exhausted".  Non-pure input raises ValueError.
+    "budget_exhausted".  Non-pure input raises ValueError.  The search keeps
+    its own stack, so its depth, one level per facet, is not bounded by
+    Python's recursion limit.
     """
     if not cx.is_pure():
         raise ValueError("shellability search requires a pure complex")
@@ -260,14 +258,15 @@ def is_shellable(
     full = (1 << m) - 1
     dead: set[int] = set()
     steps = 0
-
-    def extend(mask: int, prefix: list[int]) -> list[int] | None:
-        nonlocal steps
-        if mask == full:
-            return prefix
-        if mask in dead:
-            return None
-        for i in order:
+    prefix: list[int] = []
+    # Depth-first search with an explicit stack, one frame per facet placed:
+    # [the set of facets placed, the position in order to extend it from].
+    stack = [[0, 0]]
+    while stack:
+        frame = stack[-1]
+        mask = frame[0]
+        for pos in range(frame[1], m):
+            i = order[pos]
             if mask >> i & 1:
                 continue
             if mask:
@@ -291,22 +290,21 @@ def is_shellable(
                     continue
             steps += 1
             if steps > budget:
-                raise _BudgetExhausted
-            prefix.append(i)
-            got = extend(mask | (1 << i), prefix)
-            if got is not None:
-                return got
-            prefix.pop()
-        dead.add(mask)
-        return None
-
-    try:
-        found = extend(0, [])
-    except _BudgetExhausted:
-        return ShellingResult(BUDGET_EXHAUSTED, None, steps)
-    if found is None:
-        return ShellingResult(NOT_SHELLABLE, None, steps)
-    witness = tuple(facets[i] for i in found)
-    if not is_shelling_order(witness):
-        raise RuntimeError("internal error: search produced an invalid shelling")
-    return ShellingResult(SHELLABLE, witness, steps)
+                return ShellingResult(BUDGET_EXHAUSTED, None, steps)
+            child = mask | (1 << i)
+            if child == full:
+                witness = tuple(facets[k] for k in prefix + [i])
+                if not is_shelling_order(witness):
+                    raise RuntimeError("internal error: search produced an invalid shelling")
+                return ShellingResult(SHELLABLE, witness, steps)
+            if child not in dead:
+                frame[1] = pos + 1
+                prefix.append(i)
+                stack.append([child, 0])
+                break
+        else:
+            dead.add(mask)
+            stack.pop()
+            if prefix:
+                prefix.pop()
+    return ShellingResult(NOT_SHELLABLE, None, steps)

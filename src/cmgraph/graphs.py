@@ -81,6 +81,31 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def _augment(p: Graph, nbrs: int) -> Graph:
+    """p plus a vertex k = p.n + 1 adjacent to the vertices of the mask nbrs
+    (bit v for vertex v).
+
+    Built from p's fields without Graph.__init__'s validation, for the
+    enumeration's inner loop; the result equals Graph(k, edges) in every slot.
+    """
+    k = p.n + 1
+    vs = _mask_to_tuple(nbrs)
+    adj = list(p.adj)
+    masks = list(p._masks)
+    bit = 1 << k
+    for v in vs:
+        adj[v] = adj[v] | {k}
+        masks[v] |= bit
+    adj.append(frozenset(vs))
+    masks.append(nbrs)
+    g = Graph.__new__(Graph)
+    g.n = k
+    g.edges = tuple(sorted(p.edges + tuple((v, k) for v in vs)))
+    g.adj = tuple(adj)
+    g._masks = tuple(masks)
+    return g
+
+
 def parse_counted_lines(
     text: str, error: type[ValueError], header: str, unit: str
 ) -> tuple[int, list[tuple[int, str]]]:
@@ -441,31 +466,44 @@ def is_perfect(g: Graph) -> bool:
 
 
 def _wl_groups(g: Graph) -> list[list[int]]:
-    """Stable colour-refinement classes, ordered by an isomorphism-invariant key."""
-    n = g.n
-    colors = [0] * (n + 1)
-    for v in g.vertices:
-        colors[v] = g.degree(v)
-    prev: list[int] | None = None
+    """Stable colour-refinement classes, ordered by an isomorphism-invariant key.
+
+    Colours are the ranks of the sorted signatures, so once a round splits no
+    class the next round would return the same colours: the loop stops there.
+    """
+    nbrs = g.adj[1:]
+    colors = [0] + [len(a) for a in nbrs]
+    n_classes = len(set(colors[1:]))
     while True:
-        sigs = {
-            v: (colors[v], tuple(sorted(colors[u] for u in g.adj[v])))
-            for v in g.vertices
-        }
-        rank = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        new = [0] * (n + 1)
-        for v in g.vertices:
-            new[v] = rank[sigs[v]]
-        if new == prev:
-            colors = new
+        sigs = [
+            (colors[v], tuple(sorted([colors[u] for u in a])))
+            for v, a in enumerate(nbrs, start=1)
+        ]
+        ranked = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(ranked)}
+        colors = [0] + [rank[s] for s in sigs]
+        if len(ranked) in (n_classes, g.n):
             break
-        prev = new
-        colors = new
-    n_classes = max(colors[1:]) + 1 if n else 0
-    groups: list[list[int]] = [[] for _ in range(n_classes)]
+        n_classes = len(ranked)
+    groups: list[list[int]] = [[] for _ in ranked]
     for v in g.vertices:
         groups[colors[v]].append(v)
     return groups
+
+
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """The twin classes of g with at least two members, each ascending.
+
+    Twins have the same open or the same closed neighbourhood, and swapping
+    two of them is an automorphism that fixes every other vertex.  Open twins
+    are non-adjacent and closed twins adjacent, so no vertex has both kinds.
+    """
+    by_nbhd: dict[tuple[bool, int], list[int]] = {}
+    for v in g.vertices:
+        m = g._masks[v]
+        by_nbhd.setdefault((False, m), []).append(v)
+        by_nbhd.setdefault((True, m | 1 << v), []).append(v)
+    return [c for c in by_nbhd.values() if len(c) > 1]
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -474,57 +512,65 @@ def canonical_form(g: Graph) -> bytes:
     Minimizes the sequence of adjacency rows (row j = bits of vertex j versus
     the vertices placed before it) over all labelings, restricted to orderings
     compatible with colour refinement.  Raises ValueError for n > 9.
+
+    The search places twins in ascending order only: swapping two unplaced
+    twins fixes every placed vertex, so both branches give the same rows.
+    Each node knows whether its rows so far equal the best sequence's prefix;
+    they do after the first child returns, since that child reached a leaf
+    or was pruned against an equal prefix.
     """
     n = g.n
     if n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form supports at most {MAX_CANONICAL_N} vertices")
     if n == 0:
         return b"0:"
-    groups = _wl_groups(g)
     slots: list[int] = []
-    for gi, grp in enumerate(groups):
+    unplaced: list[int] = []
+    for gi, grp in enumerate(_wl_groups(g)):
         slots.extend([gi] * len(grp))
-    unplaced = [set(grp) for grp in groups]
+        unplaced.append(sum(1 << v for v in grp))
+    # twin_before[v]: the bit of the twin placed just before v, if any
+    twin_before = [0] * (n + 1)
+    for cls in _twin_classes(g):
+        for a, b in zip(cls, cls[1:]):
+            twin_before[b] = 1 << a
     masks = g._masks
     placed: list[int] = []
     rows: list[int] = []
-    best: list[int] | None = None
+    best: list[int] = []
 
-    def rec() -> None:
-        nonlocal best
-        j = len(placed)
+    def rec(j: int, eq: bool) -> None:
         if j == n:
-            if best is None or rows < best:
-                best = rows[:]
+            if not eq:
+                best[:] = rows
             return
         gi = slots[j]
+        free = unplaced[gi]
         cands = []
-        for v in unplaced[gi]:
+        rest = free
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            v = b.bit_length() - 1
+            if twin_before[v] & free:
+                continue
             r = 0
             for u in placed:
                 r = (r << 1) | (masks[v] >> u & 1)
             cands.append((r, v))
         cands.sort()
         for r, v in cands:
-            if best is not None:
-                prefix_cmp = 0
-                for k in range(j):
-                    if rows[k] != best[k]:
-                        prefix_cmp = -1 if rows[k] < best[k] else 1
-                        break
-                if prefix_cmp > 0:
-                    break
-                if prefix_cmp == 0 and r > best[j]:
-                    break
+            if eq and r > best[j]:
+                break
             rows.append(r)
             placed.append(v)
-            unplaced[gi].discard(v)
-            rec()
-            unplaced[gi].add(v)
+            unplaced[gi] = free ^ (1 << v)
+            rec(j + 1, eq and r == best[j])
+            unplaced[gi] = free
             placed.pop()
             rows.pop()
+            eq = True
 
-    rec()
-    assert best is not None
+    rec(0, False)
     body = ".".join(format(r, "x") for r in best)
     return f"{n}:{body}".encode("ascii")

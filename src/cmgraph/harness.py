@@ -3,7 +3,9 @@
 Graphs are enumerated up to isomorphism by vertex augmentation: every graph
 on n vertices arises from one on n - 1 by attaching a new vertex to some
 neighbourhood, so augmenting each (n-1)-vertex graph with every subset and
-deduplicating by canonical form is complete.  Hereditary constraints
+deduplicating by canonical form is complete.  Subsets that differ only by a
+permutation of the parent's twins give isomorphic children; only the first
+of them in ascending order is built.  Hereditary constraints
 (colorability, clique bounds) prune during generation; the other filters are
 applied afterwards.  Nothing is cached between calls.
 
@@ -32,6 +34,8 @@ from .covers import (
 )
 from .graphs import (
     Graph,
+    _augment,
+    _twin_classes,
     all_r_partitions,
     canonical_form,
     independence_number,
@@ -100,31 +104,49 @@ def _mask_has_clique(masks: tuple[int, ...], avail: int, size: int) -> bool:
     return False
 
 
+def _packed_masks(p: Graph) -> list[int]:
+    """The neighbourhoods (bit v for vertex v) to augment p with, ascending:
+    those that contain, within every twin class of p, its lowest members.
+
+    Permuting a twin class is an automorphism of p, so any other mask gives
+    a child isomorphic to that of its packed image, which is smaller and so
+    reached first.  The clique prefilter and the colouring test do not tell
+    isomorphic children apart, so skipping it keeps the first child seen.
+    """
+    classes = _twin_classes(p)
+    out = [0]
+    for v in set(p.vertices).difference(*classes):
+        out += [m | 1 << v for m in out]
+    for cls in classes:
+        prefixes = [0]
+        for v in cls:
+            prefixes.append(prefixes[-1] | 1 << v)
+        out = [m | q for m in out for q in prefixes]
+    return sorted(out)
+
+
 def _hereditary_family(
     n: int, chi_bound: int | None, clique_bound: int | None
 ) -> tuple[tuple[Graph, ...], ...]:
     """Levels 1..n of the graphs up to isomorphism with chromatic number at
     most chi_bound and clique number at most clique_bound, each level sorted
     by canonical form.  A class is represented by its first child seen, with
-    parents in canonical order and subset masks ascending."""
+    parents in canonical order and the packed neighbourhoods of each parent
+    ascending."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration supports at most n = {MAX_ENUM_N}")
     levels = [(Graph(1, ()),)]
-    for k in range(2, n + 1):
+    for _ in range(2, n + 1):
         seen: dict[bytes, Graph] = {}
         for p in levels[-1]:
-            base = p.edges
-            for smask in range(1 << (k - 1)):
+            for nbrs in _packed_masks(p):
                 if clique_bound is not None and _mask_has_clique(
-                    p._masks, smask << 1, clique_bound
+                    p._masks, nbrs, clique_bound
                 ):
                     continue
-                new_edges = base + tuple(
-                    (v, k) for v in range(1, k) if smask >> (v - 1) & 1
-                )
-                child = Graph(k, new_edges)
+                child = _augment(p, nbrs)
                 if chi_bound is not None and not is_k_colorable(child, chi_bound):
                     continue
                 key = canonical_form(child)

@@ -380,3 +380,170 @@ def mod_rank(mat: list[list[int]], p: int) -> int:
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# canonical form: the slow path the package's search must match byte for byte
+
+
+def _wl_groups_reference(g: Graph) -> list[list[int]]:
+    n = g.n
+    colors = [0] * (n + 1)
+    for v in g.vertices:
+        colors[v] = g.degree(v)
+    prev: list[int] | None = None
+    while True:
+        sigs = {
+            v: (colors[v], tuple(sorted(colors[u] for u in g.adj[v])))
+            for v in g.vertices
+        }
+        rank = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
+        new = [0] * (n + 1)
+        for v in g.vertices:
+            new[v] = rank[sigs[v]]
+        if new == prev:
+            colors = new
+            break
+        prev = new
+        colors = new
+    n_classes = max(colors[1:]) + 1 if n else 0
+    groups: list[list[int]] = [[] for _ in range(n_classes)]
+    for v in g.vertices:
+        groups[colors[v]].append(v)
+    return groups
+
+
+def canonical_form_reference(g: Graph) -> bytes:
+    """The minimum adjacency-row sequence over every ordering compatible with
+    colour refinement, searched without twin pruning and re-comparing the
+    whole prefix with the best for each candidate.  This is the definition
+    the package's canonical_form must reproduce; it is slow on dense or
+    symmetric graphs (about 2 s for K9)."""
+    n = g.n
+    if n == 0:
+        return b"0:"
+    groups = _wl_groups_reference(g)
+    slots: list[int] = []
+    for gi, grp in enumerate(groups):
+        slots.extend([gi] * len(grp))
+    unplaced = [set(grp) for grp in groups]
+    masks = [0] * (n + 1)
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    placed: list[int] = []
+    rows: list[int] = []
+    best: list[int] | None = None
+
+    def rec() -> None:
+        nonlocal best
+        j = len(placed)
+        if j == n:
+            if best is None or rows < best:
+                best = rows[:]
+            return
+        gi = slots[j]
+        cands = []
+        for v in unplaced[gi]:
+            r = 0
+            for u in placed:
+                r = (r << 1) | (masks[v] >> u & 1)
+            cands.append((r, v))
+        cands.sort()
+        for r, v in cands:
+            if best is not None:
+                prefix_cmp = 0
+                for k in range(j):
+                    if rows[k] != best[k]:
+                        prefix_cmp = -1 if rows[k] < best[k] else 1
+                        break
+                if prefix_cmp > 0:
+                    break
+                if prefix_cmp == 0 and r > best[j]:
+                    break
+            rows.append(r)
+            placed.append(v)
+            unplaced[gi].discard(v)
+            rec()
+            unplaced[gi].add(v)
+            placed.pop()
+            rows.pop()
+
+    rec()
+    assert best is not None
+    body = ".".join(format(r, "x") for r in best)
+    return f"{n}:{body}".encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# shelling search: the recursive form the package's iterative search replaced
+
+
+def shelling_search_recursive(facets, budget: int):
+    """(status, order, steps) of the memoized ordered shelling search on the
+    sorted facets of a pure complex, one recursion level per facet placed.
+    The package's is_shellable must return the same triple; this form runs
+    into Python's recursion limit past about a thousand facets."""
+    facets = tuple(facets)
+    m = len(facets)
+    if m == 1:
+        return "shellable", (facets[0],), 0
+    fsets = [frozenset(f) for f in facets]
+    diff_bits = [[0] * m for _ in range(m)]
+    single_bit = [[0] * m for _ in range(m)]
+    neighbor_count = [0] * m
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            d = 0
+            for v in fsets[i] - fsets[j]:
+                d |= 1 << v
+            diff_bits[i][j] = d
+            if d.bit_count() == 1:
+                single_bit[i][j] = d
+                neighbor_count[i] += 1
+    order = sorted(range(m), key=lambda i: (-neighbor_count[i], i))
+    full = (1 << m) - 1
+    dead: set[int] = set()
+    steps = 0
+
+    class Exhausted(Exception):
+        pass
+
+    def extend(mask, prefix):
+        nonlocal steps
+        if mask == full:
+            return prefix
+        if mask in dead:
+            return None
+        for i in order:
+            if mask >> i & 1:
+                continue
+            if mask:
+                rid = 0
+                for j in range(m):
+                    if mask >> j & 1:
+                        rid |= single_bit[i][j]
+                if not rid:
+                    continue
+                if any(mask >> j & 1 and not diff_bits[i][j] & rid for j in range(m)):
+                    continue
+            steps += 1
+            if steps > budget:
+                raise Exhausted
+            prefix.append(i)
+            got = extend(mask | (1 << i), prefix)
+            if got is not None:
+                return got
+            prefix.pop()
+        dead.add(mask)
+        return None
+
+    try:
+        found = extend(0, [])
+    except Exhausted:
+        return "budget_exhausted", None, steps
+    if found is None:
+        return "not_shellable", None, steps
+    return "shellable", tuple(facets[i] for i in found), steps

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from cmgraph.cli import main
+from cmgraph.complexes import is_shelling_order
 from cmgraph.fixtures import fixture_text
 from cmgraph.graphs import format_graph
 
@@ -85,6 +86,17 @@ def test_shellable_budget_flag(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["status"] == "budget_exhausted" and data["order"] is None
+
+
+def test_shellable_long_path_exits_0(capsys, tmp_path):
+    path = tmp_path / "path.cx"
+    path.write_text("1101 1100\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 1101)))
+    code, out, err = run_cli(capsys, ["shellable", str(path)])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["status"] == "shellable"
+    assert len(data["order"]) == 1100
+    assert is_shelling_order(map(tuple, data["order"]))
 
 
 def test_homology(capsys, tmp_path):

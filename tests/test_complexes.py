@@ -19,6 +19,7 @@ from cmgraph.complexes import (
 )
 from cmgraph.fixtures import FIG1_EDGES
 from cmgraph.graphs import GraphFormatError, parse_graph
+from cmgraph.harness import enumerate_graphs_up_to
 
 RP2_FACETS = [
     (1, 2, 3), (1, 2, 6), (1, 3, 4), (1, 4, 5), (1, 5, 6),
@@ -249,3 +250,28 @@ def test_budget_exhaustion_reports_unknown():
 def test_single_facet_short_circuit():
     res = is_shellable(SimplicialComplex(2, [(1, 2)]))
     assert res.status == SHELLABLE and res.order == ((1, 2),)
+
+
+def test_long_path_complex_is_shellable_without_recursion():
+    # 1,100 facets: a search with one recursion level per facet placed
+    # raised RecursionError here
+    cx = SimplicialComplex(1101, [(i, i + 1) for i in range(1, 1101)])
+    res = is_shellable(cx)
+    assert res.status == SHELLABLE
+    assert sorted(res.order) == sorted(cx.facets)
+    assert is_shelling_order(res.order)
+
+
+@pytest.mark.parametrize("budget", [10**8, 17, 3])
+def test_shelling_search_matches_the_recursive_reference(budget):
+    checked = 0
+    for g in enumerate_graphs_up_to(6).graphs:
+        cx = independence_complex(g)
+        if not cx.is_pure():
+            continue
+        res = is_shellable(cx, budget)
+        assert (res.status, res.order, res.steps) == oracles.shelling_search_recursive(
+            cx.facets, budget
+        ), g.edges
+        checked += 1
+    assert checked == 73

@@ -8,7 +8,14 @@ import pytest
 import oracles
 from cmgraph import harness
 from cmgraph.cli import main
-from cmgraph.graphs import canonical_form, is_connected, r_partition
+from cmgraph.graphs import (
+    Graph,
+    canonical_form,
+    clique_number,
+    is_connected,
+    is_k_colorable,
+    r_partition,
+)
 from cmgraph.harness import (
     CLAIMS,
     MAX_ENUM_N,
@@ -121,6 +128,56 @@ def test_filters_agree_with_post_hoc_predicates():
 def test_enumeration_size_limit():
     with pytest.raises(ValueError):
         enumerate_graphs(MAX_ENUM_N + 1)
+
+
+def _plain_family(n, chi, omega):
+    """The enumeration without twin pruning: every neighbourhood of every
+    parent, ascending, each child validated by Graph.__init__, the first
+    child of each class kept."""
+    levels = [(Graph(1, ()),)]
+    for k in range(2, n + 1):
+        seen = {}
+        for p in levels[-1]:
+            for nbrs in range(1 << (k - 1)):
+                child = Graph(k, p.edges + tuple(
+                    (v, k) for v in range(1, k) if nbrs >> (v - 1) & 1
+                ))
+                if omega is not None and clique_number(child) > omega:
+                    continue
+                if chi is not None and not is_k_colorable(child, chi):
+                    continue
+                seen.setdefault(canonical_form(child), child)
+        levels.append(tuple(seen[key] for key in sorted(seen)))
+    return levels
+
+
+@pytest.mark.parametrize("chi, omega", [(None, None), (2, 2), (3, 3)])
+def test_twin_pruning_keeps_every_representative(chi, omega):
+    """Graph.__eq__ compares n and edges only; the reports also read adj
+    and the masks, so all four fields must match."""
+    def fields(levels):
+        return [[(g.n, g.edges, g.adj, g._masks) for g in level] for level in levels]
+
+    assert fields(harness._hereditary_family(7, chi, omega)) == fields(
+        _plain_family(7, chi, omega)
+    )
+
+
+def test_enumeration_matches_the_networkx_atlas():
+    """graph_atlas_g lists every graph on at most 7 vertices once, from code
+    that shares nothing with the package."""
+    networkx = pytest.importorskip("networkx")
+    atlas: dict[int, set[bytes]] = {}
+    for h in networkx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n >= 1:
+            g = Graph(n, [(u + 1, v + 1) for u, v in h.edges()])
+            atlas.setdefault(n, set()).add(canonical_form(g))
+    ours: dict[int, set[bytes]] = {}
+    for g in enumerate_graphs_up_to(7).graphs:
+        ours.setdefault(g.n, set()).add(canonical_form(g))
+    assert {n: len(f) for n, f in atlas.items()} == dict(enumerate(UNFILTERED_COUNTS, 1))
+    assert ours == atlas
 
 
 # ---------------------------------------------------------------------------
