@@ -17,6 +17,8 @@ from .complexes import SimplicialComplex, independence_complex, link
 from .graphs import Graph, r_partition
 from .homology import FieldSpec, reduced_betti
 
+_F2 = FieldSpec(2)
+
 
 @dataclass(frozen=True)
 class HomologyWitness:
@@ -65,19 +67,32 @@ def reisner_cm(cx: SimplicialComplex, field: FieldSpec) -> CMReport:
     canonical order (dimension, then lex) and the first face whose link has
     homology below its dimension is returned.  Links of dimension <= 0 are
     skipped: they are nonempty, so there is nothing to check below degree 0.
+
+    Distinct faces often have equal links.  A link's facets determine it,
+    since every vertex lies in a facet, so a link seen to pass is kept by
+    its facets for the rest of the call and not computed again.  Over the
+    rationals a link is first tried over F_2: no integer matrix has larger
+    rank over F_2 than over Q, so F_2 Betti numbers bound the rational ones
+    from above, and vanishing F_2 homology below the link's dimension passes
+    it without fraction-free elimination.  Any other link (2-torsion, or
+    rational homology) gets its rational Betti numbers.  The first failing
+    link still ends the scan, so the witness is that of the plain scan.
     """
     if not cx.is_pure():
         by_size = sorted(cx.facets, key=len)
         return CMReport(field, False, PurityWitness(by_size[0], by_size[-1]))
+    passed: set[tuple[tuple[int, ...], ...]] = set()
     for face in cx.all_faces():
         lk = link(cx, face)
         d = lk.dimension()
-        if d <= 0:
+        if d <= 0 or lk.facets in passed:
             continue
-        betti = reduced_betti(lk, field)
-        for i in range(-1, d):
-            if betti[i + 1]:
-                return CMReport(field, False, HomologyWitness(face, i))
+        if field.characteristic != 0 or any(reduced_betti(lk, _F2)[: d + 1]):
+            betti = reduced_betti(lk, field)
+            for i in range(-1, d):
+                if betti[i + 1]:
+                    return CMReport(field, False, HomologyWitness(face, i))
+        passed.add(lk.facets)
     return CMReport(field, True, None)
 
 

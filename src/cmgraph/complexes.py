@@ -238,21 +238,18 @@ def is_shellable(
     if m == 1:
         return ShellingResult(SHELLABLE, (facets[0],), 0)
 
-    fsets = [frozenset(f) for f in facets]
-    diff_bits: list[list[int]] = [[0] * m for _ in range(m)]
-    single_bit: list[list[int]] = [[0] * m for _ in range(m)]
-    neighbor_count = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            d = 0
-            for v in fsets[i] - fsets[j]:
-                d |= 1 << v
-            diff_bits[i][j] = d
-            if d.bit_count() == 1:
-                single_bit[i][j] = d
-                neighbor_count[i] += 1
+    # One vertex mask per facet, and per ridge (a facet minus one vertex) the
+    # mask of the facets containing it.  In a pure complex two facets differ
+    # in a single vertex iff they share a ridge, and they share at most one.
+    fm = [sum(1 << v for v in f) for f in facets]
+    owners: dict[int, int] = {}
+    for i, f in enumerate(facets):
+        for v in f:
+            r = fm[i] ^ (1 << v)
+            owners[r] = owners.get(r, 0) | (1 << i)
+    ridges = [[(1 << v, owners[fm[i] ^ (1 << v)]) for v in f] for i, f in enumerate(facets)]
+    outside = [~x for x in fm]
+    neighbor_count = [sum(own.bit_count() - 1 for _, own in rs) for rs in ridges]
     order = sorted(range(m), key=lambda i: (-neighbor_count[i], i))
 
     full = (1 << m) - 1
@@ -270,19 +267,18 @@ def is_shellable(
             if mask >> i & 1:
                 continue
             if mask:
+                # rid: the vertices l with F_i - {l} inside a placed facet
                 rid = 0
-                rest = mask
-                while rest:
-                    b = rest & -rest
-                    rid |= single_bit[i][b.bit_length() - 1]
-                    rest ^= b
+                for vbit, own in ridges[i]:
+                    if own & mask:
+                        rid |= vbit
                 if not rid:
                     continue
                 ok = True
                 rest = mask
                 while rest:
                     b = rest & -rest
-                    if not diff_bits[i][b.bit_length() - 1] & rid:
+                    if not rid & outside[b.bit_length() - 1]:
                         ok = False
                         break
                     rest ^= b

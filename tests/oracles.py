@@ -4,6 +4,10 @@ Everything here trades speed for obviousness: subsets are enumerated
 directly, colorings come from a subset DP, and homology ranks come from
 integer Smith diagonalization.  No algorithmic code is shared with the
 package; only the Graph container is reused so results are comparable.
+The slow paths at the end keep earlier forms of the package's own searches
+to compare its fast paths with; the Reisner scan among them calls the
+package's link and reduced_betti, which the oracles above check on their
+own.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from cmgraph.cohen_macaulay import CMReport, HomologyWitness, PurityWitness
+from cmgraph.complexes import link
 from cmgraph.graphs import Graph
+from cmgraph.homology import reduced_betti
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +554,27 @@ def shelling_search_recursive(facets, budget: int):
     if found is None:
         return "not_shellable", None, steps
     return "shellable", tuple(facets[i] for i in found), steps
+
+
+# ---------------------------------------------------------------------------
+# Reisner scan: the slow path the package's CM decider must match
+
+
+def reisner_cm_reference(cx, field):
+    """The CMReport of the plain Reisner scan: every face in canonical order,
+    every link's Betti numbers over the field itself, nothing remembered
+    between faces.  This is the slow path the package's reisner_cm must
+    match, witness face and index included."""
+    if not cx.is_pure():
+        by_size = sorted(cx.facets, key=len)
+        return CMReport(field, False, PurityWitness(by_size[0], by_size[-1]))
+    for face in cx.all_faces():
+        lk = link(cx, face)
+        d = lk.dimension()
+        if d <= 0:
+            continue
+        betti = reduced_betti(lk, field)
+        for i in range(-1, d):
+            if betti[i + 1]:
+                return CMReport(field, False, HomologyWitness(face, i))
+    return CMReport(field, True, None)

@@ -11,10 +11,11 @@ from cmgraph.cohen_macaulay import (
     hh_conditions_hold,
     reisner_cm,
 )
-from cmgraph.complexes import independence_complex
+from cmgraph.complexes import SimplicialComplex, independence_complex
 from cmgraph.graphs import Graph, is_connected, r_partition
 from cmgraph.harness import enumerate_graphs_up_to
 from cmgraph.homology import FieldSpec
+from test_complexes import RP2_FACETS, boundary_sphere
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -103,6 +104,49 @@ def test_reisner_matches_brute_force_oracle():
                 cm_graph(g, FieldSpec(char)).is_cm
                 == oracles.is_cm_brute(g, char)
             ), g.edges
+
+
+def whiskered_path(n: int) -> Graph:
+    """The path 1..n with a pendant vertex v + n hung on each v."""
+    return oracles.graph_from_edges(
+        2 * n, [(i, i + 1) for i in range(1, n)] + [(v, v + n) for v in range(1, n + 1)]
+    )
+
+
+def rp2_family() -> list[SimplicialComplex]:
+    """RP^2, its cone and its suspension: 2-torsion at three dimensions.
+
+    The suspension is pure of dimension 3 with H~_2 = Z/2, so its F_2
+    homology below the top degree is nonzero while the rational one is not.
+    """
+    cone = [f + (7,) for f in RP2_FACETS]
+    suspension = cone + [f + (8,) for f in RP2_FACETS]
+    return [
+        SimplicialComplex(6, RP2_FACETS),
+        SimplicialComplex(7, cone),
+        SimplicialComplex(8, suspension),
+    ]
+
+
+def test_reisner_cm_matches_the_reference_scan_on_graphs_up_to_7():
+    for g in enumerate_graphs_up_to(7).graphs:
+        cx = independence_complex(g)
+        for field in (Q, F2, F3):
+            assert reisner_cm(cx, field) == oracles.reisner_cm_reference(cx, field), g.edges
+
+
+def test_reisner_cm_matches_the_reference_scan_on_named_complexes(fig1):
+    complexes = [independence_complex(g) for g in (fig1, whiskered_path(5), whiskered_path(6))]
+    complexes += rp2_family()
+    complexes += [boundary_sphere(d) for d in range(1, 5)]
+    for cx in complexes:
+        for field in (Q, F2, F3):
+            assert reisner_cm(cx, field) == oracles.reisner_cm_reference(cx, field), cx
+
+
+def test_whiskered_p8_is_cm_over_the_rationals():
+    # whiskered trees are CM over every field; 3,344 faces are scanned
+    assert cm_graph(whiskered_path(8), Q).is_cm is True
 
 
 def test_reports_are_deterministic(fig1):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -260,6 +261,22 @@ def test_long_path_complex_is_shellable_without_recursion():
     assert res.status == SHELLABLE
     assert sorted(res.order) == sorted(cx.facets)
     assert is_shelling_order(res.order)
+
+
+def test_shelling_search_start_up_is_not_quadratic_in_memory():
+    # Two facets-by-facets tables built before the first step would peak at
+    # 10.8 MB on this 400-edge path (134 MB at 1,100 edges).  tracemalloc
+    # slows every big-int temporary of the search, so the 1,100-edge path
+    # would take about 20 s under it; 400 edges keep the test near 2 s.
+    cx = SimplicialComplex(401, [(i, i + 1) for i in range(1, 401)])
+    tracemalloc.start()
+    try:
+        res = is_shellable(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == SHELLABLE
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("budget", [10**8, 17, 3])

@@ -102,16 +102,36 @@ def random_matrix(rng, rows, cols):
 def test_rank_over_matches_dense_oracles():
     rng = random.Random(99)
     for _ in range(40):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        dense = random_matrix(rng, rows, cols)
-        bm = BoundaryMatrix(
-            rows=tuple((i,) for i in range(rows)),
-            cols=tuple((j,) for j in range(cols)),
-            entries=tuple(tuple(row) for row in dense),
-        )
+        dense = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        bm = as_matrix(dense)
         assert rank_over(bm, Q) == oracles.fraction_rank(dense)
         for p in (2, 3, 5):
             assert rank_over(bm, FieldSpec(p)) == oracles.mod_rank(dense, p)
+
+
+def as_matrix(dense):
+    return BoundaryMatrix(
+        rows=tuple((i,) for i in range(len(dense))),
+        cols=tuple((j,) for j in range(len(dense[0]) if dense else 0)),
+        entries=tuple(tuple(row) for row in dense),
+    )
+
+
+def test_f2_rank_matches_oracle_on_large_random_matrices():
+    # entries in -4..4, so the even ones vanish mod 2 and the odd ones,
+    # negative included, become ones
+    rng = random.Random(7)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 40), rng.randint(1, 70)
+        dense = random_matrix(rng, rows, cols)
+        assert rank_over(as_matrix(dense), F2) == oracles.mod_rank(dense, 2)
+
+
+def test_f2_rank_matches_oracle_on_the_smith_corpus_boundaries():
+    for cx in smith_corpus():
+        for bm in boundary_matrices(cx):
+            dense = [list(row) for row in bm.entries]
+            assert rank_over(bm, F2) == oracles.mod_rank(dense, 2)
 
 
 def test_projective_plane_boundary_ranks():
@@ -154,13 +174,17 @@ def test_disconnection_shows_in_betti_zero():
     assert reduced_betti(cx, Q) == (0, 1, 0)
 
 
-def test_reduced_betti_matches_smith_oracle():
+def smith_corpus() -> list[SimplicialComplex]:
     from cmgraph.harness import enumerate_graphs_up_to
 
     corpus = [independence_complex(g) for g in enumerate_graphs_up_to(5).graphs]
     corpus += [independence_complex(g) for g in oracles.random_graphs(10, 7, seed=33)]
     corpus.append(rp2())
-    for cx in corpus:
+    return corpus
+
+
+def test_reduced_betti_matches_smith_oracle():
+    for cx in smith_corpus():
         for field in (Q, F2, F3):
             assert reduced_betti(cx, field) == oracles.betti_brute(
                 cx.facets, field.characteristic
