@@ -14,6 +14,11 @@ from typing import Iterable
 # tool and callers get an explicit error instead of an open-ended computation.
 MAX_CANONICAL_N = 9
 
+# parse_graph rejects a header vertex count above this before Graph allocates
+# anything per vertex.  Every decider of the package is exponential long
+# before it, and the maximal-set search recurses once per vertex of a set.
+MAX_PARSE_N = 512
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list document."""
@@ -145,10 +150,12 @@ def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: header ``n m``, then m lines ``u v``.
 
     Blank lines are skipped; ``#`` starts a comment line.  Raises
-    GraphFormatError on a malformed line, a vertex outside 1..n, a loop,
-    a duplicate edge, or a wrong number of edge lines.
+    GraphFormatError on a malformed line, n above MAX_PARSE_N, a vertex
+    outside 1..n, a loop, a duplicate edge, or a wrong number of edge lines.
     """
     n, body = parse_counted_lines(text, GraphFormatError, "n m", "edge")
+    if n > MAX_PARSE_N:
+        raise GraphFormatError(f"header: n = {n} exceeds the limit of {MAX_PARSE_N} vertices")
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
     for lineno, line in body:

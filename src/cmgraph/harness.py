@@ -6,8 +6,9 @@ neighbourhood, so augmenting each (n-1)-vertex graph with every subset and
 deduplicating by canonical form is complete.  Subsets that differ only by a
 permutation of the parent's twins give isomorphic children; only the first
 of them in ascending order is built.  Hereditary constraints
-(colorability, clique bounds) prune during generation; the other filters are
-applied afterwards.  Nothing is cached between calls.
+(colorability, clique bounds) prune during generation; so does, at the top
+level only, a clique condition every filter set of the call needs.  The
+other filters are applied afterwards.  Nothing is cached between calls.
 
 Every claim the harness checks is one entry of CLAIMS: its name, the filters
 of the ensemble it reads, whether it runs once per characteristic, and a
@@ -125,23 +126,75 @@ def _packed_masks(p: Graph) -> list[int]:
     return sorted(out)
 
 
+def _top_clique_test(p: Graph, s: int) -> Callable[[int], bool]:
+    """For s >= 2, a test of a neighbourhood nbrs of p: whether every vertex
+    and every edge of _augment(p, nbrs) lies in an s-clique.
+
+    The new cliques are the new vertex plus a clique inside nbrs.  So the
+    test needs: for each v in nbrs, an (s-2)-clique in nbrs & N(v), which
+    covers the edge to v and, with nbrs nonempty, the new vertex; each
+    vertex of p in no s-clique of p to be in nbrs; and each edge uv of p in
+    no s-clique of p to be in nbrs, with an (s-3)-clique in
+    nbrs & N(u) & N(v).
+    """
+    masks = p._masks
+    bare_vertices = 0
+    for v in p.vertices:
+        if not _mask_has_clique(masks, masks[v], s - 1):
+            bare_vertices |= 1 << v
+    bare_edges = [
+        (1 << u | 1 << v, masks[u] & masks[v])
+        for u, v in p.edges
+        if not _mask_has_clique(masks, masks[u] & masks[v], s - 2)
+    ]
+
+    def admits(nbrs: int) -> bool:
+        if not nbrs or bare_vertices & ~nbrs:
+            return False
+        for pair, common in bare_edges:
+            if pair & ~nbrs or not _mask_has_clique(masks, nbrs & common, s - 3):
+                return False
+        rest = nbrs
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if not _mask_has_clique(masks, nbrs & masks[b.bit_length() - 1], s - 2):
+                return False
+        return True
+
+    return admits
+
+
 def _hereditary_family(
-    n: int, chi_bound: int | None, clique_bound: int | None
+    n: int,
+    chi_bound: int | None,
+    clique_bound: int | None,
+    top_clique: int | None = None,
 ) -> tuple[tuple[Graph, ...], ...]:
     """Levels 1..n of the graphs up to isomorphism with chromatic number at
     most chi_bound and clique number at most clique_bound, each level sorted
     by canonical form.  A class is represented by its first child seen, with
     parents in canonical order and the packed neighbourhoods of each parent
-    ascending."""
+    ascending.
+
+    With top_clique = s (at least 2), level n keeps only the graphs whose
+    every vertex and every edge lies in an s-clique; the levels below are the
+    parents and stay complete.  The condition is an isomorphism invariant,
+    so it drops whole classes and the classes it keeps have the same
+    representatives."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration supports at most n = {MAX_ENUM_N}")
     levels = [(Graph(1, ()),)]
-    for _ in range(2, n + 1):
+    for k in range(2, n + 1):
+        top = top_clique if k == n else None
         seen: dict[bytes, Graph] = {}
         for p in levels[-1]:
+            admits = _top_clique_test(p, top) if top is not None else None
             for nbrs in _packed_masks(p):
+                if admits is not None and not admits(nbrs):
+                    continue
                 if clique_bound is not None and _mask_has_clique(
                     p._masks, nbrs, clique_bound
                 ):
@@ -164,16 +217,41 @@ def _family_bounds(f: GraphFilters) -> tuple[int | None, int | None]:
     then spares the colouring test on every child containing K_{chi+1}.
     """
     chi, omega = f.r_partite, f.max_clique_size
+    if chi is not None and chi < 1:
+        raise ValueError("r must be at least 1")
     if chi is not None and (omega is None or omega > chi):
         omega = chi
     return chi, omega
 
 
+def _top_clique(filter_sets: list[GraphFilters]) -> int | None:
+    """An s >= 2 such that, in every graph on two or more vertices that
+    passes any of filter_sets, every vertex and every edge lies in an
+    s-clique; None when some set implies no such s.
+
+    max_clique_size = s >= 2 implies it for s, since a vertex or edge in no
+    s-clique would lie in a smaller maximal clique; connected implies it for
+    s = 2 (no isolated vertex).  The condition for s implies the one for any
+    smaller s, so the sets share the least of theirs.
+    """
+    sizes = []
+    for f in filter_sets:
+        s = f.max_clique_size
+        if s is None or s < 2:
+            if not f.connected:
+                return None
+            s = 2
+        sizes.append(s)
+    return min(sizes)
+
+
 # Post-filters in evaluation order: the filter field that enables each, and
-# the predicate, which reads the field's value.
+# the predicate, which reads the field's value.  The family is r-colourable
+# when r_partite = r, so its graphs have an r-partition exactly when they
+# have at least r vertices.
 _POST_FILTERS = (
     ("connected", lambda g, _: is_connected(g)),
-    ("r_partite", lambda g, r: r_partition(g, r) is not None),
+    ("r_partite", lambda g, r: g.n >= r),
     ("max_clique_size", lambda g, s: {len(c) for c in maximal_cliques(g)} == {s}),
     ("unmixed", lambda g, _: is_unmixed(g)),
     ("perfect", lambda g, _: is_perfect(g)),
@@ -200,11 +278,16 @@ def _ensembles(
 ) -> list[GraphEnsemble]:
     """One ensemble per filter set over n_min..n_max vertices, ordered by
     (n, canonical form).  The filter sets share one hereditary family, which
-    is built once and scanned once, evaluating every post-filter predicate at
-    most once per graph."""
+    is built once, with its top level cut to the graphs that meet the clique
+    condition the sets share, and scanned once, evaluating every post-filter
+    predicate at most once per graph."""
     ((chi, omega),) = {_family_bounds(f) for f in filter_sets}
     picked: list[list[Graph]] = [[] for _ in filter_sets]
-    levels = _hereditary_family(n_max, chi, omega) if n_max >= n_min else ()
+    levels = (
+        _hereditary_family(n_max, chi, omega, _top_clique(filter_sets))
+        if n_max >= n_min
+        else ()
+    )
     for level in levels[n_min - 1 :]:
         for g in level:
             known: dict = {}
@@ -439,10 +522,11 @@ def run_battery(
 ) -> dict:
     """Run every claim of CLAIMS at the given bounds and assemble a summary.
 
-    Every ensemble comes from one pass over one hereditary family.  Records are computed once per distinct graph (optionally in
-    parallel) and shared by all verdicts, so the summary and the report are
-    deterministic regardless of jobs.  Raises ValueError for no or invalid
-    characteristics, or jobs outside 1..os.cpu_count().
+    Every ensemble comes from one pass over one hereditary family.  Records
+    are computed once per distinct graph (optionally in parallel) and shared
+    by all verdicts, so the summary and the report are deterministic
+    regardless of jobs.  Raises ValueError for no or invalid
+    characteristics, r < 1, or jobs outside 1..os.cpu_count().
     """
     chars = tuple(characteristics)
     if not chars:

@@ -29,7 +29,7 @@ from cmgraph.harness import (
 )
 from cmgraph.homology import FieldSpec, boundary_matrices, reduced_betti
 from test_complexes import RP2_FACETS, boundary_sphere
-from test_harness import R3_DEGREE_COUNTEREXAMPLES
+from test_harness import R3_DEGREE_COUNTEREXAMPLES, R4_DEGREE_COUNTEREXAMPLES
 from test_homology import compose_is_zero
 
 Q = FieldSpec(0)
@@ -98,10 +98,10 @@ def _describe(failures):
     return "\n".join(lines)
 
 
-def _pinned_mismatch(claim, got):
+def _pinned_mismatch(claim, got, pinned_classes):
     """Name the classes a sweep reports beyond the pinned list and the
     pinned classes it no longer reports."""
-    pinned = [canon for canon, _ in R3_DEGREE_COUNTEREXAMPLES]
+    pinned = [canon for canon, _ in pinned_classes]
     reported = [canon for canon, _ in got]
     differences = {
         f"{claim}, not pinned": [ce for ce in got if ce[0] not in pinned],
@@ -119,11 +119,11 @@ def test_criterion_5_cm_forces_low_degree_vertex_and_unique_matching():
     """Sweep r-partite graphs coverable by independence-number many cliques
     whose maximal cliques all have size r.  The uniqueness half of the claim
     holds: every Cohen-Macaulay one has a unique perfect r-matching, for
-    r = 2 up to n = 8 and r = 3 up to n = 9.  The degree half (a vertex of
-    degree r-1) holds for r = 2 but not for r = 3: the sweep must report
-    exactly the eight pinned classes, in canonical order, over both fields.
-    Each pinned class is certified by the oracles in the test below."""
-    r2 = run_battery(8, r=2, characteristics=(0, 2))
+    r = 2 and r = 3 up to n = 9.  The degree half (a vertex of degree r-1)
+    holds for r = 2 but not for r = 3: the sweep must report exactly the
+    eight pinned classes, in canonical order, over both fields.  Each
+    pinned class is certified by the oracles in the test below."""
+    r2 = run_battery(9, r=2, characteristics=(0, 2))
     r3 = run_battery(9, r=3, characteristics=(0, 2))
 
     for v in _sweep_verdicts(r2, "main-theorem"):
@@ -143,29 +143,64 @@ def test_criterion_5_cm_forces_low_degree_vertex_and_unique_matching():
         expected = [[canon, reason] for canon, _ in R3_DEGREE_COUNTEREXAMPLES]
         assert v["counterexamples"] == expected, (
             "the r=3 degree sweep no longer reports exactly the pinned "
-            "counterexample classes:\n" + _pinned_mismatch(v["claim"], v["counterexamples"])
+            "counterexample classes:\n"
+            + _pinned_mismatch(v["claim"], v["counterexamples"], R3_DEGREE_COUNTEREXAMPLES)
         )
 
 
-def test_criterion_5_pinned_degree_counterexamples_are_genuine():
-    """Each pinned class meets every hypothesis of the claim and is
-    Cohen-Macaulay over Q and F_2, yet has no vertex of degree r-1 = 2.
+def test_criterion_5_r4_sweep_reports_exactly_the_pinned_classes():
+    """At r = 4 the degree half already fails at n = 8: the sweep reports
+    exactly the two pinned classes over both fields, and the uniqueness
+    half holds with no converse candidates."""
+    r4 = run_battery(8, r=4, characteristics=(0, 2))
+    for v in _sweep_verdicts(r4, "uniqueness-corollary"):
+        assert v["counterexamples"] == [], _describe({v["claim"]: v["counterexamples"]})
+    assert r4["converse_candidates"] == {"0": [], "2": []}
+    main = _sweep_verdicts(r4, "main-theorem")
+    assert [v["claim"] for v in main] == [
+        "main-theorem r=4 char=0",
+        "main-theorem r=4 char=2",
+    ]
+    for v, char in zip(main, (0, 2)):
+        reason = f"cm over char {char} but no vertex of degree r-1"
+        expected = [[canon, reason] for canon, _ in R4_DEGREE_COUNTEREXAMPLES]
+        assert v["counterexamples"] == expected, (
+            "the r=4 degree sweep no longer reports exactly the pinned "
+            "counterexample classes:\n"
+            + _pinned_mismatch(v["claim"], v["counterexamples"], R4_DEGREE_COUNTEREXAMPLES)
+        )
+
+
+def _certify_degree_counterexamples(pinned, n, r, alpha):
+    """Each pinned class meets every hypothesis of the claim at r and is
+    Cohen-Macaulay over Q and F_2, yet its minimum degree is r, not r-1.
     Only the oracles decide this; the package supplies Graph and
     canonical_form."""
-    for canon, edges in R3_DEGREE_COUNTEREXAMPLES:
-        g = Graph(9, edges)
+    for canon, edges in pinned:
+        g = Graph(n, edges)
         assert canonical_form(g) == canon.encode(), canon
-        assert len(oracles.all_r_partitions_brute(g, 3)) == 1, canon
-        assert {len(c) for c in oracles.maximal_cliques_brute(g)} == {3}, canon
-        assert oracles.independence_number_brute(g) == 3, canon
-        assert oracles.clique_cover_number_brute(g) == 3, canon
-        assert len(oracles.perfect_r_matchings_brute(g, 3)) == 1, canon
+        assert len(oracles.all_r_partitions_brute(g, r)) == 1, canon
+        assert {len(c) for c in oracles.maximal_cliques_brute(g)} == {r}, canon
+        assert oracles.independence_number_brute(g) == alpha, canon
+        assert oracles.clique_cover_number_brute(g) == alpha, canon
+        assert len(oracles.perfect_r_matchings_brute(g, r)) == 1, canon
         assert oracles.is_cm_brute(g, 0) and oracles.is_cm_brute(g, 2), canon
-        degree = {v: 0 for v in range(1, 10)}
+        degree = {v: 0 for v in range(1, n + 1)}
         for u, w in edges:
             degree[u] += 1
             degree[w] += 1
-        assert min(degree.values()) == 3, canon
+        assert min(degree.values()) == r, canon
+
+
+def test_criterion_5_pinned_degree_counterexamples_are_genuine():
+    """The eight r = 3 classes on 9 vertices, with alpha = 3."""
+    _certify_degree_counterexamples(R3_DEGREE_COUNTEREXAMPLES, 9, 3, 3)
+
+
+def test_criterion_5_pinned_r4_degree_counterexamples_are_genuine():
+    """The two r = 4 classes on 8 vertices.  With alpha = 2 the independence
+    complex is a graph, and Cohen-Macaulay means it is connected."""
+    _certify_degree_counterexamples(R4_DEGREE_COUNTEREXAMPLES, 8, 4, 2)
 
 
 def _implication_sweep(graphs, shelling_budget):

@@ -8,7 +8,7 @@ import oracles
 from cmgraph.cli import main
 from cmgraph.complexes import is_shelling_order
 from cmgraph.fixtures import fixture_text
-from cmgraph.graphs import format_graph
+from cmgraph.graphs import MAX_PARSE_N, Graph, format_graph
 
 
 @pytest.fixture
@@ -197,6 +197,23 @@ def test_malformed_graph_reports_line(capsys, tmp_path):
     bad.write_text("3 1\n1 9\n")
     code, out, err = run_cli(capsys, ["cm", str(bad)])
     assert code == 2 and "out of range" in err
+
+
+def test_huge_header_vertex_count_exits_2_without_allocating(capsys, tmp_path, monkeypatch):
+    """A header n above MAX_PARSE_N is rejected before Graph sees it; the
+    guard fails the test instead of building a billion-vertex graph."""
+    real_init = Graph.__init__
+
+    def guarded_init(self, n, edges=()):
+        assert n <= MAX_PARSE_N, f"Graph({n}) built from an untrusted header"
+        real_init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", guarded_init)
+    huge = tmp_path / "huge.edges"
+    huge.write_text("1000000000 0\n")
+    code, out, err = run_cli(capsys, ["cm", str(huge)])
+    assert code == 2 and out == ""
+    assert err.startswith("cmgraph: error:") and f"limit of {MAX_PARSE_N} vertices" in err
 
 
 def test_unknown_fixture(capsys):

@@ -8,17 +8,23 @@ import pytest
 import oracles
 from cmgraph import harness
 from cmgraph.cli import main
+from cmgraph.covers import alpha_clique_cover
 from cmgraph.graphs import (
     Graph,
+    _augment,
     canonical_form,
     clique_number,
     is_connected,
     is_k_colorable,
+    is_perfect,
+    is_unmixed,
+    maximal_cliques,
     r_partition,
 )
 from cmgraph.harness import (
     CLAIMS,
     MAX_ENUM_N,
+    GraphEnsemble,
     GraphFilters,
     enumerate_graphs,
     enumerate_graphs_up_to,
@@ -81,6 +87,24 @@ R3_DEGREE_COUNTEREXAMPLES = (
 )
 
 
+# Every class the r=4, n<=8 degree sweep reports, in the same form.  Each is
+# certified by the oracles alone in test_acceptance.py: CM over Q and F_2, a
+# unique 4-partition, only K4 as maximal cliques, two cliques cover it, a
+# unique perfect 4-matching, and minimum degree 4 rather than r - 1 = 3.
+R4_DEGREE_COUNTEREXAMPLES = (
+    ("8:0.0.1.4.7.17.37.77", (
+        (1, 4), (1, 6), (1, 7), (1, 8), (2, 3), (2, 5), (2, 7), (2, 8),
+        (3, 5), (3, 6), (3, 8), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7),
+        (5, 8), (6, 7), (6, 8), (7, 8),
+    )),
+    ("8:0.0.1.5.d.1d.1f.5f", (
+        (1, 4), (1, 5), (1, 6), (1, 8), (2, 3), (2, 5), (2, 6), (2, 7),
+        (3, 4), (3, 6), (3, 7), (3, 8), (4, 5), (4, 7), (4, 8), (5, 6),
+        (5, 7), (5, 8), (6, 7), (6, 8), (7, 8),
+    )),
+)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -104,9 +128,6 @@ def test_enumeration_is_deterministic_and_canonically_sorted():
 
 
 def test_filters_agree_with_post_hoc_predicates():
-    from cmgraph.covers import alpha_clique_cover
-    from cmgraph.graphs import is_perfect, is_unmixed, maximal_cliques
-
     filters = GraphFilters(
         connected=True, r_partite=2, max_clique_size=2, unmixed=True,
         perfect=True, class_g=True,
@@ -151,16 +172,153 @@ def _plain_family(n, chi, omega):
     return levels
 
 
-@pytest.mark.parametrize("chi, omega", [(None, None), (2, 2), (3, 3)])
-def test_twin_pruning_keeps_every_representative(chi, omega):
+def _fields(graphs):
     """Graph.__eq__ compares n and edges only; the reports also read adj
     and the masks, so all four fields must match."""
-    def fields(levels):
-        return [[(g.n, g.edges, g.adj, g._masks) for g in level] for level in levels]
+    return [(g.n, g.edges, g.adj, g._masks) for g in graphs]
 
-    assert fields(harness._hereditary_family(7, chi, omega)) == fields(
-        _plain_family(7, chi, omega)
+
+@pytest.mark.parametrize("chi, omega", [(None, None), (2, 2), (3, 3)])
+def test_twin_pruning_keeps_every_representative(chi, omega):
+    assert [_fields(level) for level in harness._hereditary_family(7, chi, omega)] == [
+        _fields(level) for level in _plain_family(7, chi, omega)
+    ]
+
+
+_REFERENCE_PREDICATES = {
+    "connected": lambda g, _: is_connected(g),
+    "r_partite": lambda g, r: r_partition(g, r) is not None,
+    "max_clique_size": lambda g, s: {len(c) for c in maximal_cliques(g)} == {s},
+    "unmixed": lambda g, _: is_unmixed(g),
+    "perfect": lambda g, _: is_perfect(g),
+    "class_g": lambda g, _: alpha_clique_cover(g) is not None,
+}
+
+
+def _unfiltered_family(n, chi, omega):
+    """The enumeration with its top level built in full: every packed
+    neighbourhood of every parent that passes the clique and colouring
+    bounds, the first child of each class kept."""
+    levels = [(Graph(1, ()),)]
+    for _ in range(2, n + 1):
+        seen = {}
+        for p in levels[-1]:
+            for nbrs in harness._packed_masks(p):
+                if omega is not None and harness._mask_has_clique(p._masks, nbrs, omega):
+                    continue
+                child = _augment(p, nbrs)
+                if chi is not None and not is_k_colorable(child, chi):
+                    continue
+                seen.setdefault(canonical_form(child), child)
+        levels.append(tuple(seen[key] for key in sorted(seen)))
+    return tuple(levels)
+
+
+def _reference_ensembles(n_max, filter_sets, n_min=1):
+    """harness._ensembles as a slow path: the unfiltered family, then every
+    post-filter predicate, r_partition included, on every graph."""
+    ((chi, omega),) = {harness._family_bounds(f) for f in filter_sets}
+    graphs = [g for level in _unfiltered_family(n_max, chi, omega)[n_min - 1 :] for g in level]
+    return [
+        GraphEnsemble(n_max, f, tuple(
+            g for g in graphs
+            if all(
+                predicate(g, getattr(f, field))
+                for field, predicate in _REFERENCE_PREDICATES.items()
+                if getattr(f, field) not in (None, False)
+            )
+        ))
+        for f in filter_sets
+    ]
+
+
+def _battery_filter_sets(r):
+    return list({cl.ensemble: cl.filters(r) for cl in CLAIMS.values() if cl.filters(r)}.values())
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_top_level_cut_keeps_every_ensemble_and_report_byte(tmp_path, monkeypatch, r):
+    """The battery's ensembles up to n = 8, and its report and summary
+    bytes, equal those of the slow path that builds the top level in full."""
+    filter_sets = _battery_filter_sets(r)
+    got = harness._ensembles(8, filter_sets)
+    expected = _reference_ensembles(8, filter_sets)
+    assert [_fields(e.graphs) for e in got] == [_fields(e.graphs) for e in expected]
+    assert got == expected
+
+    def reference(n_max, sets, n_min=1):
+        assert (n_max, sets, n_min) == (8, filter_sets, 1)
+        return expected
+
+    fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
+    fast_summary = run_battery(8, r=r, report_path=str(fast))
+    monkeypatch.setattr(harness, "_ensembles", reference)
+    slow_summary = run_battery(8, r=r, report_path=str(slow))
+    assert fast.read_bytes() == slow.read_bytes()
+    assert json.dumps(dict(fast_summary, report_path=None)) == json.dumps(
+        dict(slow_summary, report_path=None)
     )
+
+
+@pytest.mark.parametrize("filters, top", [
+    (GraphFilters(), None),
+    (GraphFilters(connected=True), 2),
+    (GraphFilters(max_clique_size=2), 2),
+    (GraphFilters(max_clique_size=3, unmixed=True), 3),
+    (GraphFilters(max_clique_size=1), None),
+    (GraphFilters(r_partite=3, max_clique_size=4), 4),
+    (GraphFilters(r_partite=4, max_clique_size=4), 4),
+])
+def test_top_level_cut_keeps_enumerate_graphs(filters, top):
+    assert harness._top_clique([filters]) == top
+    got = enumerate_graphs(7, filters)
+    (expected,) = _reference_ensembles(7, [filters], n_min=7)
+    assert _fields(got.graphs) == _fields(expected.graphs)
+
+
+def _in_s_cliques(g, s):
+    """Whether every vertex and every edge of g lies in an s-clique, by
+    subset enumeration."""
+    cliques = [
+        set(c) for c in itertools.combinations(g.vertices, s) if oracles.is_clique(g, c)
+    ]
+    return all(any(v in c for c in cliques) for v in g.vertices) and all(
+        any(set(e) <= c for c in cliques) for e in g.edges
+    )
+
+
+@pytest.mark.parametrize("chi, omega, top", [
+    (None, None, 2), (None, None, 3), (2, 2, 2), (3, 3, 3), (4, 4, 4),
+])
+def test_top_level_keeps_exactly_the_classes_meeting_the_clique_condition(chi, omega, top):
+    """The cut drops no class it should keep and keeps none it should drop."""
+    got = harness._hereditary_family(7, chi, omega, top)
+    full = _unfiltered_family(7, chi, omega)
+    assert [_fields(level) for level in got[:-1]] == [_fields(level) for level in full[:-1]]
+    kept = [g for g in full[-1] if _in_s_cliques(g, top)]
+    assert kept and _fields(got[-1]) == _fields(kept)
+
+
+# Filter set lists that share a family but not a clique size.
+@pytest.mark.parametrize("filter_sets, top", [
+    # a connected set only implies no isolated vertex
+    ([GraphFilters(r_partite=2, max_clique_size=2),
+      GraphFilters(r_partite=2, max_clique_size=3, unmixed=True),
+      GraphFilters(r_partite=2, connected=True)], 2),
+    # edgeless graphs pass max_clique_size = 1, so that set implies nothing
+    ([GraphFilters(max_clique_size=1),
+      GraphFilters(max_clique_size=1, connected=True)], None),
+    # every edge in a K4 implies every edge in a triangle
+    ([GraphFilters(r_partite=3, max_clique_size=4, perfect=True),
+      GraphFilters(r_partite=3, max_clique_size=3),
+      GraphFilters(r_partite=3, max_clique_size=4, unmixed=True)], 3),
+])
+def test_top_level_cut_keeps_mixed_filter_sets(filter_sets, top):
+    assert harness._top_clique(filter_sets) == top
+    got = harness._ensembles(7, filter_sets)
+    expected = _reference_ensembles(7, filter_sets)
+    assert [_fields(e.graphs) for e in got] == [_fields(e.graphs) for e in expected]
+    assert any(e.graphs for e in got)
 
 
 def test_enumeration_matches_the_networkx_atlas():
@@ -428,13 +586,22 @@ def test_battery_builds_each_family_once(monkeypatch):
     built = []
     real_family = harness._hereditary_family
 
-    def recording_family(n, chi, omega):
+    def recording_family(n, chi, omega, *rest, **kwargs):
         built.append((n, chi, omega))
-        return real_family(n, chi, omega)
+        return real_family(n, chi, omega, *rest, **kwargs)
 
     monkeypatch.setattr(harness, "_hereditary_family", recording_family)
     run_battery(6, r=2)
     assert built == [(6, 2, 2)]
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_r_below_one_is_rejected(capsys, r):
+    """The family bounds reject r < 1 before any graph is built."""
+    with pytest.raises(ValueError, match="r must be at least 1"):
+        run_battery(3, r=r)
+    assert main(["harness", "--n-max", "3", "--r", str(r)]) == 2
+    assert capsys.readouterr().err == "cmgraph: error: r must be at least 1\n"
 
 
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
