@@ -65,48 +65,122 @@ def reisner_cm(cx: SimplicialComplex, field: FieldSpec) -> CMReport:
     Non-pure complexes fail immediately with a purity witness (a
     Cohen-Macaulay complex is always pure).  Otherwise faces are scanned in
     canonical order (dimension, then lex) and the first face whose link has
-    homology below its dimension is returned.  Links of dimension <= 0 are
-    skipped: they are nonempty, so there is nothing to check below degree 0.
-
-    Distinct faces often have equal links.  A link's facets determine it,
-    since every vertex lies in a facet, so a link seen to pass is kept by
-    its facets for the rest of the call and not computed again.  Over the
-    rationals a link is first tried over F_2: no integer matrix has larger
-    rank over F_2 than over Q, so F_2 Betti numbers bound the rational ones
-    from above, and vanishing F_2 homology below the link's dimension passes
-    it without fraction-free elimination.  Any other link (2-torsion, or
-    rational homology) gets its rational Betti numbers.  The first failing
-    link still ends the scan, so the witness is that of the plain scan.
+    homology below its dimension is returned.  See _reisner_scan.
     """
-    if not cx.is_pure():
-        by_size = sorted(cx.facets, key=len)
-        return CMReport(field, False, PurityWitness(by_size[0], by_size[-1]))
-    passed: set[tuple[tuple[int, ...], ...]] = set()
-    for face in cx.all_faces():
-        lk = link(cx, face)
-        d = lk.dimension()
-        if d <= 0 or lk.facets in passed:
-            continue
-        if field.characteristic != 0 or any(reduced_betti(lk, _F2)[: d + 1]):
-            betti = reduced_betti(lk, field)
-            for i in range(-1, d):
-                if betti[i + 1]:
-                    return CMReport(field, False, HomologyWitness(face, i))
-        passed.add(lk.facets)
-    return CMReport(field, True, None)
+    return _reisner_scan(cx, [field], None)[0]
 
 
 def cm_graph(g: Graph, field: FieldSpec) -> CMReport:
     """Cohen-Macaulayness of a graph, i.e. of its independence complex."""
-    return reisner_cm(independence_complex(g), field)
+    return cm_characteristic_profile(g, [field])[0]
 
 
 def cm_characteristic_profile(g: Graph, fields: list[FieldSpec]) -> list[CMReport]:
-    """One report per requested field, sharing a single complex construction."""
+    """One report per requested field, from a single scan of Ind(g)'s faces.
+
+    Each report equals reisner_cm(independence_complex(g), field).
+    """
     if not fields:
         raise ValueError("at least one field is required")
-    cx = independence_complex(g)
-    return [reisner_cm(cx, f) for f in fields]
+    return _reisner_scan(independence_complex(g), fields, g)
+
+
+class _LinkVerdicts:
+    """One link's first failing homology index per field, found on demand.
+
+    first[field] is the least i < dim with nonzero reduced homology in
+    degree i, or None when the link passes.  Over the rationals the F_2
+    Betti vector screens first: no integer matrix has larger rank over F_2
+    than over Q, so F_2 Betti numbers bound the rational ones from above,
+    and vanishing F_2 homology below the dimension passes the link without
+    fraction-free elimination.  The F_2 vector is kept, so a scan over both
+    Q and F_2 computes it once.
+    """
+
+    __slots__ = ("lk", "dim", "first", "f2_betti")
+
+    def __init__(self, lk: SimplicialComplex):
+        self.lk = lk
+        self.dim = lk.dimension()
+        self.first: dict[FieldSpec, int | None] = {}
+        self.f2_betti: tuple[int, ...] | None = None
+
+    def _betti_f2(self) -> tuple[int, ...]:
+        if self.f2_betti is None:
+            self.f2_betti = reduced_betti(self.lk, _F2)
+        return self.f2_betti
+
+    def first_failure(self, field: FieldSpec) -> int | None:
+        if field in self.first:
+            return self.first[field]
+        d = self.dim
+        c = field.characteristic
+        if c == 0 and not any(self._betti_f2()[: d + 1]):
+            found = None
+        else:
+            betti = self._betti_f2() if c == 2 else reduced_betti(self.lk, field)
+            found = next((i for i in range(-1, d) if betti[i + 1]), None)
+        self.first[field] = found
+        return found
+
+
+def _reisner_scan(
+    cx: SimplicialComplex, fields: list[FieldSpec], g: Graph | None
+) -> list[CMReport]:
+    """The Reisner scan of cx, once for every field: one report per entry.
+
+    Faces are visited in canonical order and each still-undecided field
+    checks the face's link; a field whose link fails drops out with that
+    face as its witness, and the scan ends when no field is left.  So every
+    report, witness included, is the one a scan for its field alone gives.
+    Links of dimension <= 0 are skipped: they are nonempty, so there is
+    nothing to check below degree 0.
+
+    Distinct faces often have equal links.  A link's facets determine it,
+    since every vertex lies in a facet, so verdicts are kept by facets for
+    the rest of the call.  When cx = Ind(g), the link of F is Ind(g - N[F])
+    relabelled in order, so it depends only on the vertex mask V - N[F], and
+    link() runs only the first time a mask is seen.
+    """
+    if not cx.is_pure():
+        by_size = sorted(cx.facets, key=len)
+        witness = PurityWitness(by_size[0], by_size[-1])
+        return [CMReport(f, False, witness) for f in fields]
+    active = list(dict.fromkeys(fields))
+    failed: dict[FieldSpec, HomologyWitness] = {}
+    by_facets: dict[tuple[tuple[int, ...], ...], _LinkVerdicts] = {}
+    by_mask: dict[int, _LinkVerdicts] = {}
+    if g is not None:
+        full = sum(1 << v for v in g.vertices)
+        outside = [full & ~(m | 1 << v) for v, m in enumerate(g._masks)]
+    for face in cx.all_faces():
+        if g is None:
+            entry = None
+        else:
+            mask = full
+            for v in face:
+                mask &= outside[v]
+            entry = by_mask.get(mask)
+        if entry is None:
+            lk = link(cx, face)
+            entry = by_facets.get(lk.facets)
+            if entry is None:
+                entry = by_facets[lk.facets] = _LinkVerdicts(lk)
+            if g is not None:
+                by_mask[mask] = entry
+        if entry.dim <= 0:
+            continue
+        dropped = False
+        for field in active:
+            i = entry.first_failure(field)
+            if i is not None:
+                failed[field] = HomologyWitness(face, i)
+                dropped = True
+        if dropped:
+            active = [f for f in active if f not in failed]
+            if not active:
+                break
+    return [CMReport(f, f not in failed, failed.get(f)) for f in fields]
 
 
 @dataclass(frozen=True)

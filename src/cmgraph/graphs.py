@@ -16,7 +16,7 @@ MAX_CANONICAL_N = 9
 
 # parse_graph rejects a header vertex count above this before Graph allocates
 # anything per vertex.  Every decider of the package is exponential long
-# before it, and the maximal-set search recurses once per vertex of a set.
+# before it.
 MAX_PARSE_N = 512
 
 
@@ -226,14 +226,19 @@ def _bron_kerbosch(nbr: tuple[int, ...] | list[int], full: int) -> list[int]:
     """All maximal cliques of the graph given by neighbour masks, as masks.
 
     Pivoting on the vertex covering the most candidates keeps the tree small;
-    the pivot choice is deterministic (max cover, then lowest vertex).
+    the pivot choice is deterministic (max cover, then lowest vertex).  The
+    search keeps its own stack of (clique, candidates, excluded) frames, so a
+    clique of any size is found without deep recursion.  A node's children
+    do not depend on each other's results, so each is pushed as soon as it
+    is known; the output comes in no fixed order, and callers sort it.
     """
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            return
+            continue
         pivot, best = -1, -1
         px = p | x
         while px:
@@ -247,12 +252,10 @@ def _bron_kerbosch(nbr: tuple[int, ...] | list[int], full: int) -> list[int]:
         while cand:
             b = cand & -cand
             v = b.bit_length() - 1
-            expand(r | b, p & nbr[v], x & nbr[v])
+            stack.append((r | b, p & nbr[v], x & nbr[v]))
             p ^= b
             x |= b
             cand ^= b
-
-    expand(0, full, 0)
     return out
 
 
@@ -264,7 +267,7 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All inclusion-maximal independent sets, sorted lexicographically.
 
     These are the maximal cliques of the complement, found by the pivoting
-    Bron-Kerbosch recursion on non-neighbour masks.
+    Bron-Kerbosch search on non-neighbour masks.
     """
     full = _full_mask(g.n)
     nonadj = [0] * (g.n + 1)

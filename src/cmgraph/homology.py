@@ -3,14 +3,16 @@
 Boundary matrices use the augmented chain complex: the boundary of a vertex
 is the empty face, so the degree-0 matrix is a single row of ones.  Ranks are
 computed with fraction-free integer elimination (characteristic 0) or Gaussian
-elimination modulo p (characteristic p), on bitset rows when p = 2; no
-floating point anywhere.
+elimination modulo p (characteristic p), on int bitsets when p = 2; no
+floating point anywhere.  Betti numbers over F_2 never build the dense
+matrix: each boundary column is a bitset made straight from its face.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
+from typing import Iterable
 
 from .complexes import SimplicialComplex
 
@@ -118,27 +120,53 @@ def _rank_char0(entries: tuple[tuple[int, ...], ...]) -> int:
     return rank
 
 
+def _f2_rank(vectors: Iterable[int]) -> int:
+    """Rank over F_2 of vectors given as int bitsets.
+
+    Each vector is reduced by XOR against a basis keyed by the highest set
+    bit of its members, and joins the basis when a bit survives.
+    """
+    basis: dict[int, int] = {}
+    for bits in vectors:
+        while bits:
+            top = bits.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = bits
+                break
+            bits ^= b
+    return len(basis)
+
+
+def _f2_boundary_ranks(cx: SimplicialComplex) -> list[int]:
+    """Ranks over F_2 of the augmented boundary maps in degrees 0..dim(cx).
+
+    Each column is built straight from its face: a bitset over the indices
+    of the (d-1)-faces, with one bit per face left by removing a vertex.
+    Signs vanish mod 2, so no dense matrix is needed.
+    """
+    ranks = []
+    index = {(): 0}
+    for d in range(cx.dimension() + 1):
+        faces = cx.faces_of_dim(d)
+        ranks.append(
+            _f2_rank(sum(1 << index[f[:t] + f[t + 1 :]] for t in range(d + 1)) for f in faces)
+        )
+        index = {f: i for i, f in enumerate(faces)}
+    return ranks
+
+
 def _rank_mod_p(entries: tuple[tuple[int, ...], ...], p: int) -> int:
     """Rank over F_p by Gaussian elimination.
 
-    Over F_2 each row is an int with bit j set when entry j is odd, and is
-    reduced by XOR against a basis keyed by its highest set bit.
+    Over F_2 each row becomes an int with bit j set when entry j is odd, and
+    _f2_rank reduces the rows.
     """
     if p == 2:
-        basis: dict[int, int] = {}
-        for entry_row in entries:
-            bits = 0
-            # compress skips the zero entries at C speed
-            for j in compress(count(), entry_row):
-                if entry_row[j] & 1:
-                    bits |= 1 << j
-            while bits:
-                top = bits.bit_length() - 1
-                if top not in basis:
-                    basis[top] = bits
-                    break
-                bits ^= basis[top]
-        return len(basis)
+        # compress skips the zero entries at C speed
+        return _f2_rank(
+            sum(1 << j for j in compress(count(), row) if row[j] & 1) for row in entries
+        )
     a = [[x % p for x in row] for row in entries]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -186,8 +214,10 @@ def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
     dim = cx.dimension()
     if dim == -1:
         return (1,)
-    mats = boundary_matrices(cx)
-    ranks = [rank_over(m, field) for m in mats]
+    if field.characteristic == 2:
+        ranks = _f2_boundary_ranks(cx)
+    else:
+        ranks = [rank_over(m, field) for m in boundary_matrices(cx)]
     fvec = cx.f_vector()
     out = [1 - ranks[0]]
     for i in range(dim + 1):

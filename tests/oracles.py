@@ -563,8 +563,10 @@ def shelling_search_recursive(facets, budget: int):
 def reisner_cm_reference(cx, field):
     """The CMReport of the plain Reisner scan: every face in canonical order,
     every link's Betti numbers over the field itself, nothing remembered
-    between faces.  This is the slow path the package's reisner_cm must
-    match, witness face and index included."""
+    between faces, one field at a time.  This is the slow path both entry
+    points of the package's one-scan decider must match, witness face and
+    index included: reisner_cm(cx, field) on any complex, and each report
+    of cm_characteristic_profile(g, fields) when cx = Ind(g)."""
     if not cx.is_pure():
         by_size = sorted(cx.facets, key=len)
         return CMReport(field, False, PurityWitness(by_size[0], by_size[-1]))

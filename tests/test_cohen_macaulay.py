@@ -128,16 +128,58 @@ def rp2_family() -> list[SimplicialComplex]:
     ]
 
 
+# field lists for the one-scan graph path: both orders of Q and F_2, which
+# share the F_2 screen, an odd prime alone, and a repeated field
+PROFILE_FIELD_LISTS = ([Q, F2], [F2, Q], [Q, F2, F3], [F3], [Q, Q])
+
+
+def assert_graph_path_matches_reference(g: Graph) -> None:
+    """reisner_cm on Ind(g) and cm_characteristic_profile on g both give the
+    reference scan's reports, witnesses included, one per requested field."""
+    cx = independence_complex(g)
+    ref = {field: oracles.reisner_cm_reference(cx, field) for field in (Q, F2, F3)}
+    for field in (Q, F2, F3):
+        assert reisner_cm(cx, field) == ref[field], (g.edges, field)
+    for fields in PROFILE_FIELD_LISTS:
+        assert cm_characteristic_profile(g, fields) == [ref[f] for f in fields], (
+            g.edges,
+            fields,
+        )
+
+
+def mod3_moore_family() -> list[SimplicialComplex]:
+    """A mod-3 Moore space and its cone: 3-torsion, which F_2 cannot see.
+
+    A disk whose boundary 9-gon wraps three times around the triangle
+    1, 2, 3: H~_1 = Z/3, so it is CM over Q and F_2 but not over F_3.
+    """
+    facets = []
+    for i in range(9):
+        # boundary edge i of the disk lies on the triangle edge a-b; the inner
+        # 9-gon 4..12 is coned off to 13
+        a, b = i % 3 + 1, (i + 1) % 3 + 1
+        prev, cur, nxt = (i - 1) % 9 + 4, i + 4, (i + 1) % 9 + 4
+        facets += [(a, b, cur), (a, prev, cur), (cur, nxt, 13)]
+    return [SimplicialComplex(13, facets), SimplicialComplex(14, [f + (14,) for f in facets])]
+
+
 def test_reisner_cm_matches_the_reference_scan_on_graphs_up_to_7():
     for g in enumerate_graphs_up_to(7).graphs:
-        cx = independence_complex(g)
-        for field in (Q, F2, F3):
-            assert reisner_cm(cx, field) == oracles.reisner_cm_reference(cx, field), g.edges
+        assert_graph_path_matches_reference(g)
+
+
+def c4_plus_whiskered_p5() -> Graph:
+    """Pure but not CM: the 4-cycle beside the whiskered path on 5 vertices."""
+    p5 = whiskered_path(5)
+    edges = [(1, 2), (2, 3), (3, 4), (1, 4)] + [(u + 4, v + 4) for u, v in p5.edges]
+    return Graph(4 + p5.n, edges)
 
 
 def test_reisner_cm_matches_the_reference_scan_on_named_complexes(fig1):
-    complexes = [independence_complex(g) for g in (fig1, whiskered_path(5), whiskered_path(6))]
-    complexes += rp2_family()
+    named_graphs = (fig1, whiskered_path(5), whiskered_path(6), c4_plus_whiskered_p5())
+    for g in named_graphs:
+        assert_graph_path_matches_reference(g)
+    complexes = rp2_family() + mod3_moore_family()
     complexes += [boundary_sphere(d) for d in range(1, 5)]
     for cx in complexes:
         for field in (Q, F2, F3):

@@ -146,6 +146,12 @@ def test_maximal_independent_sets_p3():
     assert maximal_independent_sets(oracles.path_graph(3)) == [(1, 3), (2,)]
 
 
+def test_maximal_independent_sets_of_a_large_edgeless_graph():
+    # one maximal set of 1,100 vertices: deeper than Python's default
+    # recursion limit, so the search must keep its own stack
+    assert maximal_independent_sets(Graph(1100)) == [tuple(range(1, 1101))]
+
+
 def test_independence_number_and_unmixed_match_brute():
     for g in small_corpus() + tuple(seeded_corpus()):
         assert independence_number(g) == oracles.independence_number_brute(g)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from cmgraph.complexes import SimplicialComplex, independence_complex
+from cmgraph.complexes import SimplicialComplex, independence_complex, link
 from cmgraph.homology import (
     BoundaryMatrix,
     FieldSpec,
@@ -183,9 +183,21 @@ def smith_corpus() -> list[SimplicialComplex]:
     return corpus
 
 
+def scan_links() -> list[SimplicialComplex]:
+    """Every link the CM scan meets in the classes with at most 6 vertices."""
+    from cmgraph.harness import enumerate_graphs_up_to
+
+    links = set()
+    for g in enumerate_graphs_up_to(6).graphs:
+        cx = independence_complex(g)
+        links.update(link(cx, face) for face in cx.all_faces())
+    return sorted(links, key=lambda c: (c.n, c.facets))
+
+
 def test_reduced_betti_matches_smith_oracle():
-    for cx in smith_corpus():
+    # over F_2 the boundary columns are bitsets built straight from the faces
+    for cx in smith_corpus() + scan_links():
         for field in (Q, F2, F3):
             assert reduced_betti(cx, field) == oracles.betti_brute(
                 cx.facets, field.characteristic
-            )
+            ), (cx.facets, field)

@@ -1,4 +1,5 @@
-"""Property tests of the CM decider on graphs with at most 8 vertices.
+"""Property tests of the CM decider and its link memo, on graphs with at most
+8 vertices.
 
 Examples are drawn with hypothesis, derandomized so every run checks the
 same graphs.
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cmgraph.cohen_macaulay import cm_graph
-from cmgraph.complexes import independence_complex
+from cmgraph.complexes import independence_complex, link
 from cmgraph.graphs import Graph
 from cmgraph.homology import FieldSpec, reduced_betti
 
@@ -47,3 +48,21 @@ def test_relabelling_keeps_cm_verdicts_and_betti_vectors(data):
     for field in (Q, F2, F3):
         assert cm_graph(h, field).is_cm == cm_graph(g, field).is_cm
         assert reduced_betti(cx_h, field) == reduced_betti(cx_g, field)
+
+
+def without_closed_neighbourhood(g: Graph, face: tuple[int, ...]) -> Graph:
+    """G - N[F], relabelled in order to 1..n'."""
+    removed = set(face).union(*(g.adj[v] for v in face))
+    kept = {u: i for i, u in enumerate((u for u in g.vertices if u not in removed), 1)}
+    edges = [(kept[a], kept[b]) for a, b in g.edges if a in kept and b in kept]
+    return Graph(len(kept), edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(graphs())
+def test_link_of_a_face_is_the_independence_complex_off_its_closed_neighbourhood(g):
+    # the CM scan keys link verdicts by the vertex mask V - N[F]: this is
+    # the identity that makes equal masks give equal links
+    cx = independence_complex(g)
+    for face in cx.all_faces():
+        assert link(cx, face) == independence_complex(without_closed_neighbourhood(g, face))
