@@ -61,6 +61,19 @@ class SimplicialComplex:
         self._faces_by_dim: list[list[tuple[int, ...]]] | None = None
         self._face_set: frozenset[tuple[int, ...]] | None = None
 
+    @classmethod
+    def _antichain(cls, n: int, facets: Iterable[tuple[int, ...]]) -> SimplicialComplex:
+        """A complex from facets already known to be valid: no facet inside
+        another, every vertex 1..n in some facet, none repeated or out of
+        range.  The facets are sorted as in __init__, but not checked.
+        """
+        cx = cls.__new__(cls)
+        cx.n = n
+        cx.facets = tuple(sorted(tuple(sorted(f)) for f in facets)) if n else ((),)
+        cx._faces_by_dim = None
+        cx._face_set = None
+        return cx
+
     def dimension(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
@@ -148,15 +161,16 @@ def format_complex(cx: SimplicialComplex) -> str:
 
 def independence_complex(g: Graph) -> SimplicialComplex:
     """The complex whose faces are the independent sets of g."""
-    return SimplicialComplex(g.n, maximal_independent_sets(g))
+    # the maximal independent sets are an antichain covering every vertex
+    return SimplicialComplex._antichain(g.n, maximal_independent_sets(g))
 
 
 def link(cx: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
     """The link of a face, relabeled order-preservingly to vertices 1..n'.
 
     lk(F) = { G : G disjoint from F, G union F a face }.  Its facets are
-    exactly K \\ F for the facets K containing F.  Raises ValueError when the
-    given set is not a face.
+    exactly K \\ F for the facets K containing F, which are an antichain as
+    the K are.  Raises ValueError when the given set is not a face.
     """
     f = tuple(sorted(face))
     if not cx.contains_face(f):
@@ -165,7 +179,7 @@ def link(cx: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
     raw = [tuple(v for v in k if v not in fset) for k in cx.facets if fset <= set(k)]
     support = sorted(set(itertools.chain.from_iterable(raw)))
     relabel = {v: i for i, v in enumerate(support, start=1)}
-    return SimplicialComplex(
+    return SimplicialComplex._antichain(
         len(support), [tuple(relabel[v] for v in k) for k in raw]
     )
 

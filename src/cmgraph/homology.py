@@ -1,17 +1,18 @@
 """Reduced simplicial homology over the rationals or a prime field, exactly.
 
-Boundary matrices use the augmented chain complex: the boundary of a vertex
-is the empty face, so the degree-0 matrix is a single row of ones.  Ranks are
-computed with fraction-free integer elimination (characteristic 0) or Gaussian
-elimination modulo p (characteristic p), on int bitsets when p = 2; no
-floating point anywhere.  Betti numbers over F_2 never build the dense
-matrix: each boundary column is a bitset made straight from its face.
+Boundary maps use the augmented chain complex: the boundary of a vertex is
+the empty face, so the degree-0 matrix is a single row of ones.  Over a prime
+field no dense matrix is built: Betti numbers make each boundary column
+straight from its face, an int bitset when p = 2 and a sparse dict of entries
+mod p otherwise, and reduce the columns against a basis keyed by pivot row.
+Dense boundary matrices and Bareiss fraction-free elimination serve
+characteristic 0 alone.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import combinations, compress, count
 from typing import Iterable
 
 from .complexes import SimplicialComplex
@@ -120,11 +121,12 @@ def _rank_char0(entries: tuple[tuple[int, ...], ...]) -> int:
     return rank
 
 
-def _f2_rank(vectors: Iterable[int]) -> int:
-    """Rank over F_2 of vectors given as int bitsets.
+def _f2_basis(vectors: Iterable[int]) -> dict[int, int]:
+    """Reduce vectors over F_2, given as int bitsets; return the basis.
 
     Each vector is reduced by XOR against a basis keyed by the highest set
-    bit of its members, and joins the basis when a bit survives.
+    bit of its members, and joins the basis when a bit survives.  The rank
+    is the size of the basis.
     """
     basis: dict[int, int] = {}
     for bits in vectors:
@@ -135,75 +137,99 @@ def _f2_rank(vectors: Iterable[int]) -> int:
                 basis[top] = bits
                 break
             bits ^= b
-    return len(basis)
+    return basis
 
 
-def _f2_boundary_ranks(cx: SimplicialComplex) -> list[int]:
-    """Ranks over F_2 of the augmented boundary maps in degrees 0..dim(cx).
+def _fp_basis(columns: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Reduce sparse columns over F_p, p odd; return the basis.
 
-    Each column is built straight from its face: a bitset over the indices
-    of the (d-1)-faces, with one bit per face left by removing a vertex.
-    Signs vanish mod 2, so no dense matrix is needed.
+    A column maps row indices to its nonzero entries, each in 1..p-1, and is
+    consumed.  It is reduced against a basis keyed by the highest row index
+    of its members, whose entry there is 1, and joins the basis, scaled to
+    make its own such entry 1, when an entry survives.  The rank is the size
+    of the basis.
     """
-    ranks = []
-    index = {(): 0}
-    for d in range(cx.dimension() + 1):
-        faces = cx.faces_of_dim(d)
-        ranks.append(
-            _f2_rank(sum(1 << index[f[:t] + f[t + 1 :]] for t in range(d + 1)) for f in faces)
-        )
-        index = {f: i for i, f in enumerate(faces)}
+    basis: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            top = max(col)
+            b = basis.get(top)
+            if b is None:
+                x = col[top]
+                if x != 1:
+                    inv = pow(x, p - 2, p)
+                    for i in col:
+                        col[i] = col[i] * inv % p
+                basis[top] = col
+                break
+            f = col[top]
+            for i, x in b.items():
+                # zero only where col has an entry, since f * x is nonzero
+                y = (col.get(i, 0) - f * x) % p
+                if y:
+                    col[i] = y
+                else:
+                    del col[i]
+    return basis
+
+
+def _boundary_ranks(cx: SimplicialComplex, p: int) -> list[int]:
+    """Ranks over F_p of the augmented boundary maps in degrees 0..dim(cx).
+
+    Each column is built straight from its face f: the (d-1)-face left by
+    removing the t-th vertex of f gets (-1)^t mod p, a bitset over the row
+    indices when p = 2 and a dict of nonzero entries otherwise.  The maps
+    are reduced from the top degree down, with clearing (Chen & Kerber,
+    "Persistent homology computation with a twist", 2011): when a column of
+    the degree-(d+1) map keeps pivot row i, column i of the degree-d map is
+    a combination of the columns before it, so it is skipped without
+    changing the rank.
+    """
+    dim = cx.dimension()
+    ranks = [0] * (dim + 1)
+    pivots: dict = {}
+    cols = cx.faces_of_dim(dim)
+    for d in range(dim, -1, -1):
+        rows = cx.faces_of_dim(d - 1)
+        if pivots:
+            cols = [f for j, f in enumerate(cols) if j not in pivots]
+        # combinations(f, d) removes the vertices of f from the last to the
+        # first, so its k-th face is f minus its (d-k)-th vertex
+        if p == 2:
+            bit = {f: 1 << i for i, f in enumerate(rows)}
+            pivots = _f2_basis(sum(map(bit.__getitem__, combinations(f, d))) for f in cols)
+        else:
+            index = {f: i for i, f in enumerate(rows)}
+            signs = tuple((-1) ** (d - k) % p for k in range(d + 1))
+            pivots = _fp_basis(
+                (dict(zip(map(index.__getitem__, combinations(f, d)), signs)) for f in cols), p
+            )
+        ranks[d] = len(pivots)
+        cols = rows
     return ranks
 
 
-def _rank_mod_p(entries: tuple[tuple[int, ...], ...], p: int) -> int:
-    """Rank over F_p by Gaussian elimination.
+def rank_over(matrix: BoundaryMatrix, field: FieldSpec) -> int:
+    """Exact rank of a boundary matrix over the given field.
 
-    Over F_2 each row becomes an int with bit j set when entry j is odd, and
-    _f2_rank reduces the rows.
+    Over F_2 each row becomes an int with bit j set when entry j is odd; over
+    an odd prime each column becomes a dict of its entries that p does not
+    divide.
     """
+    p = field.characteristic
+    if p == 0:
+        return _rank_char0(matrix.entries)
     if p == 2:
         # compress skips the zero entries at C speed
-        return _f2_rank(
-            sum(1 << j for j in compress(count(), row) if row[j] & 1) for row in entries
+        return len(
+            _f2_basis(
+                sum(1 << j for j in compress(count(), row) if row[j] & 1)
+                for row in matrix.entries
+            )
         )
-    a = [[x % p for x in row] for row in entries]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        piv = -1
-        for i in range(row, nrows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv == -1:
-            continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], p - 2, p)
-        ar = a[row]
-        for j in range(col, ncols):
-            ar[j] = ar[j] * inv % p
-        for i in range(row + 1, nrows):
-            f = a[i][col]
-            if f:
-                ai = a[i]
-                for j in range(col, ncols):
-                    ai[j] = (ai[j] - f * ar[j]) % p
-        row += 1
-        rank += 1
-    return rank
-
-
-def rank_over(matrix: BoundaryMatrix, field: FieldSpec) -> int:
-    """Exact rank of a boundary matrix over the given field."""
-    if field.characteristic == 0:
-        return _rank_char0(matrix.entries)
-    return _rank_mod_p(matrix.entries, field.characteristic)
+    return len(
+        _fp_basis(({i: x % p for i, x in enumerate(col) if x % p} for col in zip(*matrix.entries)), p)
+    )
 
 
 def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
@@ -214,10 +240,10 @@ def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
     dim = cx.dimension()
     if dim == -1:
         return (1,)
-    if field.characteristic == 2:
-        ranks = _f2_boundary_ranks(cx)
-    else:
+    if field.characteristic == 0:
         ranks = [rank_over(m, field) for m in boundary_matrices(cx)]
+    else:
+        ranks = _boundary_ranks(cx, field.characteristic)
     fvec = cx.f_vector()
     out = [1 - ranks[0]]
     for i in range(dim + 1):

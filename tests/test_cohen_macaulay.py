@@ -191,6 +191,17 @@ def test_whiskered_p8_is_cm_over_the_rationals():
     assert cm_graph(whiskered_path(8), Q).is_cm is True
 
 
+def test_whiskered_p8_is_cm_over_f3():
+    assert cm_graph(whiskered_path(8), F3).is_cm is True
+
+
+@pytest.mark.extended
+def test_whiskered_p10_is_cm_over_q_f2_and_f3():
+    # 20 vertices; every link is scanned once for the three fields
+    reports = cm_characteristic_profile(whiskered_path(10), [Q, F2, F3])
+    assert [r.is_cm for r in reports] == [True, True, True]
+
+
 def test_reports_are_deterministic(fig1):
     cx = independence_complex(fig1)
     assert reisner_cm(cx, F2) == reisner_cm(cx, F2)

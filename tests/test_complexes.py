@@ -187,6 +187,18 @@ def test_link_rejects_nonface():
         link(hollow_triangle(), (1, 2, 3))
 
 
+def test_links_and_independence_complexes_pass_the_validating_constructor():
+    # link and independence_complex skip the containment checks, since their
+    # facets are an antichain by construction; the checked constructor must
+    # accept them and give the same complex
+    from test_homology import scan_links
+
+    built = scan_links()
+    built += [independence_complex(g) for g in enumerate_graphs_up_to(7).graphs]
+    for cx in built:
+        assert cx == SimplicialComplex(cx.n, cx.facets), cx.facets
+
+
 # ---------------------------------------------------------------------------
 # shelling order verification
 

@@ -12,11 +12,13 @@ from cmgraph.homology import (
     rank_over,
     reduced_betti,
 )
+from test_cohen_macaulay import mod3_moore_family
 from test_complexes import RP2_FACETS, boundary_sphere
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+F5 = FieldSpec(5)
 
 
 def rp2():
@@ -134,6 +136,25 @@ def test_f2_rank_matches_oracle_on_the_smith_corpus_boundaries():
             assert rank_over(bm, F2) == oracles.mod_rank(dense, 2)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 2**31 - 1])
+def test_odd_p_rank_matches_oracle_on_large_random_matrices(p):
+    # negative entries need the reduction mod p, and every pivot a modular
+    # inverse; 2^31 - 1 is the largest prime FieldSpec accepts
+    rng = random.Random(p)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 40), rng.randint(1, 70)
+        dense = random_matrix(rng, rows, cols)
+        assert rank_over(as_matrix(dense), FieldSpec(p)) == oracles.mod_rank(dense, p)
+
+
+def test_odd_p_rank_matches_oracle_on_the_smith_corpus_boundaries():
+    for cx in smith_corpus():
+        for bm in boundary_matrices(cx):
+            dense = [list(row) for row in bm.entries]
+            for p in (3, 5):
+                assert rank_over(bm, FieldSpec(p)) == oracles.mod_rank(dense, p)
+
+
 def test_projective_plane_boundary_ranks():
     d2 = boundary_matrices(rp2())[2]
     assert rank_over(d2, Q) == 10
@@ -169,6 +190,18 @@ def test_projective_plane_betti_depends_on_characteristic():
     assert reduced_betti(cx, F3) == (0, 0, 0, 0)
 
 
+def test_mod3_moore_space_has_homology_over_f3_alone():
+    # H~_1 = Z/3, so over F_3 the universal coefficients give H~_1 and H~_2;
+    # the cone over it is contractible
+    moore, cone = mod3_moore_family()
+    for field in (Q, F2, F3, F5):
+        expected = (0, 0, 1, 1) if field == F3 else (0, 0, 0, 0)
+        assert reduced_betti(moore, field) == expected
+        assert oracles.betti_brute(moore.facets, field.characteristic) == expected
+        assert reduced_betti(cone, field) == (0, 0, 0, 0, 0)
+        assert oracles.betti_brute(cone.facets, field.characteristic) == (0, 0, 0, 0, 0)
+
+
 def test_disconnection_shows_in_betti_zero():
     cx = SimplicialComplex(4, [(1, 2), (3, 4)])
     assert reduced_betti(cx, Q) == (0, 1, 0)
@@ -195,9 +228,9 @@ def scan_links() -> list[SimplicialComplex]:
 
 
 def test_reduced_betti_matches_smith_oracle():
-    # over F_2 the boundary columns are bitsets built straight from the faces
+    # over a prime the boundary columns are built straight from the faces
     for cx in smith_corpus() + scan_links():
-        for field in (Q, F2, F3):
+        for field in (Q, F2, F3, F5):
             assert reduced_betti(cx, field) == oracles.betti_brute(
                 cx.facets, field.characteristic
             ), (cx.facets, field)
