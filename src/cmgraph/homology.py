@@ -1,12 +1,12 @@
 """Reduced simplicial homology over the rationals or a prime field, exactly.
 
 Boundary maps use the augmented chain complex: the boundary of a vertex is
-the empty face, so the degree-0 matrix is a single row of ones.  Over a prime
-field no dense matrix is built: Betti numbers make each boundary column
-straight from its face, an int bitset when p = 2 and a sparse dict of entries
-mod p otherwise, and reduce the columns against a basis keyed by pivot row.
-Dense boundary matrices and Bareiss fraction-free elimination serve
-characteristic 0 alone.  No floating point anywhere.
+the empty face, so the degree-0 matrix is a single row of ones.  Betti numbers over a prime
+field build no dense matrix: each boundary column is made straight from its
+face, an int bitset when p = 2 and a sparse dict of entries mod p otherwise,
+and the columns are reduced against a basis keyed by pivot row.  Dense
+boundary matrices and Bareiss fraction-free elimination serve characteristic
+0 alone.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -191,8 +191,7 @@ def _boundary_ranks(cx: SimplicialComplex, p: int) -> list[int]:
     cols = cx.faces_of_dim(dim)
     for d in range(dim, -1, -1):
         rows = cx.faces_of_dim(d - 1)
-        if pivots:
-            cols = [f for j, f in enumerate(cols) if j not in pivots]
+        cols = [f for j, f in enumerate(cols) if j not in pivots]
         # combinations(f, d) removes the vertices of f from the last to the
         # first, so its k-th face is f minus its (d-k)-th vertex
         if p == 2:
