@@ -125,9 +125,11 @@ def _cmd_cover(args) -> int:
     g = _load(args.graph, parse_graph)
     text = _read_text(args.cover)
     try:
-        members = [tuple(int(v) for v in c) for c in json.loads(text)]
-    except (ValueError, TypeError) as exc:
+        members = json.loads(text)
+    except ValueError as exc:
         raise ValueError(f"{args.cover}: expected a JSON list of cliques: {exc}") from None
+    if not isinstance(members, list) or not all(isinstance(c, list) for c in members):
+        raise ValueError(f"{args.cover}: expected a JSON list of cliques, each a list of vertices")
     res = basic_clique_cover(g, members)
     _emit(
         {

@@ -93,8 +93,8 @@ class _LinkVerdicts:
     Betti vector screens first: no integer matrix has larger rank over F_2
     than over Q, so F_2 Betti numbers bound the rational ones from above,
     and vanishing F_2 homology below the dimension passes the link without
-    fraction-free elimination.  The F_2 vector is kept, so a scan over both
-    Q and F_2 computes it once.
+    reducing over Q, which costs more than reducing bitsets over F_2.  The
+    F_2 vector is kept, so a scan over both Q and F_2 computes it once.
     """
 
     __slots__ = ("lk", "dim", "first", "f2_betti")

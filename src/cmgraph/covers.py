@@ -90,6 +90,10 @@ class BasicCliqueCover:
 
 
 def _check_clique(g: Graph, vs: Sequence[int]) -> tuple[int, ...]:
+    for v in vs:
+        # bool is a subclass of int, but True is no vertex
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"cover member vertex {v!r} is not an integer")
     t = tuple(sorted(vs))
     if not t:
         raise ValueError("cover members must be nonempty")
@@ -110,9 +114,10 @@ def basic_clique_cover(
 ) -> BasicCliqueCover:
     """Disjointify a clique cover in input order, dropping emptied members.
 
-    The input must be a list of cliques of g whose union is all vertices;
-    anything else raises ValueError.  Residuals of cliques are cliques, so
-    the result is again a cover, now by pairwise disjoint cliques.
+    The input must be a list of cliques of g, each a sequence of int
+    vertices (bool excluded), whose union is all vertices; anything else
+    raises ValueError.  Residuals of cliques are cliques, so the result is
+    again a cover, now by pairwise disjoint cliques.
     """
     members = [_check_clique(g, c) for c in cover]
     union = set().union(*map(set, members)) if members else set()

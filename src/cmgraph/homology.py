@@ -1,18 +1,18 @@
 """Reduced simplicial homology over the rationals or a prime field, exactly.
 
 Boundary maps use the augmented chain complex: the boundary of a vertex is
-the empty face, so the degree-0 matrix is a single row of ones.  Betti numbers over a prime
-field build no dense matrix: each boundary column is made straight from its
-face, an int bitset when p = 2 and a sparse dict of entries mod p otherwise,
-and the columns are reduced against a basis keyed by pivot row.  Dense
-boundary matrices and Bareiss fraction-free elimination serve characteristic
-0 alone.  No floating point anywhere.
+the empty face, so the degree-0 matrix is a single row of ones.  Betti
+numbers build no dense matrix: each boundary column is made straight from
+its face, an int bitset over F_2 and a sparse dict of integer entries
+otherwise, and the columns are reduced against a basis keyed by pivot row,
+over the rationals with integer entries alone.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, compress, count
+from math import gcd
 from typing import Iterable
 
 from .complexes import SimplicialComplex
@@ -82,45 +82,6 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
     return out
 
 
-def _rank_char0(entries: tuple[tuple[int, ...], ...]) -> int:
-    """Rank over the rationals by Bareiss fraction-free elimination.
-
-    All intermediate values stay integers; divisions are exact.
-    """
-    a = [list(row) for row in entries]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        piv = -1
-        for i in range(row, nrows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv == -1:
-            continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        ar = a[row]
-        for i in range(row + 1, nrows):
-            ai = a[i]
-            f = ai[col]
-            # rows below the pivot are rescaled even when f is zero: the
-            # Bareiss update divides by the previous pivot exactly
-            for j in range(col + 1, ncols):
-                ai[j] = (p * ai[j] - f * ar[j]) // prev
-            ai[col] = 0
-        prev = p
-        row += 1
-        rank += 1
-    return rank
-
-
 def _f2_basis(vectors: Iterable[int]) -> dict[int, int]:
     """Reduce vectors over F_2, given as int bitsets; return the basis.
 
@@ -140,14 +101,17 @@ def _f2_basis(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
-def _fp_basis(columns: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    """Reduce sparse columns over F_p, p odd; return the basis.
+def _sparse_basis(columns: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Reduce sparse columns over F_p, p odd, or over Q when p = 0; return the basis.
 
-    A column maps row indices to its nonzero entries, each in 1..p-1, and is
-    consumed.  It is reduced against a basis keyed by the highest row index
-    of its members, whose entry there is 1, and joins the basis, scaled to
-    make its own such entry 1, when an entry survives.  The rank is the size
-    of the basis.
+    A column maps row indices to its entries, integers that p does not
+    divide (nonzero ones when p = 0), and is consumed.  It is reduced against a basis keyed by the
+    highest row index of its members, and joins the basis when an entry
+    survives.  Over F_p a basis column's entry at its key is 1, so a
+    multiple of it is subtracted mod p.  Over Q entries stay integers: the
+    column is first multiplied by the basis column's entry at its key, and
+    a column joining the basis is divided by the gcd of its entries.  The
+    rank is the size of the basis.
     """
     basis: dict[int, dict[int, int]] = {}
     for col in columns:
@@ -155,17 +119,29 @@ def _fp_basis(columns: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, 
             top = max(col)
             b = basis.get(top)
             if b is None:
-                x = col[top]
-                if x != 1:
-                    inv = pow(x, p - 2, p)
-                    for i in col:
-                        col[i] = col[i] * inv % p
+                if p:
+                    x = col[top]
+                    if x != 1:
+                        inv = pow(x, p - 2, p)
+                        for i in col:
+                            col[i] = col[i] * inv % p
+                else:
+                    g = gcd(*col.values())
+                    if g != 1:
+                        for i in col:
+                            col[i] //= g
                 basis[top] = col
                 break
             f = col[top]
+            c = b[top]
+            if c != 1:
+                for i in col:
+                    col[i] *= c
             for i, x in b.items():
                 # zero only where col has an entry, since f * x is nonzero
-                y = (col.get(i, 0) - f * x) % p
+                y = col.get(i, 0) - f * x
+                if p:
+                    y %= p
                 if y:
                     col[i] = y
                 else:
@@ -174,16 +150,15 @@ def _fp_basis(columns: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, 
 
 
 def _boundary_ranks(cx: SimplicialComplex, p: int) -> list[int]:
-    """Ranks over F_p of the augmented boundary maps in degrees 0..dim(cx).
+    """Ranks of the augmented boundary maps in degrees 0..dim(cx), over F_p or Q if p = 0.
 
     Each column is built straight from its face f: the (d-1)-face left by
-    removing the t-th vertex of f gets (-1)^t mod p, a bitset over the row
-    indices when p = 2 and a dict of nonzero entries otherwise.  The maps
-    are reduced from the top degree down, with clearing (Chen & Kerber,
-    "Persistent homology computation with a twist", 2011): when a column of
-    the degree-(d+1) map keeps pivot row i, column i of the degree-d map is
-    a combination of the columns before it, so it is skipped without
-    changing the rank.
+    removing the t-th vertex of f gets (-1)^t, a bitset over the row indices
+    when p = 2 and a dict of entries otherwise.  The maps are reduced from
+    the top degree down, with clearing (Chen & Kerber, "Persistent homology
+    computation with a twist", 2011): when a column of the degree-(d+1) map
+    keeps pivot row i, column i of the degree-d map is a combination of the
+    columns before it, so it is skipped without changing the rank.
     """
     dim = cx.dimension()
     ranks = [0] * (dim + 1)
@@ -199,8 +174,8 @@ def _boundary_ranks(cx: SimplicialComplex, p: int) -> list[int]:
             pivots = _f2_basis(sum(map(bit.__getitem__, combinations(f, d))) for f in cols)
         else:
             index = {f: i for i, f in enumerate(rows)}
-            signs = tuple((-1) ** (d - k) % p for k in range(d + 1))
-            pivots = _fp_basis(
+            signs = tuple((-1) ** (d - k) for k in range(d + 1))
+            pivots = _sparse_basis(
                 (dict(zip(map(index.__getitem__, combinations(f, d)), signs)) for f in cols), p
             )
         ranks[d] = len(pivots)
@@ -211,13 +186,11 @@ def _boundary_ranks(cx: SimplicialComplex, p: int) -> list[int]:
 def rank_over(matrix: BoundaryMatrix, field: FieldSpec) -> int:
     """Exact rank of a boundary matrix over the given field.
 
-    Over F_2 each row becomes an int with bit j set when entry j is odd; over
-    an odd prime each column becomes a dict of its entries that p does not
-    divide.
+    Over F_2 each row becomes an int with bit j set when entry j is odd;
+    otherwise each column becomes a dict of its nonzero entries, taken mod
+    p over F_p.
     """
     p = field.characteristic
-    if p == 0:
-        return _rank_char0(matrix.entries)
     if p == 2:
         # compress skips the zero entries at C speed
         return len(
@@ -227,7 +200,10 @@ def rank_over(matrix: BoundaryMatrix, field: FieldSpec) -> int:
             )
         )
     return len(
-        _fp_basis(({i: x % p for i, x in enumerate(col) if x % p} for col in zip(*matrix.entries)), p)
+        _sparse_basis(
+            ({i: y for i, x in enumerate(col) if (y := x % p if p else x)} for col in zip(*matrix.entries)),
+            p,
+        )
     )
 
 
@@ -239,10 +215,7 @@ def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
     dim = cx.dimension()
     if dim == -1:
         return (1,)
-    if field.characteristic == 0:
-        ranks = [rank_over(m, field) for m in boundary_matrices(cx)]
-    else:
-        ranks = _boundary_ranks(cx, field.characteristic)
+    ranks = _boundary_ranks(cx, field.characteristic)
     fvec = cx.f_vector()
     out = [1 - ranks[0]]
     for i in range(dim + 1):

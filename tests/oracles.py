@@ -34,6 +34,13 @@ def path_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, i + 1) for i in range(1, n)])
 
 
+def whiskered_path(n: int) -> Graph:
+    """The path 1..n with a pendant vertex v + n hung on each v."""
+    return graph_from_edges(
+        2 * n, [(i, i + 1) for i in range(1, n)] + [(v, v + n) for v in range(1, n + 1)]
+    )
+
+
 def cycle_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from cmgraph.cli import main
-from cmgraph.complexes import is_shelling_order
+from cmgraph.complexes import format_complex, independence_complex, is_shelling_order
 from cmgraph.fixtures import fixture_text
 from cmgraph.graphs import MAX_PARSE_N, Graph, format_graph
 
@@ -111,6 +111,19 @@ def test_homology(capsys, tmp_path):
     }
 
 
+def test_homology_of_a_complex_with_thousands_of_faces(capsys, tmp_path):
+    # Ind(whiskered P8) has 3,344 faces, so each default characteristic
+    # (0, 2 and 3) reduces boundary maps with up to 976 columns
+    cx = independence_complex(oracles.whiskered_path(8))
+    path = tmp_path / "wp8.cx"
+    path.write_text(format_complex(cx))
+    code, out, _ = run_cli(capsys, ["homology", str(path)])
+    assert code == 0
+    result = json.loads(out)
+    assert sum(result["f_vector"]) == 3344
+    assert result["betti"] == {c: [0] * 9 for c in ("0", "2", "3")}
+
+
 def test_matchings(capsys, tmp_path):
     c6 = write_graph(tmp_path, oracles.cycle_graph(6))
     code, out, _ = run_cli(capsys, ["matchings", c6, "--r", "2"])
@@ -128,6 +141,17 @@ def test_cover(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["cover", p3, str(cov)])
     assert code == 0
     assert json.loads(out) == {"cliques": [[1, 2], [3]], "dropped": []}
+
+
+def test_cover_accepts_only_a_list_of_integer_lists(capsys, tmp_path):
+    # int() would read each of these as the cover [[1, 2], [3]]
+    p3 = write_graph(tmp_path, oracles.path_graph(3))
+    cov = tmp_path / "cover.json"
+    for text in ('[[1.9, 2], [3]]', '["12", "3"]', '{"12": 0, "3": 1}', '[[true, 2], [3]]'):
+        cov.write_text(text)
+        code, out, err = run_cli(capsys, ["cover", p3, str(cov)])
+        assert (code, out) == (2, ""), text
+        assert err.startswith("cmgraph: error:"), text
 
 
 def test_classg_exit_codes(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from oracles import whiskered_path
 from cmgraph.cohen_macaulay import (
     HomologyWitness,
     PurityWitness,
@@ -104,13 +105,6 @@ def test_reisner_matches_brute_force_oracle():
                 cm_graph(g, FieldSpec(char)).is_cm
                 == oracles.is_cm_brute(g, char)
             ), g.edges
-
-
-def whiskered_path(n: int) -> Graph:
-    """The path 1..n with a pendant vertex v + n hung on each v."""
-    return oracles.graph_from_edges(
-        2 * n, [(i, i + 1) for i in range(1, n)] + [(v, v + n) for v in range(1, n + 1)]
-    )
 
 
 def rp2_family() -> list[SimplicialComplex]:

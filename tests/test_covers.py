@@ -88,6 +88,13 @@ def test_basic_cover_residuals_must_stay_cliques():
         basic_clique_cover(bowtie(), [[1, 2, 3]])
 
 
+def test_basic_cover_rejects_non_int_vertices():
+    # a float must not escape as TypeError from sorted(), nor True pass as vertex 1
+    for bad in ([[1.5, 2], [3]], [[True, 2], [3]], [["1", 2], [3]]):
+        with pytest.raises(ValueError, match="not an integer"):
+            basic_clique_cover(oracles.path_graph(3), bad)
+
+
 def test_alpha_cover_known_values():
     assert alpha_clique_cover(oracles.cycle_graph(4)) == ((1, 2), (3, 4))
     assert alpha_clique_cover(oracles.cycle_graph(6)) == ((1, 2), (3, 4), (5, 6))
