@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, maximal_independent_sets, parse_counted_lines
+from .graphs import Graph, _mask_to_tuple, maximal_independent_sets, parse_counted_lines
 
 SHELLABLE = "shellable"
 NOT_SHELLABLE = "not_shellable"
@@ -28,7 +28,7 @@ class ComplexFormatError(ValueError):
 class SimplicialComplex:
     """An abstract simplicial complex presented by its facets."""
 
-    __slots__ = ("n", "facets", "_faces_by_dim", "_face_set")
+    __slots__ = ("n", "facets", "_faces_by_dim", "_face_set", "_masks")
 
     def __init__(self, n: int, facets: Iterable[Iterable[int]]):
         if n < 0:
@@ -60,6 +60,7 @@ class SimplicialComplex:
         self.facets = tuple(norm)
         self._faces_by_dim: list[list[tuple[int, ...]]] | None = None
         self._face_set: frozenset[tuple[int, ...]] | None = None
+        self._masks: tuple[int, ...] | None = None
 
     @classmethod
     def _antichain(cls, n: int, facets: Iterable[tuple[int, ...]]) -> SimplicialComplex:
@@ -72,6 +73,7 @@ class SimplicialComplex:
         cx.facets = tuple(sorted(tuple(sorted(f)) for f in facets)) if n else ((),)
         cx._faces_by_dim = None
         cx._face_set = None
+        cx._masks = None
         return cx
 
     def dimension(self) -> int:
@@ -109,6 +111,12 @@ class SimplicialComplex:
         if self._face_set is None:
             self._face_set = frozenset(self.all_faces())
         return tuple(sorted(face)) in self._face_set
+
+    def _facet_masks(self) -> tuple[int, ...]:
+        """One vertex mask per facet (bit v for vertex v), in facet order."""
+        if self._masks is None:
+            self._masks = tuple(sum(1 << v for v in f) for f in self.facets)
+        return self._masks
 
     def f_vector(self) -> tuple[int, ...]:
         return (1,) + tuple(len(level) for level in self._faces())
@@ -170,17 +178,23 @@ def link(cx: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
 
     lk(F) = { G : G disjoint from F, G union F a face }.  Its facets are
     exactly K \\ F for the facets K containing F, which are an antichain as
-    the K are.  Raises ValueError when the given set is not a face.
+    the K are.  A facet contains F when its vertex mask, kept on the complex,
+    covers F's mask: one AND per facet.  Raises ValueError when the given
+    set is not a face.
     """
     f = tuple(sorted(face))
     if not cx.contains_face(f):
         raise ValueError(f"{f} is not a face of the complex")
-    fset = frozenset(f)
-    raw = [tuple(v for v in k if v not in fset) for k in cx.facets if fset <= set(k)]
-    support = sorted(set(itertools.chain.from_iterable(raw)))
-    relabel = {v: i for i, v in enumerate(support, start=1)}
+    fm = sum(1 << v for v in f)
+    above = []
+    support = 0
+    for k, m in zip(cx.facets, cx._facet_masks()):
+        if m & fm == fm:
+            above.append(k)
+            support |= m
+    relabel = {v: i for i, v in enumerate(_mask_to_tuple(support & ~fm), start=1)}
     return SimplicialComplex._antichain(
-        len(support), [tuple(relabel[v] for v in k) for k in raw]
+        len(relabel), [tuple(relabel[v] for v in k if v in relabel) for k in above]
     )
 
 

@@ -144,11 +144,17 @@ def alpha_clique_cover(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     one, so this loses no instances.  Branches on the lowest uncovered
     vertex; the first cover in the deterministic search order is returned.
     """
+    return _alpha_cover(g, independence_number(g), maximal_cliques(g))
+
+
+def _alpha_cover(
+    g: Graph, alpha: int, cliques: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...] | None:
+    """alpha_clique_cover(g), given g's independence number and its maximal
+    cliques in lexicographic order."""
     n = g.n
-    alpha = independence_number(g) if n else 0
     if n == 0:
         return ()
-    cliques = maximal_cliques(g)
     omega = max(len(c) for c in cliques)
     masks = []
     for c in cliques:

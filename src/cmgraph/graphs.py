@@ -395,34 +395,34 @@ def _partition_search(g: Graph, r: int, collect_all: bool) -> list[tuple[tuple[i
 
     Colors are introduced in first-use order, so every partition into
     independent blocks appears exactly once, with blocks ordered by their
-    smallest member.
+    smallest member.  Each colour class is kept as a vertex mask, so the
+    test whether v may join it is one AND with v's neighbour mask.
     """
     n = g.n
     found: list[tuple[tuple[int, ...], ...]] = []
     if r > n:
         return found
-    color = [0] * (n + 1)
+    masks = g._masks
+    block = [0] * r
 
     def place(v: int, used: int) -> bool:
         if v > n:
             if used == r:
-                blocks: list[list[int]] = [[] for _ in range(r)]
-                for u in g.vertices:
-                    blocks[color[u] - 1].append(u)
-                found.append(tuple(tuple(b) for b in blocks))
+                found.append(tuple(_mask_to_tuple(b) for b in block))
                 return not collect_all
             return False
         remaining = n - v
-        for c in range(1, min(used + 1, r) + 1):
-            if any(color[u] == c for u in g.adj[v]):
+        bit = 1 << v
+        for c in range(min(used + 1, r)):
+            if block[c] & masks[v]:
                 continue
-            new_used = max(used, c)
+            new_used = max(used, c + 1)
             if r - new_used > remaining:
                 continue
-            color[v] = c
+            block[c] |= bit
             if place(v + 1, new_used):
                 return True
-            color[v] = 0
+            block[c] ^= bit
         return False
 
     place(1, 0)
@@ -448,21 +448,51 @@ def all_r_partitions(g: Graph, r: int) -> list[tuple[tuple[int, ...], ...]]:
     return _partition_search(g, r, collect_all=True)
 
 
-def _induced_is_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    for v in vs:
-        if (g._masks[v] & m).bit_count() != 2:
-            return False
-    return _reach(g._masks, vs[0], m).bit_count() == len(vs)
+def _has_odd_hole(nbr: tuple[int, ...] | list[int]) -> bool:
+    """Whether the graph given by neighbour masks (index v for vertex v,
+    index 0 unused) has an induced odd cycle on five or more vertices.
 
-
-def _has_odd_hole(g: Graph) -> bool:
-    for size in range(5, g.n + 1, 2):
-        for vs in itertools.combinations(g.vertices, size):
-            if _induced_is_cycle(g, vs):
-                return True
+    Every hole is grown as a chordless path from its least vertex s.  A path
+    s, p_1, ..., p_k extends by a neighbour w of p_k above s that avoids the
+    path and the neighbourhoods of p_1, ..., p_{k-1}; so no vertex after p_1
+    is adjacent to an earlier one but its predecessor.  A w adjacent to s
+    closes the hole s, p_1, ..., p_k, w of length k + 2 instead, and since
+    it would be a chord of any longer path, it is never appended.  The
+    search keeps its own stack, so the path length is not bounded by the
+    recursion limit.
+    """
+    rest = _full_mask(len(nbr) - 1)
+    while rest.bit_count() >= 5:
+        s = (rest & -rest).bit_length() - 1
+        rest ^= 1 << s
+        ns = nbr[s] & rest
+        if ns.bit_count() < 2:
+            continue
+        # Each hole is met in both directions; keep the one whose closing
+        # vertex lies above p_1, and drop a path once no vertex that may
+        # close it is left to follow.  Frames: (last vertex p_k, number of
+        # path vertices after s, the vertices that may follow p_k, the
+        # vertices that may close the hole).
+        stack = []
+        first = ns
+        while first:
+            b = first & -first
+            first ^= b
+            close = ns & ~((b << 1) - 1)
+            if close:
+                stack.append((b.bit_length() - 1, 1, rest & ~b, close))
+        while stack:
+            end, k, avail, close = stack.pop()
+            cand = nbr[end] & avail
+            later = avail & ~nbr[end]
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                if b & ns:
+                    if b & close and k > 1 and k & 1:
+                        return True
+                elif later & close:
+                    stack.append((b.bit_length() - 1, k + 1, later, close))
     return False
 
 
@@ -470,9 +500,12 @@ def is_perfect(g: Graph) -> bool:
     """Perfection via the strong perfect graph theorem.
 
     A graph is perfect iff neither it nor its complement contains an induced
-    odd cycle of length >= 5.
+    odd cycle of length >= 5.  Both are searched by _has_odd_hole, the
+    complement on the masks full & ~N(v) & ~{v}, without building it.
     """
-    return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
+    full = _full_mask(g.n)
+    co = [full & ~m & ~(1 << v) if v else 0 for v, m in enumerate(g._masks)]
+    return not _has_odd_hole(g._masks) and not _has_odd_hole(co)
 
 
 def _wl_groups(g: Graph) -> list[list[int]]:

@@ -13,6 +13,10 @@ other filters are applied afterwards.  Nothing is cached between calls.
 Every claim the harness checks is one entry of CLAIMS: its name, the filters
 of the ensemble it reads, whether it runs once per characteristic, and a
 check that reduces a per-graph property record to a counterexample reason.
+Post-filters and records read one facts object per graph (_Facts), which
+computes each fact the first time it is asked for: maximal independent
+sets, maximal cliques, the independence number, unmixedness, perfection,
+the alpha cover and Ind(G) are each found at most once per graph.
 run_battery runs the whole table; verify_claim runs one entry.  Reports are
 line-delimited JSON, one graph per line, sorted by canonical form,
 byte-identical across runs.
@@ -24,11 +28,13 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
-from .cohen_macaulay import bipartite_cm_ordering, cm_characteristic_profile
+from .cohen_macaulay import _reisner_scan, bipartite_cm_ordering
+from .complexes import SimplicialComplex
 from .covers import (
-    alpha_clique_cover,
+    _alpha_cover,
     degree_r_minus_1_vertices,
     pairwise_part_matchings,
     perfect_r_matchings,
@@ -39,12 +45,11 @@ from .graphs import (
     _twin_classes,
     all_r_partitions,
     canonical_form,
-    independence_number,
     is_connected,
     is_k_colorable,
     is_perfect,
-    is_unmixed,
     maximal_cliques,
+    maximal_independent_sets,
     r_partition,
 )
 from .homology import FieldSpec
@@ -245,30 +250,78 @@ def _top_clique(filter_sets: list[GraphFilters]) -> int | None:
     return min(sizes)
 
 
+class _Facts:
+    """The facts of one graph that post-filters and records read, each
+    computed on first use and at most once.
+
+    The independence number, unmixedness and Ind(g) all come from one list
+    of maximal independent sets, and the alpha cover search reuses the
+    independence number and the maximal cliques.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @cached_property
+    def independent_sets(self) -> list[tuple[int, ...]]:
+        return maximal_independent_sets(self.g)
+
+    @cached_property
+    def cliques(self) -> list[tuple[int, ...]]:
+        return maximal_cliques(self.g)
+
+    @cached_property
+    def alpha(self) -> int:
+        return max(len(s) for s in self.independent_sets)
+
+    @cached_property
+    def unmixed(self) -> bool:
+        return len({len(s) for s in self.independent_sets}) == 1
+
+    @cached_property
+    def clique_sizes(self) -> list[int]:
+        return sorted({len(c) for c in self.cliques})
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    @cached_property
+    def perfect(self) -> bool:
+        return is_perfect(self.g)
+
+    @cached_property
+    def alpha_cover(self) -> tuple[tuple[int, ...], ...] | None:
+        return _alpha_cover(self.g, self.alpha, self.cliques)
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        """Ind(g): the maximal independent sets are an antichain covering
+        every vertex."""
+        return SimplicialComplex._antichain(self.g.n, self.independent_sets)
+
+
 # Post-filters in evaluation order: the filter field that enables each, and
-# the predicate, which reads the field's value.  The family is r-colourable
-# when r_partite = r, so its graphs have an r-partition exactly when they
-# have at least r vertices.
+# the predicate, which reads the graph's facts and the field's value.  The
+# family is r-colourable when r_partite = r, so its graphs have an
+# r-partition exactly when they have at least r vertices.
 _POST_FILTERS = (
-    ("connected", lambda g, _: is_connected(g)),
-    ("r_partite", lambda g, r: g.n >= r),
-    ("max_clique_size", lambda g, s: {len(c) for c in maximal_cliques(g)} == {s}),
-    ("unmixed", lambda g, _: is_unmixed(g)),
-    ("perfect", lambda g, _: is_perfect(g)),
-    ("class_g", lambda g, _: alpha_clique_cover(g) is not None),
+    ("connected", lambda facts, _: facts.connected),
+    ("r_partite", lambda facts, r: facts.g.n >= r),
+    ("max_clique_size", lambda facts, s: facts.clique_sizes == [s]),
+    ("unmixed", lambda facts, _: facts.unmixed),
+    ("perfect", lambda facts, _: facts.perfect),
+    ("class_g", lambda facts, _: facts.alpha_cover is not None),
 )
 
 
-def _passes(g: Graph, f: GraphFilters, known: dict) -> bool:
-    """Whether g passes f's post-filters; known memoises the predicates
-    already evaluated on g, keyed by (field, value)."""
+def _passes(facts: _Facts, f: GraphFilters) -> bool:
+    """Whether the graph of facts passes f's post-filters."""
     for field, predicate in _POST_FILTERS:
         value = getattr(f, field)
         if value is None or value is False:
             continue
-        if (field, value) not in known:
-            known[(field, value)] = predicate(g, value)
-        if not known[(field, value)]:
+        if not predicate(facts, value):
             return False
     return True
 
@@ -290,9 +343,9 @@ def _ensembles(
     )
     for level in levels[n_min - 1 :]:
         for g in level:
-            known: dict = {}
+            facts = _Facts(g)
             for f, out in zip(filter_sets, picked):
-                if _passes(g, f, known):
+                if _passes(facts, f):
                     out.append(g)
     return [GraphEnsemble(n_max, f, tuple(p)) for f, p in zip(filter_sets, picked)]
 
@@ -310,9 +363,14 @@ def enumerate_graphs_up_to(
 
 
 def _graph_record(g: Graph, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
-    """Everything the sweeps need to know about one graph, JSON-ready."""
+    """Everything the sweeps need to know about one graph, JSON-ready.
+
+    Every per-graph fact is computed once, from one _Facts of g; the CM
+    verdicts come from one Reisner scan of its Ind(g) for all chars.
+    """
+    facts = _Facts(g)
     canon = canonical_form(g).decode("ascii")
-    reports = cm_characteristic_profile(g, [FieldSpec(c) for c in chars]) if chars else []
+    reports = _reisner_scan(facts.complex, [FieldSpec(c) for c in chars], g) if chars else []
     matchings = perfect_r_matchings(g, r, limit=2)
     hh_exists: bool | None = None
     if r == 2 and r_partition(g, 2) is not None:
@@ -322,13 +380,13 @@ def _graph_record(g: Graph, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
         "m": len(g.edges),
         "edges": [list(e) for e in g.edges],
         "r": r,
-        "connected": is_connected(g),
-        "unmixed": is_unmixed(g),
-        "perfect": is_perfect(g),
-        "independence_number": independence_number(g),
-        "maximal_clique_sizes": sorted({len(c) for c in maximal_cliques(g)}),
+        "connected": facts.connected,
+        "unmixed": facts.unmixed,
+        "perfect": facts.perfect,
+        "independence_number": facts.alpha,
+        "maximal_clique_sizes": facts.clique_sizes,
         "degree_r_minus_1": list(degree_r_minus_1_vertices(g, r)),
-        "has_alpha_clique_cover": alpha_clique_cover(g) is not None,
+        "has_alpha_clique_cover": facts.alpha_cover is not None,
         "perfect_r_matching_exists": bool(matchings),
         "unique_perfect_r_matching": len(matchings) == 1,
         "all_r_partitions_equal_and_matched": all(

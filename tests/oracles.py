@@ -190,6 +190,31 @@ def is_perfect_brute(g: Graph) -> bool:
     return all(chi[s] == omega[s] for s in range(1 << g.n))
 
 
+def _induced_is_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
+    """Whether vs induces one cycle: every member has exactly two neighbours
+    inside vs, and vs is connected."""
+    inside = set(vs)
+    if any(len(g.adj[v] & inside) != 2 for v in vs):
+        return False
+    seen, frontier = {vs[0]}, [vs[0]]
+    while frontier:
+        for w in g.adj[frontier.pop()] & inside:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == len(vs)
+
+
+def has_odd_hole_brute(g: Graph) -> bool:
+    """An induced odd cycle on five or more vertices, by trying every odd
+    vertex subset of that size."""
+    return any(
+        _induced_is_cycle(g, vs)
+        for size in range(5, g.n + 1, 2)
+        for vs in itertools.combinations(range(1, g.n + 1), size)
+    )
+
+
 def all_r_partitions_brute(g: Graph, r: int) -> set[frozenset[frozenset[int]]]:
     """Distinct partitions into exactly r nonempty independent parts."""
     out = set()
@@ -204,6 +229,44 @@ def all_r_partitions_brute(g: Graph, r: int) -> set[frozenset[frozenset[int]]]:
         )
         out.add(parts)
     return out
+
+
+def partition_search_reference(
+    g: Graph, r: int, collect_all: bool
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Exactly-r colourings with colours in first-use order, one per
+    partition, by a per-vertex colour array: the order in which r_partition
+    and all_r_partitions must list the partitions."""
+    n = g.n
+    found: list[tuple[tuple[int, ...], ...]] = []
+    if r > n:
+        return found
+    color = [0] * (n + 1)
+
+    def place(v: int, used: int) -> bool:
+        if v > n:
+            if used == r:
+                blocks: list[list[int]] = [[] for _ in range(r)]
+                for u in range(1, n + 1):
+                    blocks[color[u] - 1].append(u)
+                found.append(tuple(tuple(b) for b in blocks))
+                return not collect_all
+            return False
+        remaining = n - v
+        for c in range(1, min(used + 1, r) + 1):
+            if any(color[u] == c for u in g.adj[v]):
+                continue
+            new_used = max(used, c)
+            if r - new_used > remaining:
+                continue
+            color[v] = c
+            if place(v + 1, new_used):
+                return True
+            color[v] = 0
+        return False
+
+    place(1, 0)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +295,16 @@ def perfect_r_matchings_brute(g: Graph, r: int) -> set[frozenset[tuple[int, ...]
 def clique_cover_number_brute(g: Graph) -> int:
     """Minimum number of cliques covering V(G); equals chi of the complement."""
     return chromatic_number_brute(complement_brute(g))
+
+
+def link_reference(facets, face) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The link of face as (vertex count, sorted facets): K - F for every
+    facet K containing F, relabelled order-preservingly, with sets."""
+    f = set(face)
+    raw = [tuple(v for v in k if v not in f) for k in facets if f <= set(k)]
+    support = sorted({v for k in raw for v in k})
+    relabel = {v: i for i, v in enumerate(support, start=1)}
+    return len(support), tuple(sorted(tuple(relabel[v] for v in k) for k in raw))
 
 
 # ---------------------------------------------------------------------------

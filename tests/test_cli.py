@@ -63,6 +63,12 @@ def test_perfect_exit_codes(capsys, tmp_path):
     assert code == 1 and json.loads(out) == {"perfect": False}
 
 
+def test_perfect_on_a_40_vertex_path(capsys, tmp_path):
+    p40 = write_graph(tmp_path, oracles.path_graph(40))
+    code, out, _ = run_cli(capsys, ["perfect", p40])
+    assert code == 0 and json.loads(out) == {"perfect": True}
+
+
 def test_shellable(capsys, tmp_path):
     tri = tmp_path / "tri.cx"
     tri.write_text("3 3\n1 2\n1 3\n2 3\n")

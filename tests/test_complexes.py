@@ -182,6 +182,17 @@ def test_link_relabels_order_preserving():
     assert lk.facets == ((1,), (2,))  # vertices 1 and 3 renumbered
 
 
+def test_link_matches_the_set_reference_on_every_face():
+    # facet containment is one AND against the facet masks kept on the complex
+    complexes = [boundary_sphere(2), hollow_triangle(), SimplicialComplex(6, RP2_FACETS)]
+    complexes.append(SimplicialComplex(5, [(1, 2, 4), (2, 3, 4), (1, 5), (3, 5)]))
+    complexes += [independence_complex(g) for g in enumerate_graphs_up_to(6).graphs]
+    for cx in complexes:
+        for face in cx.all_faces():
+            lk = link(cx, face)
+            assert (lk.n, lk.facets) == oracles.link_reference(cx.facets, face)
+
+
 def test_link_rejects_nonface():
     with pytest.raises(ValueError):
         link(hollow_triangle(), (1, 2, 3))

@@ -10,6 +10,7 @@ from cmgraph.graphs import (
     Graph,
     GraphFormatError,
     _augment,
+    _has_odd_hole,
     all_r_partitions,
     canonical_form,
     chromatic_number,
@@ -244,6 +245,17 @@ def test_all_r_partitions_match_brute():
             assert as_sets == oracles.all_r_partitions_brute(g, r)
 
 
+def test_partitions_keep_the_reference_order_on_every_class_to_n7():
+    # the class-mask search visits colours in the order of the per-vertex
+    # colour array it replaced, so both lists come out in the same order
+    for g in small_corpus(7):
+        for r in (2, 3, 4):
+            ref = oracles.partition_search_reference(g, r, collect_all=True)
+            assert all_r_partitions(g, r) == ref, (g.edges, r)
+            first = oracles.partition_search_reference(g, r, collect_all=False)
+            assert r_partition(g, r) == (first[0] if first else None), (g.edges, r)
+
+
 # ---------------------------------------------------------------------------
 # perfection
 
@@ -260,6 +272,51 @@ def test_is_perfect_known_values():
 def test_is_perfect_matches_brute():
     for g in small_corpus():
         assert is_perfect(g) == oracles.is_perfect_brute(g)
+
+
+def test_odd_hole_search_matches_brute_on_every_class_to_n7():
+    for g in small_corpus(7):
+        co = complement(g)
+        assert _has_odd_hole(g._masks) == oracles.has_odd_hole_brute(g), g.edges
+        assert _has_odd_hole(co._masks) == oracles.has_odd_hole_brute(co), g.edges
+
+
+def _random_set(n):
+    return [
+        g
+        for i, p in enumerate((0.3, 0.5, 0.7))
+        for g in oracles.random_graphs(400, n, seed=7100 + 10 * n + i, p=p)
+    ]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_odd_hole_search_matches_brute_on_random_graphs(n):
+    graphs = _random_set(n)
+    holes = [oracles.has_odd_hole_brute(g) for g in graphs]
+    assert 0 < sum(holes) < len(graphs)
+    assert [_has_odd_hole(g._masks) for g in graphs] == holes
+
+
+def test_is_perfect_matches_brute_on_random_9_vertex_graphs():
+    for g in _random_set(9)[::2]:
+        assert is_perfect(g) == oracles.is_perfect_brute(g), g.edges
+
+
+def _grid(rows, cols):
+    def at(i, j):
+        return i * cols + j + 1
+
+    right = [(at(i, j), at(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    down = [(at(i, j), at(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return Graph(rows * cols, right + down)
+
+
+def test_is_perfect_at_scale():
+    # far beyond subset enumeration: the 5 x 6 grid has about 2^29 odd subsets
+    assert is_perfect(_grid(5, 6))
+    assert is_perfect(oracles.path_graph(40))
+    assert not is_perfect(oracles.cycle_graph(41))
+    assert not is_perfect(complement(oracles.cycle_graph(41)))
 
 
 @pytest.mark.extended

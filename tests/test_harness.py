@@ -419,11 +419,64 @@ def test_char_free_claims_agree_with_oracles_through_n6(r):
 
 def test_char_free_records_skip_the_cm_decider(monkeypatch):
     def refuse(*args):
-        raise AssertionError("cm_characteristic_profile called without characteristics")
+        raise AssertionError("the Reisner scan ran without characteristics")
 
-    monkeypatch.setattr(harness, "cm_characteristic_profile", refuse)
+    monkeypatch.setattr(harness, "_reisner_scan", refuse)
     records = harness.compute_records(enumerate_graphs_up_to(4).graphs, 2, ())
     assert records and all(rec["cm"] == {} for _, rec in records.values())
+
+
+POOL = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "data", "records-pool.txt"
+)
+
+
+def _pool_graphs(step):
+    """Every step-th graph of the pinned 9-vertex pool of 3-partite graphs,
+    with its pinned record digest.  A line holds the upper triangle of the
+    adjacency matrix as hex, bit i for the i-th pair (u, v), u < v, in
+    lexicographic order, then the digest."""
+    pairs = list(itertools.combinations(range(1, 10), 2))
+    with open(POOL, encoding="ascii") as fh:
+        lines = [line.split() for line in fh if line.strip()][::step]
+    return [
+        (Graph(9, [e for i, e in enumerate(pairs) if int(code, 16) >> i & 1]), pinned)
+        for code, pinned in lines
+    ]
+
+
+def _record_digest(canon_record):
+    text = json.dumps(list(canon_record), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+
+
+def test_records_equal_the_pinned_pool_digests():
+    pool = _pool_graphs(8)
+    records = harness.compute_records(tuple(g for g, _ in pool), 3, (0, 2))
+    assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
+
+
+def test_records_compute_each_graph_fact_once(monkeypatch):
+    # count calls on every module's binding of the two searches, as the
+    # record path may reach them through any module
+    from cmgraph import cohen_macaulay, complexes, covers, graphs
+
+    calls = {"maximal_independent_sets": 0, "maximal_cliques": 0}
+    for name in calls:
+        fn = getattr(graphs, name)
+
+        def counted(g, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(g)
+
+        for mod in (graphs, complexes, covers, cohen_macaulay, harness):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    pool = _pool_graphs(500)
+    assert len(pool) == 12
+    records = harness.compute_records(tuple(g for g, _ in pool), 3, (0, 2))
+    assert calls == {"maximal_independent_sets": 12, "maximal_cliques": 12}
+    assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
 
 
 def test_verify_claim_rejects_mismatched_calls():
