@@ -3,9 +3,10 @@
 Two deciders live here.  reisner_cm applies the homological criterion: a
 complex is Cohen-Macaulay over a field K iff for every face F (including the
 empty face) the link of F has vanishing reduced homology in all degrees
-strictly below its dimension.  bipartite_cm_ordering applies the
-Herzog-Hibi combinatorial criterion for bipartite graphs, which is
-characteristic-free.
+strictly below its dimension.  It, cm_characteristic_profile and the
+harness records share one scan, which links only the faces that are
+intersections of facets.  bipartite_cm_ordering applies the Herzog-Hibi
+combinatorial criterion for bipartite graphs, which is characteristic-free.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def reisner_cm(cx: SimplicialComplex, field: FieldSpec) -> CMReport:
     canonical order (dimension, then lex) and the first face whose link has
     homology below its dimension is returned.  See _reisner_scan.
     """
-    return _reisner_scan(cx, [field], None)[0]
+    return _reisner_scan(cx, [field])[0]
 
 
 def cm_graph(g: Graph, field: FieldSpec) -> CMReport:
@@ -82,7 +83,7 @@ def cm_characteristic_profile(g: Graph, fields: list[FieldSpec]) -> list[CMRepor
     """
     if not fields:
         raise ValueError("at least one field is required")
-    return _reisner_scan(independence_complex(g), fields, g)
+    return _reisner_scan(independence_complex(g), fields)
 
 
 class _LinkVerdicts:
@@ -124,23 +125,22 @@ class _LinkVerdicts:
         return found
 
 
-def _reisner_scan(
-    cx: SimplicialComplex, fields: list[FieldSpec], g: Graph | None
-) -> list[CMReport]:
+def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMReport]:
     """The Reisner scan of cx, once for every field: one report per entry.
 
     Faces are visited in canonical order and each still-undecided field
     checks the face's link; a field whose link fails drops out with that
     face as its witness, and the scan ends when no field is left.  So every
     report, witness included, is the one a scan for its field alone gives.
-    Links of dimension <= 0 are skipped: they are nonempty, so there is
-    nothing to check below degree 0.
 
-    Distinct faces often have equal links.  A link's facets determine it,
+    Only faces whose link can fail are linked.  In a pure complex lk(F) has
+    dimension dim - |F|, so the scan ends at the first face with |F| >= dim:
+    from there on every link is nonempty with nothing to check below degree
+    0.  A face F that is not the intersection of the facets containing it
+    has a vertex v outside it in all of them, so lk(F) is a cone over v,
+    acyclic over every field, and is skipped.  A link's facets determine it,
     since every vertex lies in a facet, so verdicts are kept by facets for
-    the rest of the call.  When cx = Ind(g), the link of F is Ind(g - N[F])
-    relabelled in order, so it depends only on the vertex mask V - N[F], and
-    link() runs only the first time a mask is seen.
+    the rest of the call: distinct faces often have equal links.
     """
     if not cx.is_pure():
         by_size = sorted(cx.facets, key=len)
@@ -149,27 +149,23 @@ def _reisner_scan(
     active = list(dict.fromkeys(fields))
     failed: dict[FieldSpec, HomologyWitness] = {}
     by_facets: dict[tuple[tuple[int, ...], ...], _LinkVerdicts] = {}
-    by_mask: dict[int, _LinkVerdicts] = {}
-    if g is not None:
-        full = sum(1 << v for v in g.vertices)
-        outside = [full & ~(m | 1 << v) for v, m in enumerate(g._masks)]
+    dim = cx.dimension()
+    # incidence[v]: the facets containing vertex v, bit i for the i-th facet
+    masks = cx._facet_masks()
+    incidence = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1) for v in range(cx.n + 1)]
+    every = (1 << len(cx.facets)) - 1
     for face in cx.all_faces():
-        if g is None:
-            entry = None
-        else:
-            mask = full
-            for v in face:
-                mask &= outside[v]
-            entry = by_mask.get(mask)
-        if entry is None:
-            lk = link(cx, face)
-            entry = by_facets.get(lk.facets)
-            if entry is None:
-                entry = by_facets[lk.facets] = _LinkVerdicts(lk)
-            if g is not None:
-                by_mask[mask] = entry
-        if entry.dim <= 0:
+        if len(face) >= dim:
+            break
+        above = every
+        for v in face:
+            above &= incidence[v]
+        if sum(1 for m in incidence if m & above == above) > len(face):
             continue
+        lk = link(cx, face)
+        entry = by_facets.get(lk.facets)
+        if entry is None:
+            entry = by_facets[lk.facets] = _LinkVerdicts(lk)
         dropped = False
         for field in active:
             i = entry.first_failure(field)

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, _mask_to_tuple, maximal_independent_sets, parse_counted_lines
+from .graphs import Graph, maximal_independent_sets, parse_counted_lines
 
 SHELLABLE = "shellable"
 NOT_SHELLABLE = "not_shellable"
@@ -28,7 +28,7 @@ class ComplexFormatError(ValueError):
 class SimplicialComplex:
     """An abstract simplicial complex presented by its facets."""
 
-    __slots__ = ("n", "facets", "_faces_by_dim", "_face_set", "_masks")
+    __slots__ = ("n", "facets", "_faces_by_dim", "_masks")
 
     def __init__(self, n: int, facets: Iterable[Iterable[int]]):
         if n < 0:
@@ -59,7 +59,6 @@ class SimplicialComplex:
         self.n = n
         self.facets = tuple(norm)
         self._faces_by_dim: list[list[tuple[int, ...]]] | None = None
-        self._face_set: frozenset[tuple[int, ...]] | None = None
         self._masks: tuple[int, ...] | None = None
 
     @classmethod
@@ -72,7 +71,6 @@ class SimplicialComplex:
         cx.n = n
         cx.facets = tuple(sorted(tuple(sorted(f)) for f in facets)) if n else ((),)
         cx._faces_by_dim = None
-        cx._face_set = None
         cx._masks = None
         return cx
 
@@ -108,9 +106,18 @@ class SimplicialComplex:
             yield from level
 
     def contains_face(self, face: Iterable[int]) -> bool:
-        if self._face_set is None:
-            self._face_set = frozenset(self.all_faces())
-        return tuple(sorted(face)) in self._face_set
+        return bool(self._facets_above(face))
+
+    def _facets_above(self, face: Iterable[int]) -> list[tuple[int, ...]]:
+        """The facets containing face, or [] when face has a repeated or
+        out-of-range vertex.  A facet contains the face when its vertex mask
+        covers the face's mask: one AND per facet."""
+        fm = 0
+        for v in face:
+            if not 1 <= v <= self.n or fm >> v & 1:
+                return []
+            fm |= 1 << v
+        return [k for k, m in zip(self.facets, self._facet_masks()) if m & fm == fm]
 
     def _facet_masks(self) -> tuple[int, ...]:
         """One vertex mask per facet (bit v for vertex v), in facet order."""
@@ -178,21 +185,14 @@ def link(cx: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
 
     lk(F) = { G : G disjoint from F, G union F a face }.  Its facets are
     exactly K \\ F for the facets K containing F, which are an antichain as
-    the K are.  A facet contains F when its vertex mask, kept on the complex,
-    covers F's mask: one AND per facet.  Raises ValueError when the given
-    set is not a face.
+    the K are.  Raises ValueError when the given set is not a face.
     """
     f = tuple(sorted(face))
-    if not cx.contains_face(f):
+    above = cx._facets_above(f)
+    if not above:
         raise ValueError(f"{f} is not a face of the complex")
-    fm = sum(1 << v for v in f)
-    above = []
-    support = 0
-    for k, m in zip(cx.facets, cx._facet_masks()):
-        if m & fm == fm:
-            above.append(k)
-            support |= m
-    relabel = {v: i for i, v in enumerate(_mask_to_tuple(support & ~fm), start=1)}
+    rest = sorted({v for k in above for v in k}.difference(f))
+    relabel = {v: i for i, v in enumerate(rest, start=1)}
     return SimplicialComplex._antichain(
         len(relabel), [tuple(relabel[v] for v in k if v in relabel) for k in above]
     )

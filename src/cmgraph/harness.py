@@ -14,9 +14,8 @@ Every claim the harness checks is one entry of CLAIMS: its name, the filters
 of the ensemble it reads, whether it runs once per characteristic, and a
 check that reduces a per-graph property record to a counterexample reason.
 Post-filters and records read one facts object per graph (_Facts), which
-computes each fact the first time it is asked for: maximal independent
-sets, maximal cliques, the independence number, unmixedness, perfection,
-the alpha cover and Ind(G) are each found at most once per graph.
+computes each fact the first time it is asked for, at most once per graph;
+run_battery's records read the facts its ensemble scan already filled.
 run_battery runs the whole table; verify_claim runs one entry.  Reports are
 line-delimited JSON, one graph per line, sorted by canonical form,
 byte-identical across runs.
@@ -254,9 +253,9 @@ class _Facts:
     """The facts of one graph that post-filters and records read, each
     computed on first use and at most once.
 
-    The independence number, unmixedness and Ind(g) all come from one list
-    of maximal independent sets, and the alpha cover search reuses the
-    independence number and the maximal cliques.
+    The independence number, unmixedness and the records' Ind(g) all come
+    from one list of maximal independent sets, and the alpha cover search
+    reuses the independence number and the maximal cliques.
     """
 
     def __init__(self, g: Graph):
@@ -294,12 +293,6 @@ class _Facts:
     def alpha_cover(self) -> tuple[tuple[int, ...], ...] | None:
         return _alpha_cover(self.g, self.alpha, self.cliques)
 
-    @cached_property
-    def complex(self) -> SimplicialComplex:
-        """Ind(g): the maximal independent sets are an antichain covering
-        every vertex."""
-        return SimplicialComplex._antichain(self.g.n, self.independent_sets)
-
 
 # Post-filters in evaluation order: the filter field that enables each, and
 # the predicate, which reads the graph's facts and the field's value.  The
@@ -328,14 +321,16 @@ def _passes(facts: _Facts, f: GraphFilters) -> bool:
 
 def _ensembles(
     n_max: int, filter_sets: list[GraphFilters], n_min: int = 1
-) -> list[GraphEnsemble]:
+) -> tuple[list[GraphEnsemble], dict[Graph, _Facts]]:
     """One ensemble per filter set over n_min..n_max vertices, ordered by
-    (n, canonical form).  The filter sets share one hereditary family, which
-    is built once, with its top level cut to the graphs that meet the clique
-    condition the sets share, and scanned once, evaluating every post-filter
-    predicate at most once per graph."""
+    (n, canonical form), and the facts of every graph they hold.  The filter
+    sets share one hereditary family, which is built once, with its top
+    level cut to the graphs that meet the clique condition the sets share,
+    and scanned once, evaluating every post-filter predicate at most once
+    per graph."""
     ((chi, omega),) = {_family_bounds(f) for f in filter_sets}
     picked: list[list[Graph]] = [[] for _ in filter_sets]
+    kept: dict[Graph, _Facts] = {}
     levels = (
         _hereditary_family(n_max, chi, omega, _top_clique(filter_sets))
         if n_max >= n_min
@@ -347,30 +342,35 @@ def _ensembles(
             for f, out in zip(filter_sets, picked):
                 if _passes(facts, f):
                     out.append(g)
-    return [GraphEnsemble(n_max, f, tuple(p)) for f, p in zip(filter_sets, picked)]
+                    kept[g] = facts
+    return [GraphEnsemble(n_max, f, tuple(p)) for f, p in zip(filter_sets, picked)], kept
 
 
 def enumerate_graphs(n: int, filters: GraphFilters | None = None) -> GraphEnsemble:
     """All graphs on exactly n vertices (up to isomorphism) passing the filters."""
-    return _ensembles(n, [filters or GraphFilters()], n_min=n)[0]
+    return _ensembles(n, [filters or GraphFilters()], n_min=n)[0][0]
 
 
 def enumerate_graphs_up_to(
     n_max: int, filters: GraphFilters | None = None
 ) -> GraphEnsemble:
     """All graphs on 1..n_max vertices passing the filters, ordered by (n, canon)."""
-    return _ensembles(n_max, [filters or GraphFilters()])[0]
+    return _ensembles(n_max, [filters or GraphFilters()])[0][0]
 
 
-def _graph_record(g: Graph, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
+def _graph_record(g: Graph | _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
     """Everything the sweeps need to know about one graph, JSON-ready.
 
-    Every per-graph fact is computed once, from one _Facts of g; the CM
-    verdicts come from one Reisner scan of its Ind(g) for all chars.
+    Every per-graph fact is read from one _Facts of the graph (g may be
+    one); the CM verdicts come from one Reisner scan of Ind(g) for all
+    chars.  Ind(g) is built here, so facts held for later keep no faces.
     """
-    facts = _Facts(g)
+    facts = g if isinstance(g, _Facts) else _Facts(g)
+    g = facts.g
     canon = canonical_form(g).decode("ascii")
-    reports = _reisner_scan(facts.complex, [FieldSpec(c) for c in chars], g) if chars else []
+    # the maximal independent sets are an antichain covering every vertex
+    cx = SimplicialComplex._antichain(g.n, facts.independent_sets)
+    reports = _reisner_scan(cx, [FieldSpec(c) for c in chars]) if chars else []
     matchings = perfect_r_matchings(g, r, limit=2)
     hh_exists: bool | None = None
     if r == 2 and r_partition(g, 2) is not None:
@@ -405,14 +405,15 @@ def _check_jobs(jobs: int) -> None:
 
 
 def compute_records(
-    graphs: tuple[Graph, ...], r: int, chars: tuple[int, ...], jobs: int = 1
+    graphs: tuple[Graph | _Facts, ...], r: int, chars: tuple[int, ...], jobs: int = 1
 ) -> dict[Graph, tuple[str, dict]]:
     """Per-graph records, optionally fanned out over worker processes.
 
-    The result is keyed by graph and independent of jobs: workers only map a
-    pure function, and assembly re-sorts by input order.  With no chars the
-    records carry an empty "cm" map.  Raises ValueError unless
-    1 <= jobs <= os.cpu_count().
+    An entry of graphs may be a graph's _Facts, whose facts found so far are
+    reused (a _Facts pickles with them).  The result is keyed by graph and
+    independent of jobs: workers only map a pure function, and assembly
+    re-sorts by input order.  With no chars the records carry an empty "cm"
+    map.  Raises ValueError unless 1 <= jobs <= os.cpu_count().
     """
     _check_jobs(jobs)
     unique = list(dict.fromkeys(graphs))
@@ -423,7 +424,7 @@ def compute_records(
             results = pool.starmap(_graph_record, items, chunksize=chunk)
     else:
         results = [_graph_record(*it) for it in items]
-    return dict(zip(unique, results))
+    return dict(zip((g.g if isinstance(g, _Facts) else g for g in unique), results))
 
 
 @dataclass(frozen=True)
@@ -594,9 +595,9 @@ def run_battery(
     _check_jobs(jobs)
     claims = [cl for cl in CLAIMS.values() if cl.filters(r) is not None]
     filters = {cl.ensemble: cl.filters(r) for cl in claims}
-    ensembles = dict(zip(filters, _ensembles(n_max, list(filters.values()))))
-    all_graphs = [g for ens in ensembles.values() for g in ens.graphs]
-    records = compute_records(tuple(all_graphs), r, chars, jobs)
+    picked, facts = _ensembles(n_max, list(filters.values()))
+    ensembles = dict(zip(filters, picked))
+    records = compute_records(tuple(facts.values()), r, chars, jobs)
 
     runs = [(cl, c) for c in chars for cl in claims if cl.per_char]
     runs += [

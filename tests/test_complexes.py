@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -81,6 +82,23 @@ def test_all_faces_ordering_and_membership():
     assert cx.contains_face((3, 1))
     assert not cx.contains_face((1, 2, 3))
     assert cx.faces_of_dim(1) == [(1, 2), (1, 3), (2, 3)]
+    # a repeated or out-of-range vertex makes no face
+    for bad in ((1, 1), (2, 1, 2), (0,), (4,), (1, 4), (-1,)):
+        assert not cx.contains_face(bad)
+    assert SimplicialComplex(0, []).contains_face(())
+    assert not SimplicialComplex(0, []).contains_face((1,))
+    for bad in ((3, 2, 1), (1, 1), (4,)):
+        message = f"{tuple(sorted(bad))} is not a face of the complex"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            link(cx, bad)
+    # membership on facet masks agrees with the list of all faces
+    others = [boundary_sphere(2), SimplicialComplex(6, RP2_FACETS)]
+    others.append(SimplicialComplex(5, [(1, 2, 4), (2, 3, 4), (1, 5), (3, 5)]))
+    for other in others:
+        faces = set(other.all_faces())
+        for size in range(other.n + 1):
+            for s in itertools.combinations(range(1, other.n + 1), size):
+                assert other.contains_face(s) == (s in faces)
 
 
 def test_parse_format_round_trip():

@@ -241,14 +241,14 @@ def test_top_level_cut_keeps_every_ensemble_and_report_byte(tmp_path, monkeypatc
     """The battery's ensembles up to n = 8, and its report and summary
     bytes, equal those of the slow path that builds the top level in full."""
     filter_sets = _battery_filter_sets(r)
-    got = harness._ensembles(8, filter_sets)
+    got, _ = harness._ensembles(8, filter_sets)
     expected = _reference_ensembles(8, filter_sets)
     assert [_fields(e.graphs) for e in got] == [_fields(e.graphs) for e in expected]
     assert got == expected
 
     def reference(n_max, sets, n_min=1):
         assert (n_max, sets, n_min) == (8, filter_sets, 1)
-        return expected
+        return expected, {g: harness._Facts(g) for e in expected for g in e.graphs}
 
     fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
     fast_summary = run_battery(8, r=r, report_path=str(fast))
@@ -315,7 +315,7 @@ def test_top_level_keeps_exactly_the_classes_meeting_the_clique_condition(chi, o
 ])
 def test_top_level_cut_keeps_mixed_filter_sets(filter_sets, top):
     assert harness._top_clique(filter_sets) == top
-    got = harness._ensembles(7, filter_sets)
+    got, _ = harness._ensembles(7, filter_sets)
     expected = _reference_ensembles(7, filter_sets)
     assert [_fields(e.graphs) for e in got] == [_fields(e.graphs) for e in expected]
     assert any(e.graphs for e in got)
@@ -445,9 +445,13 @@ def _pool_graphs(step):
     ]
 
 
-def _record_digest(canon_record):
-    text = json.dumps(list(canon_record), sort_keys=True, separators=(",", ":"))
+def _digest(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+
+
+def _record_digest(canon_record):
+    return _digest(list(canon_record))
 
 
 def test_records_equal_the_pinned_pool_digests():
@@ -456,9 +460,9 @@ def test_records_equal_the_pinned_pool_digests():
     assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
 
 
-def test_records_compute_each_graph_fact_once(monkeypatch):
-    # count calls on every module's binding of the two searches, as the
-    # record path may reach them through any module
+def _count_searches(monkeypatch):
+    """Count calls on every module's binding of the two searches, as the
+    record path may reach them through any module."""
     from cmgraph import cohen_macaulay, complexes, covers, graphs
 
     calls = {"maximal_independent_sets": 0, "maximal_cliques": 0}
@@ -472,11 +476,31 @@ def test_records_compute_each_graph_fact_once(monkeypatch):
         for mod in (graphs, complexes, covers, cohen_macaulay, harness):
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_records_compute_each_graph_fact_once(monkeypatch):
+    calls = _count_searches(monkeypatch)
     pool = _pool_graphs(500)
     assert len(pool) == 12
     records = harness.compute_records(tuple(g for g, _ in pool), 3, (0, 2))
     assert calls == {"maximal_independent_sets": 12, "maximal_cliques": 12}
     assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
+
+
+def test_battery_records_reuse_the_facts_of_the_ensemble_scan(monkeypatch, tmp_path):
+    # the scan that picks the 513 classes finds their independent sets, and
+    # the records read them from the same facts; the report and summary keep
+    # the digests pinned for the benchmark's sweep-n8-r3 workload
+    calls = _count_searches(monkeypatch)
+    report = tmp_path / "report.jsonl"
+    summary = run_battery(8, r=3, characteristics=(0, 2), report_path=str(report))
+    assert summary["graphs_checked"] == 513
+    assert calls["maximal_independent_sets"] == 513
+    with open(os.path.join(os.path.dirname(POOL), "sweep-n8-r3.json"), encoding="ascii") as fh:
+        pinned = json.load(fh)
+    assert [_digest(line) for line in report.read_text().splitlines()] == pinned["lines"]
+    assert _digest(dict(summary, report_path=None)) == pinned["summary"]
 
 
 def test_verify_claim_rejects_mismatched_calls():

@@ -1,18 +1,25 @@
-"""Property tests of the CM decider and its link memo, on graphs with at most
-8 vertices.
+"""Property tests of the CM decider and its links, on graphs with at most 8
+vertices and on complexes with at most 7.
 
 Examples are drawn with hypothesis, derandomized so every run checks the
-same graphs.
+same graphs and complexes.
 """
+
+import itertools
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from cmgraph.cohen_macaulay import cm_graph
-from cmgraph.complexes import independence_complex, link
+from cmgraph.cohen_macaulay import cm_graph, reisner_cm
+from cmgraph.complexes import (
+    SimplicialComplex,
+    independence_complex,
+    link,
+    stanley_reisner_generators,
+)
 from cmgraph.graphs import Graph
 from cmgraph.homology import FieldSpec, reduced_betti
 
@@ -61,8 +68,57 @@ def without_closed_neighbourhood(g: Graph, face: tuple[int, ...]) -> Graph:
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(graphs())
 def test_link_of_a_face_is_the_independence_complex_off_its_closed_neighbourhood(g):
-    # the CM scan keys link verdicts by the vertex mask V - N[F]: this is
-    # the identity that makes equal masks give equal links
+    # a link of Ind(G) is again an independence complex, of G - N[F], so
+    # faces with the same V - N[F] have equal links
     cx = independence_complex(g)
     for face in cx.all_faces():
         assert link(cx, face) == independence_complex(without_closed_neighbourhood(g, face))
+
+
+def _complex_on_used_vertices(facets) -> SimplicialComplex:
+    """The complex of the inclusion-maximal sets among facets, on the
+    vertices they use, relabelled in order to 1..n'."""
+    sets = [set(k) for k in facets]
+    maximal = {tuple(sorted(k)) for k in sets if not any(k < other for other in sets)}
+    used = sorted(set().union(*sets))
+    relabel = {v: i for i, v in enumerate(used, 1)}
+    return SimplicialComplex(len(used), [[relabel[v] for v in k] for k in maximal])
+
+
+@st.composite
+def pure_complexes(draw, max_n: int = 7) -> SimplicialComplex:
+    n = draw(st.integers(3, max_n))
+    size = draw(st.integers(2, n - 1))
+    candidates = list(itertools.combinations(range(1, n + 1), size))
+    return _complex_on_used_vertices(draw(st.sets(st.sampled_from(candidates), min_size=3)))
+
+
+@st.composite
+def complexes(draw, max_n: int = 7) -> SimplicialComplex:
+    n = draw(st.integers(1, max_n))
+    subsets = st.sets(st.integers(1, n), min_size=1)
+    return _complex_on_used_vertices(draw(st.lists(subsets, min_size=1, max_size=8)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pure_complexes())
+def test_reisner_cm_matches_the_reference_scan_on_pure_complexes_that_are_not_flag(cx):
+    # a flag complex is Ind of a graph; these have a minimal nonface of 3 or
+    # more vertices, so they reach the bare-complex scan only
+    assume(any(len(s) > 2 for s in stanley_reisner_generators(cx)))
+    for field in (Q, F2, F3):
+        assert reisner_cm(cx, field) == oracles.reisner_cm_reference(cx, field)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(complexes())
+def test_a_face_that_is_not_an_intersection_of_facets_has_an_acyclic_link(cx):
+    # some vertex outside F lies in every facet containing F, so the link
+    # is a cone over it: the scan skips these faces
+    facets = [set(k) for k in cx.facets]
+    for face in cx.all_faces():
+        meet = set.intersection(*[k for k in facets if set(face) <= k])
+        if meet != set(face):
+            lk = link(cx, face)
+            for field in (Q, F2, F3):
+                assert not any(reduced_betti(lk, field)), (face, field)
