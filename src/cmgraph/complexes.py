@@ -256,6 +256,14 @@ def is_shellable(
     "budget_exhausted".  Non-pure input raises ValueError.  The search keeps
     its own stack, so its depth, one level per facet, is not bounded by
     Python's recursion limit.
+
+    Facet sets are bitsets, numbered by search order.  A facet F extends the
+    placed set P when every placed facet misses some vertex v whose ridge
+    F - v lies in a placed facet: one OR per ridge of F and one AND against
+    P, with no loop over the placed facets.  Candidates come from P's
+    frontier, the unplaced facets sharing a ridge with a placed one, since
+    no other facet can extend P.  Every witness is checked again by
+    is_shelling_order.
     """
     if not cx.is_pure():
         raise ValueError("shellability search requires a pure complex")
@@ -266,68 +274,93 @@ def is_shellable(
     if m == 1:
         return ShellingResult(SHELLABLE, (facets[0],), 0)
 
-    # One vertex mask per facet, and per ridge (a facet minus one vertex) the
-    # mask of the facets containing it.  In a pure complex two facets differ
-    # in a single vertex iff they share a ridge, and they share at most one.
-    fm = [sum(1 << v for v in f) for f in facets]
-    owners: dict[int, int] = {}
-    for i, f in enumerate(facets):
-        for v in f:
-            r = fm[i] ^ (1 << v)
-            owners[r] = owners.get(r, 0) | (1 << i)
-    ridges = [[(1 << v, owners[fm[i] ^ (1 << v)]) for v in f] for i, f in enumerate(facets)]
-    outside = [~x for x in fm]
-    neighbor_count = [sum(own.bit_count() - 1 for _, own in rs) for rs in ridges]
+    # Each facet's ridges (the facet minus one vertex) as vertex masks.  In a
+    # pure complex two facets differ in a single vertex iff they share a
+    # ridge, and they share at most one.  The search visits facets by
+    # decreasing neighbour count, then index.
+    ridge_masks = []
+    for f in facets:
+        fm = sum(1 << v for v in f)
+        ridge_masks.append([fm ^ (1 << v) for v in f])
+    count: dict[int, int] = {}
+    for rs in ridge_masks:
+        for r in rs:
+            count[r] = count.get(r, 0) + 1
+    neighbor_count = [sum(count[r] for r in rs) - len(rs) for rs in ridge_masks]
     order = sorted(range(m), key=lambda i: (-neighbor_count[i], i))
 
+    # From here on bit p of a facet set is facet order[p], so taking the set
+    # bits of a candidate set lowest first follows the search order.  One
+    # pass over the facets' vertices gives the facets on each ridge and the
+    # facets with each vertex; lacks[v], the facets without v, is kept only
+    # for the vertices that lie in a facet.
     full = (1 << m) - 1
+    owners: dict[int, int] = {}
+    has: dict[int, int] = {}
+    for p, i in enumerate(order):
+        bit = 1 << p
+        for v, r in zip(facets[i], ridge_masks[i]):
+            owners[r] = owners.get(r, 0) | bit
+            has[v] = has.get(v, 0) | bit
+    lacks = {v: full ^ bits for v, bits in has.items()}
+    # Per facet F, one pair per ridge F - v shared with another facet: the
+    # other facets on that ridge, and lacks[v].  adj[p] is F's neighbours.
+    ridges: list[list[tuple[int, int]]] = []
+    adj: list[int] = []
+    for p, i in enumerate(order):
+        bit = 1 << p
+        pairs = [
+            (owners[r] ^ bit, lacks[v])
+            for v, r in zip(facets[i], ridge_masks[i])
+            if owners[r] != bit
+        ]
+        near = 0
+        for others, _ in pairs:
+            near |= others
+        ridges.append(pairs)
+        adj.append(near)
+
     dead: set[int] = set()
     steps = 0
     prefix: list[int] = []
     # Depth-first search with an explicit stack, one frame per facet placed:
-    # [the set of facets placed, the position in order to extend it from].
-    stack = [[0, 0]]
+    # [the set P of facets placed, its frontier, the candidates left to try].
+    # The root frame has nothing placed, an empty frontier and every facet
+    # as a candidate; below it the candidates are the frontier.
+    stack = [[0, 0, full]]
     while stack:
         frame = stack[-1]
-        mask = frame[0]
-        for pos in range(frame[1], m):
-            i = order[pos]
-            if mask >> i & 1:
-                continue
-            if mask:
-                # rid: the vertices l with F_i - {l} inside a placed facet
-                rid = 0
-                for vbit, own in ridges[i]:
-                    if own & mask:
-                        rid |= vbit
-                if not rid:
-                    continue
-                ok = True
-                rest = mask
-                while rest:
-                    b = rest & -rest
-                    if not rid & outside[b.bit_length() - 1]:
-                        ok = False
-                        break
-                    rest ^= b
-                if not ok:
+        placed, frontier, cand = frame
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            p = b.bit_length() - 1
+            if placed:
+                # cover: the facets missing some v with F_p - v on a placed
+                # facet; F_p extends P iff cover holds all of P
+                cover = 0
+                for others, lack in ridges[p]:
+                    if others & placed:
+                        cover |= lack
+                if placed & ~cover:
                     continue
             steps += 1
             if steps > budget:
                 return ShellingResult(BUDGET_EXHAUSTED, None, steps)
-            child = mask | (1 << i)
+            child = placed | b
             if child == full:
-                witness = tuple(facets[k] for k in prefix + [i])
+                witness = tuple(facets[order[k]] for k in prefix + [p])
                 if not is_shelling_order(witness):
                     raise RuntimeError("internal error: search produced an invalid shelling")
                 return ShellingResult(SHELLABLE, witness, steps)
             if child not in dead:
-                frame[1] = pos + 1
-                prefix.append(i)
-                stack.append([child, 0])
+                frame[2] = cand
+                prefix.append(p)
+                below = (frontier | adj[p]) & ~child
+                stack.append([child, below, below])
                 break
         else:
-            dead.add(mask)
+            dead.add(placed)
             stack.pop()
             if prefix:
                 prefix.pop()

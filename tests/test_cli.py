@@ -7,7 +7,7 @@ import pytest
 import oracles
 from cmgraph.cli import main
 from cmgraph.complexes import format_complex, independence_complex, is_shelling_order
-from cmgraph.fixtures import fixture_text
+from cmgraph.fixtures import fig1_graph, fixture_text
 from cmgraph.graphs import MAX_PARSE_N, Graph, format_graph
 
 
@@ -103,6 +103,14 @@ def test_shellable_long_path_exits_0(capsys, tmp_path):
     assert data["status"] == "shellable"
     assert len(data["order"]) == 1100
     assert is_shelling_order(map(tuple, data["order"]))
+
+
+def test_shellable_fig1_complex_exits_1(capsys, tmp_path):
+    cx = tmp_path / "fig1.cx"
+    cx.write_text(format_complex(independence_complex(fig1_graph())))
+    code, out, err = run_cli(capsys, ["shellable", str(cx)])
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"status": "not_shellable", "order": None, "steps": 32_936}
 
 
 def test_homology(capsys, tmp_path):
@@ -254,6 +262,22 @@ def test_unknown_fixture(capsys):
 def test_bad_characteristic(capsys, fig1_file):
     code, out, err = run_cli(capsys, ["cm", fig1_file, "--char", "4"])
     assert code == 2 and err.startswith("cmgraph: error:")
+
+
+def test_shellable_nonpositive_budget_exits_2(capsys, tmp_path):
+    tri = tmp_path / "tri.cx"
+    tri.write_text("3 3\n1 2\n1 3\n2 3\n")
+    code, out, err = run_cli(capsys, ["shellable", str(tri), "--budget", "0"])
+    assert code == 2 and out == ""
+    assert err.startswith("cmgraph: error:") and "budget must be positive" in err
+
+
+def test_shellable_nonpure_complex_exits_2(capsys, tmp_path):
+    mixed = tmp_path / "mixed.cx"
+    mixed.write_text("3 2\n1 2\n3\n")
+    code, out, err = run_cli(capsys, ["shellable", str(mixed)])
+    assert code == 2 and out == ""
+    assert err.startswith("cmgraph: error:") and "requires a pure complex" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

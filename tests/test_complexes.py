@@ -19,8 +19,8 @@ from cmgraph.complexes import (
     parse_complex,
     stanley_reisner_generators,
 )
-from cmgraph.fixtures import FIG1_EDGES
-from cmgraph.graphs import GraphFormatError, parse_graph
+from cmgraph.fixtures import FIG1_EDGES, fig1_graph
+from cmgraph.graphs import Graph, GraphFormatError, parse_graph
 from cmgraph.harness import enumerate_graphs_up_to
 
 RP2_FACETS = [
@@ -333,3 +333,36 @@ def test_shelling_search_matches_the_recursive_reference(budget):
         ), g.edges
         checked += 1
     assert checked == 73
+
+
+def whiskered_tree(n, spine):
+    """The tree on 1..n given by spine, with a pendant vertex v + n on each v."""
+    return Graph(2 * n, spine + [(v, v + n) for v in range(1, n + 1)])
+
+
+C4_PLUS_WHISKERED_P5 = Graph(
+    14,
+    [(1, 2), (2, 3), (3, 4), (1, 4)]
+    + [(i, i + 1) for i in range(5, 9)]
+    + [(v, v + 5) for v in range(5, 10)],
+)
+
+
+@pytest.mark.parametrize(
+    "g, status, steps",
+    [
+        (fig1_graph(), NOT_SHELLABLE, 32_936),
+        (C4_PLUS_WHISKERED_P5, NOT_SHELLABLE, 10_330),
+        (oracles.whiskered_path(7), SHELLABLE, 34),
+        (whiskered_tree(6, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6)]), SHELLABLE, 22),
+    ],
+    ids=["fig1", "C4+whiskered-P5", "whiskered-P7", "whiskered-spider6"],
+)
+def test_shelling_search_on_the_cm_decide_complexes(g, status, steps):
+    # the four complexes of the cm-decide benchmark, at its budget
+    cx = independence_complex(g)
+    res = is_shellable(cx, 200_000)
+    assert (res.status, res.steps) == (status, steps)
+    assert (res.status, res.order, res.steps) == oracles.shelling_search_recursive(
+        cx.facets, 200_000
+    )

@@ -1,5 +1,5 @@
-"""Property tests of the CM decider and its links, on graphs with at most 8
-vertices and on complexes with at most 7.
+"""Property tests of the CM decider, its links and the shelling search, on
+graphs with at most 8 vertices and on complexes with at most 9.
 
 Examples are drawn with hypothesis, derandomized so every run checks the
 same graphs and complexes.
@@ -17,6 +17,7 @@ from cmgraph.cohen_macaulay import cm_graph, reisner_cm
 from cmgraph.complexes import (
     SimplicialComplex,
     independence_complex,
+    is_shellable,
     link,
     stanley_reisner_generators,
 )
@@ -122,3 +123,30 @@ def test_a_face_that_is_not_an_intersection_of_facets_has_an_acyclic_link(cx):
             lk = link(cx, face)
             for field in (Q, F2, F3):
                 assert not any(reduced_betti(lk, field)), (face, field)
+
+
+@st.composite
+def small_pure_complexes(draw) -> SimplicialComplex:
+    """Pure complexes on at most 9 vertices, of dimension 1 to 3, with at
+    most 14 facets."""
+    n = draw(st.integers(3, 9))
+    size = draw(st.integers(2, min(4, n - 1)))
+    candidates = list(itertools.combinations(range(1, n + 1), size))
+    return _complex_on_used_vertices(
+        draw(st.sets(st.sampled_from(candidates), min_size=2, max_size=14))
+    )
+
+
+@pytest.mark.parametrize("budget", [10**8, 17, 3, 1])
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(small_pure_complexes())
+def test_shelling_search_matches_the_recursive_reference_on_complexes_that_are_not_flag(
+    budget, cx
+):
+    # independence complexes are flag; these have a minimal nonface of 3 or
+    # more vertices
+    assume(any(len(s) > 2 for s in stanley_reisner_generators(cx)))
+    res = is_shellable(cx, budget)
+    assert (res.status, res.order, res.steps) == oracles.shelling_search_recursive(
+        cx.facets, budget
+    )
