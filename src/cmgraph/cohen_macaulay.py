@@ -7,6 +7,12 @@ strictly below its dimension.  It, cm_characteristic_profile and the
 harness records share one scan, which links only the faces that are
 intersections of facets.  bipartite_cm_ordering applies the Herzog-Hibi
 combinatorial criterion for bipartite graphs, which is characteristic-free.
+
+On a graph the scan is skipped when a characteristic-free certificate
+holds: Ind(G) pure and G vertex decomposable by shedding vertices, which
+makes Ind(G) shellable and so CM over every field.  cm_characteristic_profile
+and the harness records try it through _graph_profile; reisner_cm on a bare
+complex always scans.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ from .graphs import Graph, r_partition
 from .homology import FieldSpec, reduced_betti
 
 _F2 = FieldSpec(2)
+
+# The shedding-vertex certificate gives up once this many vertex masks are
+# memoised or on its stack, and the Reisner scan decides the graph instead.
+SHEDDING_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -77,13 +87,102 @@ def cm_graph(g: Graph, field: FieldSpec) -> CMReport:
 
 
 def cm_characteristic_profile(g: Graph, fields: list[FieldSpec]) -> list[CMReport]:
-    """One report per requested field, from a single scan of Ind(g)'s faces.
+    """One report per requested field, from a single scan of Ind(g)'s faces,
+    or from none when Ind(g) is certified CM over every field.
 
     Each report equals reisner_cm(independence_complex(g), field).
     """
     if not fields:
         raise ValueError("at least one field is required")
-    return _reisner_scan(independence_complex(g), fields)
+    return _graph_profile(g, independence_complex(g), fields)
+
+
+def _graph_profile(
+    g: Graph, cx: SimplicialComplex, fields: list[FieldSpec]
+) -> list[CMReport]:
+    """_reisner_scan(cx, fields) for cx = Ind(g), skipping the scan when cx
+    is pure and g is vertex decomposable by shedding vertices.
+
+    A pure vertex-decomposable complex is shellable, hence CM over every
+    field (Provan & Billera, 1980), and the scan of a CM complex reports a
+    pass with no witness for each entry of fields.
+    """
+    if cx.is_pure() and _shedding_certified(g):
+        return [CMReport(f, True, None) for f in fields]
+    return _reisner_scan(cx, fields)
+
+
+def _shedding_certified(g: Graph) -> bool:
+    """Whether g is vertex decomposable by this search over its vertex masks
+    (bit v for vertex v): an induced subgraph is one mask.
+
+    Vertices isolated in a mask are cone points and are dropped; an empty
+    mask is decomposable.  A vertex v of a mask is a shedding vertex when
+    N[u] <= N[v] inside the mask for some neighbour u (Woodroofe, 2009), and
+    v decomposes the mask when both mask - v and mask - N[v] are
+    decomposable.  Each shedding vertex is tried in turn, and verdicts are
+    memoised by mask for this call only.  False means no decomposition was
+    found, or the masks memoised or on the stack reached SHEDDING_MEMO_CAP;
+    the caller then scans.  The search keeps its own stack, one frame per
+    mask being decided, so its depth is not bounded by Python's recursion
+    limit.
+    """
+    masks = g._masks
+    closed = [m | 1 << v for v, m in enumerate(masks)]
+
+    def without_cones(mask: int) -> int:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not masks[low.bit_length() - 1] & mask:
+                mask ^= low
+        return mask
+
+    def decide(mask: int):
+        # a generator: it yields the masks it needs decided and is sent
+        # their verdicts
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            nv = closed[v] & mask
+            others = masks[v] & mask
+            while others:
+                u_bit = others & -others
+                others ^= u_bit
+                if not closed[u_bit.bit_length() - 1] & mask & ~nv:
+                    if (yield mask ^ low) and (yield mask & ~nv):
+                        return True
+                    break
+        return False
+
+    memo: dict[int, bool] = {}
+    top = without_cones((1 << g.n + 1) - 2)
+    if not top:
+        return True
+    stack = [(top, decide(top))]
+    verdict = None
+    while stack:
+        mask, search = stack[-1]
+        try:
+            sub = search.send(verdict)
+        except StopIteration as done:
+            stack.pop()
+            verdict = memo[mask] = done.value
+            continue
+        sub = without_cones(sub)
+        if not sub:
+            verdict = True
+        elif sub in memo:
+            verdict = memo[sub]
+        elif len(memo) + len(stack) >= SHEDDING_MEMO_CAP:
+            return False
+        else:
+            stack.append((sub, decide(sub)))
+            verdict = None
+    return verdict
 
 
 class _LinkVerdicts:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .cohen_macaulay import _reisner_scan, bipartite_cm_ordering
+from .cohen_macaulay import _graph_profile, bipartite_cm_ordering
 from .complexes import SimplicialComplex
 from .covers import (
     _alpha_cover,
@@ -363,14 +363,15 @@ def _graph_record(g: Graph | _Facts, r: int, chars: tuple[int, ...]) -> tuple[st
 
     Every per-graph fact is read from one _Facts of the graph (g may be
     one); the CM verdicts come from one Reisner scan of Ind(g) for all
-    chars.  Ind(g) is built here, so facts held for later keep no faces.
+    chars, or from none when the shedding-vertex certificate settles them.
+    Ind(g) is built here, so facts held for later keep no faces.
     """
     facts = g if isinstance(g, _Facts) else _Facts(g)
     g = facts.g
     canon = canonical_form(g).decode("ascii")
     # the maximal independent sets are an antichain covering every vertex
     cx = SimplicialComplex._antichain(g.n, facts.independent_sets)
-    reports = _reisner_scan(cx, [FieldSpec(c) for c in chars]) if chars else []
+    reports = _graph_profile(g, cx, [FieldSpec(c) for c in chars]) if chars else []
     matchings = perfect_r_matchings(g, r, limit=2)
     hh_exists: bool | None = None
     if r == 2 and r_partition(g, 2) is not None:

@@ -12,6 +12,7 @@ own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -427,6 +428,42 @@ def is_cm_brute(g: Graph, char: int) -> bool:
         if any(betti[i] != 0 for i in range(dim_lk + 1)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# shedding decompositions, read as shelling orders
+
+
+def shedding_shelling_order(g: Graph) -> list[tuple[int, ...]] | None:
+    """A shelling order of Ind(g) read off a shedding decomposition of g, or
+    None when no decomposition by shedding vertices exists.
+
+    A vertex v is taken as shedding when N[u] <= N[v] for some neighbour u
+    (Woodroofe, Proc. AMS 137, 2009); vertices without neighbours join every
+    facet.  The order is that of Ind(g - v), then v joined to each facet in
+    the order of Ind(g - N[v]) (Bjorner & Wachs, Trans. AMS 349, 1997).
+    Every shedding vertex is tried on vertex sets, so the search is
+    exhaustive; the caller checks the order with is_shelling_order.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def order(vs: frozenset[int]) -> tuple[tuple[int, ...], ...] | None:
+        cones = frozenset(v for v in vs if not g.adj[v] & vs)
+        rest = vs - cones
+        if not rest:
+            return (tuple(sorted(cones)),)
+        for v in sorted(rest):
+            nv = (g.adj[v] & rest) | {v}
+            if not any((g.adj[u] & rest) | {u} <= nv for u in g.adj[v] & rest):
+                continue
+            deletion, lk = order(rest - {v}), order(rest - nv)
+            if deletion is not None and lk is not None:
+                facets = deletion + tuple(f + (v,) for f in lk)
+                return tuple(tuple(sorted(f + tuple(cones))) for f in facets)
+        return None
+
+    found = order(frozenset(g.vertices))
+    return None if found is None else list(found)
 
 
 # ---------------------------------------------------------------------------

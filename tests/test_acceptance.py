@@ -18,6 +18,7 @@ from cmgraph.complexes import (
     SimplicialComplex,
     independence_complex,
     is_shellable,
+    is_shelling_order,
 )
 from cmgraph.graphs import Graph, canonical_form, delete_closed_neighborhood, is_unmixed
 from cmgraph.harness import (
@@ -174,8 +175,10 @@ def test_criterion_5_r4_sweep_reports_exactly_the_pinned_classes():
 def _certify_degree_counterexamples(pinned, n, r, alpha):
     """Each pinned class meets every hypothesis of the claim at r and is
     Cohen-Macaulay over Q and F_2, yet its minimum degree is r, not r-1.
-    Only the oracles decide this; the package supplies Graph and
-    canonical_form."""
+    Only the oracles decide this; the package supplies Graph,
+    canonical_form and is_shelling_order.  A shelling order of the pure
+    Ind(G), read off a shedding decomposition, shows each class is
+    Cohen-Macaulay over every field."""
     for canon, edges in pinned:
         g = Graph(n, edges)
         assert canonical_form(g) == canon.encode(), canon
@@ -185,6 +188,11 @@ def _certify_degree_counterexamples(pinned, n, r, alpha):
         assert oracles.clique_cover_number_brute(g) == alpha, canon
         assert len(oracles.perfect_r_matchings_brute(g, r)) == 1, canon
         assert oracles.is_cm_brute(g, 0) and oracles.is_cm_brute(g, 2), canon
+        order = oracles.shedding_shelling_order(g)
+        assert order is not None, canon
+        assert sorted(order) == oracles.maximal_independent_sets_brute(g), canon
+        assert {len(f) for f in order} == {alpha}, canon
+        assert is_shelling_order(order), canon
         degree = {v: 0 for v in range(1, n + 1)}
         for u, w in edges:
             degree[u] += 1

@@ -2,7 +2,9 @@ import pytest
 
 import oracles
 from oracles import whiskered_path
+from cmgraph import cohen_macaulay
 from cmgraph.cohen_macaulay import (
+    CMReport,
     HomologyWitness,
     PurityWitness,
     bipartite_cm_ordering,
@@ -12,7 +14,7 @@ from cmgraph.cohen_macaulay import (
     hh_conditions_hold,
     reisner_cm,
 )
-from cmgraph.complexes import SimplicialComplex, independence_complex
+from cmgraph.complexes import SimplicialComplex, independence_complex, is_shelling_order
 from cmgraph.graphs import Graph, is_connected, r_partition
 from cmgraph.harness import enumerate_graphs_up_to
 from cmgraph.homology import FieldSpec
@@ -180,12 +182,13 @@ def test_reisner_cm_matches_the_reference_scan_on_named_complexes(fig1):
             assert reisner_cm(cx, field) == oracles.reisner_cm_reference(cx, field), cx
 
 
-def test_scan_links_each_intersection_of_facets_with_a_link_to_check(monkeypatch):
+def test_scan_links_each_intersection_of_facets_with_a_link_to_check(monkeypatch, fig1):
     # Ind(whiskered P5) is CM, so the scan runs to its end.  It links the
     # faces F that equal the intersection of the facets containing them and
     # whose link has dimension >= 1; every other link is a cone or has
-    # nothing to check below degree 0.
-    from cmgraph import cohen_macaulay
+    # nothing to check below degree 0.  The graph path certifies whiskered
+    # P5 without a scan, so it links nothing there; on fig1, which the
+    # certificate leaves to the scan, it links what reisner_cm links.
     from cmgraph.complexes import link
 
     g = whiskered_path(5)
@@ -208,13 +211,19 @@ def test_scan_links_each_intersection_of_facets_with_a_link_to_check(monkeypatch
     monkeypatch.setattr(cohen_macaulay, "link", counted)
     for field in (Q, F2, F3):
         calls.clear()
-        assert cm_characteristic_profile(g, [field])[0].is_cm
-        assert calls == expected
-        calls.clear()
         assert reisner_cm(cx, field).is_cm
         assert calls == expected
-    calls.clear()
+        calls.clear()
+        assert cm_characteristic_profile(g, [field])[0].is_cm
+        assert calls == []
     assert all(r.is_cm for r in cm_characteristic_profile(g, [Q, F2, F3]))
+    assert calls == []
+
+    assert reisner_cm(independence_complex(fig1), Q).is_cm
+    expected = list(calls)
+    assert expected
+    calls.clear()
+    assert cm_characteristic_profile(fig1, [Q])[0].is_cm
     assert calls == expected
 
 
@@ -229,9 +238,71 @@ def test_whiskered_p8_is_cm_over_f3():
 
 @pytest.mark.extended
 def test_whiskered_p10_is_cm_over_q_f2_and_f3():
-    # 20 vertices; one scan of the faces serves the three fields
-    reports = cm_characteristic_profile(whiskered_path(10), [Q, F2, F3])
+    # 20 vertices: the graph path certifies it by shedding vertices, and the
+    # Reisner scan of the bare complex, 1,000-odd links, agrees per field
+    g = whiskered_path(10)
+    reports = cm_characteristic_profile(g, [Q, F2, F3])
     assert [r.is_cm for r in reports] == [True, True, True]
+    cx = independence_complex(g)
+    for field in (Q, F2, F3):
+        assert reisner_cm(cx, field) == CMReport(field, True, None)
+
+
+# ---------------------------------------------------------------------------
+# the shedding-vertex certificate the graph path tries before the scan
+
+
+def test_certificate_agrees_with_the_scan_and_the_oracles_on_graphs_up_to_7():
+    # the certificate searches for exactly the decompositions the oracle
+    # reads as shelling orders; a certified graph is CM over Q, F_2 and F_3
+    # by the reference scan, and every profile equals the scan's
+    hits = 0
+    for g in enumerate_graphs_up_to(7).graphs:
+        cx = independence_complex(g)
+        order = oracles.shedding_shelling_order(g)
+        assert cohen_macaulay._shedding_certified(g) == (order is not None), g.edges
+        if cx.is_pure() and order is not None:
+            hits += 1
+            assert sorted(order) == sorted(cx.facets), g.edges
+            assert is_shelling_order(order), g.edges
+            for field in (Q, F2, F3):
+                assert oracles.reisner_cm_reference(cx, field).is_cm, (g.edges, field)
+        for fields in PROFILE_FIELD_LISTS:
+            assert cm_characteristic_profile(g, fields) == cohen_macaulay._reisner_scan(
+                cx, fields
+            ), (g.edges, fields)
+    assert hits == 156
+
+
+def test_certified_profile_keeps_the_order_and_repeats_of_fields(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a certified graph was scanned")
+
+    monkeypatch.setattr(cohen_macaulay, "_reisner_scan", refuse)
+    assert cm_characteristic_profile(whiskered_path(7), [Q, F2, Q]) == [
+        CMReport(Q, True, None),
+        CMReport(F2, True, None),
+        CMReport(Q, True, None),
+    ]
+
+
+def test_certificate_at_its_cap_leaves_the_verdict_to_the_scan(monkeypatch, fig1):
+    monkeypatch.setattr(cohen_macaulay, "SHEDDING_MEMO_CAP", 1)
+    p7 = whiskered_path(7)
+    assert not cohen_macaulay._shedding_certified(p7)
+    for g in (p7, fig1):
+        cx = independence_complex(g)
+        for fields in PROFILE_FIELD_LISTS:
+            assert cm_characteristic_profile(g, fields) == cohen_macaulay._reisner_scan(
+                cx, fields
+            ), (g.edges, fields)
+
+
+def test_certificate_on_k512_keeps_its_own_stack():
+    # every vertex of K_512 sheds, one mask per vertex deleted: 512 frames
+    # deep, with Ind(K_512) the 512 points
+    reports = cm_characteristic_profile(oracles.complete_graph(512), [Q, F2, F3])
+    assert reports == [CMReport(f, True, None) for f in (Q, F2, F3)]
 
 
 def test_reports_are_deterministic(fig1):

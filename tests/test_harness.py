@@ -6,8 +6,9 @@ import os
 import pytest
 
 import oracles
-from cmgraph import harness
+from cmgraph import cohen_macaulay, harness
 from cmgraph.cli import main
+from cmgraph.complexes import independence_complex
 from cmgraph.covers import alpha_clique_cover
 from cmgraph.graphs import (
     Graph,
@@ -34,6 +35,7 @@ from cmgraph.harness import (
 from cmgraph.homology import FieldSpec
 
 Q = FieldSpec(0)
+F2 = FieldSpec(2)
 
 # unlabeled graph counts, n = 1..7 (OEIS A000088)
 UNFILTERED_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
@@ -419,11 +421,38 @@ def test_char_free_claims_agree_with_oracles_through_n6(r):
 
 def test_char_free_records_skip_the_cm_decider(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the Reisner scan ran without characteristics")
+        raise AssertionError("the CM decider ran without characteristics")
 
-    monkeypatch.setattr(harness, "_reisner_scan", refuse)
+    monkeypatch.setattr(harness, "_graph_profile", refuse)
     records = harness.compute_records(enumerate_graphs_up_to(4).graphs, 2, ())
     assert records and all(rec["cm"] == {} for _, rec in records.values())
+
+
+def _certified_and_cm(n_max, r):
+    """The size of the main ensemble at r on up to n_max vertices and how
+    many of its graphs are unmixed and certified by shedding vertices,
+    asserting on the way that these are exactly the graphs the Reisner scan
+    finds CM over chars 0 and 2."""
+    graphs = enumerate_graphs_up_to(n_max, harness._main_filters(r)).graphs
+    certified = 0
+    for g in graphs:
+        cx = independence_complex(g)
+        q, f2 = cohen_macaulay._reisner_scan(cx, [Q, F2])
+        hit = cx.is_pure() and cohen_macaulay._shedding_certified(g)
+        assert q.is_cm == f2.is_cm == hit, g.edges
+        certified += hit
+    return len(graphs), certified
+
+
+@pytest.mark.parametrize("r, sizes", [(2, (302, 19)), (3, (513, 5)), (4, (115, 15))])
+def test_certificate_finds_exactly_the_cm_graphs_of_the_main_ensembles(r, sizes):
+    assert _certified_and_cm(8, r) == sizes
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("r, sizes", [(2, (1118, 19)), (3, (4939, 158)), (4, (948, 15))])
+def test_certificate_finds_exactly_the_cm_graphs_of_the_main_ensembles_at_n9(r, sizes):
+    assert _certified_and_cm(9, r) == sizes
 
 
 POOL = os.path.join(
@@ -526,7 +555,7 @@ def test_smallest_degree_sweep_counterexample_is_genuine():
     over every field (it is even pure shellable), has a unique perfect
     3-matching, yet its minimum degree is 3, not r - 1 = 2.
     """
-    from cmgraph.complexes import independence_complex, is_shellable, is_shelling_order
+    from cmgraph.complexes import is_shellable, is_shelling_order
     from cmgraph.cohen_macaulay import cm_graph
     from cmgraph.covers import (
         alpha_clique_cover,

@@ -1,5 +1,5 @@
 """Property tests of the CM decider, its links and the shelling search, on
-graphs with at most 8 vertices and on complexes with at most 9.
+graphs with at most 10 vertices and on complexes with at most 9.
 
 Examples are drawn with hypothesis, derandomized so every run checks the
 same graphs and complexes.
@@ -13,7 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from cmgraph.cohen_macaulay import cm_graph, reisner_cm
+from cmgraph import cohen_macaulay
+from cmgraph.cohen_macaulay import cm_characteristic_profile, cm_graph, reisner_cm
 from cmgraph.complexes import (
     SimplicialComplex,
     independence_complex,
@@ -74,6 +75,25 @@ def test_link_of_a_face_is_the_independence_complex_off_its_closed_neighbourhood
     cx = independence_complex(g)
     for face in cx.all_faces():
         assert link(cx, face) == independence_complex(without_closed_neighbourhood(g, face))
+
+
+def whiskered(g: Graph) -> Graph:
+    """g with a pendant vertex v + n hung on each vertex v: always vertex
+    decomposable and unmixed, so the certificate settles it."""
+    return Graph(2 * g.n, list(g.edges) + [(v, v + g.n) for v in g.vertices])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.one_of(graphs(max_n=10), graphs(max_n=5).map(whiskered)))
+def test_graph_profile_equals_the_scan_and_certified_graphs_are_cm(g):
+    # the shedding certificate only ever stands in for a scan that passes
+    # every field; the reference scan confirms each certified graph
+    cx = independence_complex(g)
+    fields = [F2, Q, F3, F2]
+    assert cm_characteristic_profile(g, fields) == cohen_macaulay._reisner_scan(cx, fields)
+    if cx.is_pure() and cohen_macaulay._shedding_certified(g):
+        for field in (Q, F2, F3):
+            assert oracles.reisner_cm_reference(cx, field).is_cm
 
 
 def _complex_on_used_vertices(facets) -> SimplicialComplex:
