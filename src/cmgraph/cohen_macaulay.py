@@ -21,6 +21,7 @@ import heapq
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, independence_complex, link
+from .covers import perfect_r_matchings
 from .graphs import Graph, r_partition
 from .homology import FieldSpec, reduced_betti
 
@@ -316,36 +317,15 @@ def hh_conditions_hold(g: Graph, pairs: tuple[tuple[int, int], ...]) -> bool:
     return True
 
 
-def _perfect_matchings_between(
-    g: Graph, left: tuple[int, ...], right: tuple[int, ...]
-):
-    """Perfect matchings of the bipartite graph, lexicographic by partner list."""
-    k = len(left)
-    free = set(right)
-    partner = [0] * k
-
-    def assign(i: int):
-        if i == k:
-            yield tuple(zip(left, partner))
-            return
-        for w in sorted(g.adj[left[i]] & free):
-            free.discard(w)
-            partner[i] = w
-            yield from assign(i + 1)
-            free.add(w)
-
-    yield from assign(0)
-
-
 def bipartite_cm_ordering(g: Graph) -> HHOrdering | None:
     """Search for a Herzog-Hibi ordering; None means the graph is not CM.
 
     Requires a bipartite graph with both parts nonempty.  Parts of unequal
-    size never admit an ordering.  For each perfect matching, cross edges
-    orient the pairs; an ordering compatible with condition (2) exists iff
+    size never admit an ordering.  Cross edges orient the pairs of the
+    perfect matching; an ordering compatible with condition (2) exists iff
     that orientation is acyclic, and condition (3) holds for one topological
     order iff it holds for all, so a single deterministic topological sort
-    per matching decides the matter.
+    decides the matter.
     """
     parts = r_partition(g, 2)
     if parts is None:
@@ -353,10 +333,18 @@ def bipartite_cm_ordering(g: Graph) -> HHOrdering | None:
     left, right = parts
     if len(left) != len(right):
         return None
-    for matching in _perfect_matchings_between(g, left, right):
-        ordered = _topological_pair_order(g, matching)
-        if ordered is not None and hh_conditions_hold(g, ordered):
-            return HHOrdering(ordered)
+    # Under an HH ordering v_i ~ w_j only when i <= j, so the adjacency is
+    # triangular and its matching is the only perfect matching.
+    matchings = perfect_r_matchings(g, 2, limit=2)
+    if len(matchings) != 1:
+        return None
+    side = set(left)
+    matching = tuple(
+        (a, b) if a in side else (b, a) for a, b in matchings[0].cliques
+    )
+    ordered = _topological_pair_order(g, matching)
+    if ordered is not None and hh_conditions_hold(g, ordered):
+        return HHOrdering(ordered)
     return None
 
 

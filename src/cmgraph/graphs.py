@@ -8,7 +8,7 @@ pure and every returned collection is in a deterministic canonical order
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # canonical_form does a labelled search; past this size it is not a sensible
 # tool and callers get an explicit error instead of an open-ended computation.
@@ -342,90 +342,81 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:
-    """Exact k-colorability by backtracking with first-use symmetry breaking."""
+    """Exact k-colourability.
+
+    With more than k vertices, a k-colouring exists iff a partition into
+    exactly k nonempty independent blocks does (split a block of two or more
+    to add one), so the partition search decides it, visiting vertices by
+    decreasing degree.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = g.n
-    if n == 0:
-        return True
-    if k == 0:
-        return False
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    color = [0] * (n + 1)
-
-    def place(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        banned = {color[u] for u in g.adj[v]}
-        for c in range(1, min(used + 1, k) + 1):
-            if c in banned:
-                continue
-            color[v] = c
-            if place(i + 1, max(used, c)):
-                return True
-        color[v] = 0
-        return False
-
-    return place(0, 0)
+    return g.n <= k or bool(_partition_search(g, k, False, order))
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number, bracketed by the clique bound and a greedy bound."""
+    """Exact chromatic number: the least k from the clique number up for
+    which the graph is k-colourable."""
     if g.n == 0:
         return 0
-    lower = clique_number(g)
-    color = [0] * (g.n + 1)
-    upper = 0
-    for v in sorted(g.vertices, key=lambda v: (-g.degree(v), v)):
-        banned = {color[u] for u in g.adj[v]}
-        c = 1
-        while c in banned:
-            c += 1
-        color[v] = c
-        upper = max(upper, c)
-    for k in range(lower, upper):
-        if is_k_colorable(g, k):
-            return k
-    return upper
+    k = clique_number(g)
+    while not is_k_colorable(g, k):
+        k += 1
+    return k
 
 
-def _partition_search(g: Graph, r: int, collect_all: bool) -> list[tuple[tuple[int, ...], ...]]:
-    """Proper colorings with exactly r nonempty classes, one per unordered partition.
+def _partition_search(
+    g: Graph, r: int, collect_all: bool, order: Sequence[int]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Proper colourings with exactly r nonempty classes, one per unordered
+    partition, visiting the vertices in the given order.
 
-    Colors are introduced in first-use order, so every partition into
+    Colours are introduced in first-use order, so every partition into
     independent blocks appears exactly once, with blocks ordered by their
-    smallest member.  Each colour class is kept as a vertex mask, so the
-    test whether v may join it is one AND with v's neighbour mask.
+    first member in the visit order.  Each colour class is kept as a vertex
+    mask, so the test whether a vertex may join it is one AND with the
+    vertex's neighbour mask.  The search keeps its own stack: the colour
+    tried at each depth, so its depth is not bounded by the recursion limit.
     """
     n = g.n
     found: list[tuple[tuple[int, ...], ...]] = []
     if r > n:
         return found
-    masks = g._masks
+    bits = [1 << v for v in order]
+    nbrs = [g._masks[v] for v in order]
     block = [0] * r
-
-    def place(v: int, used: int) -> bool:
-        if v > n:
-            if used == r:
-                found.append(tuple(_mask_to_tuple(b) for b in block))
-                return not collect_all
-            return False
-        remaining = n - v
-        bit = 1 << v
-        for c in range(min(used + 1, r)):
-            if block[c] & masks[v]:
-                continue
-            new_used = max(used, c + 1)
-            if r - new_used > remaining:
-                continue
-            block[c] |= bit
-            if place(v + 1, new_used):
-                return True
-            block[c] ^= bit
-        return False
-
-    place(1, 0)
+    # colour[i]: the colour of the i-th visited vertex, -1 while it has none;
+    # used[i]: the number of colours in use before it
+    colour = [-1] * n
+    used = [0] * (n + 1)
+    i = 0
+    while i >= 0:
+        if i == n:
+            found.append(tuple(_mask_to_tuple(b) for b in block))
+            if not collect_all:
+                return found
+            i -= 1
+            continue
+        c = colour[i]
+        if c >= 0:
+            block[c] ^= bits[i]
+        u = used[i]
+        top = u + 1 if u < r else r
+        # the n - 1 - i vertices after this one must open every colour still
+        # unused, so each leaf has exactly r
+        need = r - (n - 1 - i)
+        c += 1
+        while c < top and (block[c] & nbrs[i] or (c + 1 if c >= u else u) < need):
+            c += 1
+        if c < top:
+            block[c] |= bits[i]
+            colour[i] = c
+            i += 1
+            used[i] = c + 1 if c >= u else u
+        else:
+            colour[i] = -1
+            i -= 1
     return found
 
 
@@ -437,7 +428,7 @@ def r_partition(g: Graph, r: int) -> tuple[tuple[int, ...], ...] | None:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    found = _partition_search(g, r, collect_all=False)
+    found = _partition_search(g, r, False, g.vertices)
     return found[0] if found else None
 
 
@@ -445,7 +436,7 @@ def all_r_partitions(g: Graph, r: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every partition into exactly r nonempty independent blocks, each once."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    return _partition_search(g, r, collect_all=True)
+    return _partition_search(g, r, True, g.vertices)
 
 
 def _has_odd_hole(nbr: tuple[int, ...] | list[int]) -> bool:

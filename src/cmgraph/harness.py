@@ -331,11 +331,7 @@ def _ensembles(
     ((chi, omega),) = {_family_bounds(f) for f in filter_sets}
     picked: list[list[Graph]] = [[] for _ in filter_sets]
     kept: dict[Graph, _Facts] = {}
-    levels = (
-        _hereditary_family(n_max, chi, omega, _top_clique(filter_sets))
-        if n_max >= n_min
-        else ()
-    )
+    levels = _hereditary_family(n_max, chi, omega, _top_clique(filter_sets))
     for level in levels[n_min - 1 :]:
         for g in level:
             facts = _Facts(g)
@@ -347,14 +343,20 @@ def _ensembles(
 
 
 def enumerate_graphs(n: int, filters: GraphFilters | None = None) -> GraphEnsemble:
-    """All graphs on exactly n vertices (up to isomorphism) passing the filters."""
+    """All graphs on exactly n vertices (up to isomorphism) passing the filters.
+
+    Raises ValueError for n outside 1..MAX_ENUM_N.
+    """
     return _ensembles(n, [filters or GraphFilters()], n_min=n)[0][0]
 
 
 def enumerate_graphs_up_to(
     n_max: int, filters: GraphFilters | None = None
 ) -> GraphEnsemble:
-    """All graphs on 1..n_max vertices passing the filters, ordered by (n, canon)."""
+    """All graphs on 1..n_max vertices passing the filters, ordered by (n, canon).
+
+    Raises ValueError for n_max outside 1..MAX_ENUM_N.
+    """
     return _ensembles(n_max, [filters or GraphFilters()])[0][0]
 
 
@@ -585,8 +587,9 @@ def run_battery(
     Every ensemble comes from one pass over one hereditary family.  Records
     are computed once per distinct graph (optionally in parallel) and shared
     by all verdicts, so the summary and the report are deterministic
-    regardless of jobs.  Raises ValueError for no or invalid
-    characteristics, r < 1, or jobs outside 1..os.cpu_count().
+    regardless of jobs.  Raises ValueError for n_max outside
+    1..MAX_ENUM_N, no or invalid characteristics, r < 1, or jobs outside
+    1..os.cpu_count().
     """
     chars = tuple(characteristics)
     if not chars:

@@ -7,7 +7,7 @@ package; only the Graph container is reused so results are comparable.
 The slow paths at the end keep earlier forms of the package's own searches
 to compare its fast paths with; the Reisner scan among them calls the
 package's link and reduced_betti, which the oracles above check on their
-own.
+own, and the Herzog-Hibi search its pair sort and condition check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from cmgraph.cohen_macaulay import CMReport, HomologyWitness, PurityWitness
+from cmgraph.cohen_macaulay import (
+    CMReport,
+    HHOrdering,
+    HomologyWitness,
+    PurityWitness,
+    _topological_pair_order,
+    hh_conditions_hold,
+)
 from cmgraph.complexes import link
 from cmgraph.graphs import Graph
 from cmgraph.homology import reduced_betti
@@ -61,6 +68,17 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(1, 6)]
     inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
     return graph_from_edges(10, outer + spokes + inner)
+
+
+def mycielski(g: Graph) -> Graph:
+    """The Mycielskian: g, a copy v + n of each v adjacent to the neighbours
+    of v, and an apex 2n + 1 on every copy.  It keeps the clique number
+    (at least 2) and raises the chromatic number by one."""
+    n = g.n
+    edges = list(g.edges)
+    edges += [e for u, v in g.edges for e in ((u, v + n), (v, u + n))]
+    edges += [(v + n, 2 * n + 1) for v in range(1, n + 1)]
+    return graph_from_edges(2 * n + 1, edges)
 
 
 def relabeled(g: Graph, perm: dict[int, int]) -> Graph:
@@ -697,3 +715,40 @@ def reisner_cm_reference(cx, field):
             if betti[i + 1]:
                 return CMReport(field, False, HomologyWitness(face, i))
     return CMReport(field, True, None)
+
+
+# ---------------------------------------------------------------------------
+# Herzog-Hibi ordering: the every-matching search the package replaced
+
+
+def hh_ordering_reference(g: Graph) -> HHOrdering | None:
+    """bipartite_cm_ordering as a slow path: every perfect matching between
+    the two parts, lexicographic by partner list, each sorted by the
+    package's _topological_pair_order and checked by hh_conditions_hold; the
+    first that passes gives the ordering.  The package tries only the unique
+    perfect matching and must return the same ordering."""
+    found = partition_search_reference(g, 2, collect_all=False)
+    if not found:
+        raise ValueError("graph is not bipartite with two nonempty parts")
+    left, right = found[0]
+    if len(left) != len(right):
+        return None
+    k = len(left)
+    free = set(right)
+    partner = [0] * k
+
+    def matchings(i: int):
+        if i == k:
+            yield tuple(zip(left, partner))
+            return
+        for w in sorted(g.adj[left[i]] & free):
+            free.discard(w)
+            partner[i] = w
+            yield from matchings(i + 1)
+            free.add(w)
+
+    for matching in matchings(0):
+        ordered = _topological_pair_order(g, matching)
+        if ordered is not None and hh_conditions_hold(g, ordered):
+            return HHOrdering(ordered)
+    return None

@@ -16,7 +16,7 @@ from cmgraph.cohen_macaulay import (
 )
 from cmgraph.complexes import SimplicialComplex, independence_complex, is_shelling_order
 from cmgraph.graphs import Graph, is_connected, r_partition
-from cmgraph.harness import enumerate_graphs_up_to
+from cmgraph.harness import GraphFilters, enumerate_graphs_up_to
 from cmgraph.homology import FieldSpec
 from test_complexes import RP2_FACETS, boundary_sphere
 
@@ -345,6 +345,23 @@ def test_unequal_parts_give_none_and_nonbipartite_raises():
 def test_single_edge_ordering():
     order = bipartite_cm_ordering(oracles.path_graph(2))
     assert order is not None and order.pairs == ((1, 2),)
+
+
+def test_ordering_matches_the_every_matching_search_on_every_bipartite_class_to_n8():
+    # connected or not: the unique perfect matching gives the ordering the
+    # reference finds by trying every perfect matching in turn
+    graphs = enumerate_graphs_up_to(8, GraphFilters(r_partite=2)).graphs
+    found = 0
+    for g in graphs:
+        order = bipartite_cm_ordering(g)
+        assert order == oracles.hh_ordering_reference(g), g.edges
+        found += order is not None
+    assert found > 0 and not is_connected(graphs[0])
+
+
+def test_no_ordering_for_k10_10_without_enumerating_its_matchings():
+    # the every-matching search tries all 10! perfect matchings here
+    assert bipartite_cm_ordering(oracles.complete_bipartite(10, 10)) is None
 
 
 def test_ordering_existence_matches_reisner_on_connected_bipartite_graphs():

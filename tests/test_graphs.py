@@ -200,15 +200,31 @@ def test_chromatic_number_known_values():
     assert chromatic_number(oracles.complete_graph(4)) == 4
     assert chromatic_number(oracles.petersen_graph()) == 3
     assert chromatic_number(Graph(3, [])) == 1
+    # the Mycielski graph M5: 23 vertices, no triangle, chromatic number 5
+    m5 = oracles.mycielski(oracles.mycielski(oracles.cycle_graph(5)))
+    assert m5.n == 23 and clique_number(m5) == 2
+    assert not is_k_colorable(m5, 4)
+    assert chromatic_number(m5) == 5
 
 
 def test_chromatic_number_matches_brute():
-    for g in small_corpus():
+    for g in small_corpus() + tuple(seeded_corpus()):
         chi = oracles.chromatic_number_brute(g)
         assert chromatic_number(g) == chi
-        assert is_k_colorable(g, chi)
-        if chi > 1:
-            assert not is_k_colorable(g, chi - 1)
+        for k in range(chi + 2):
+            assert is_k_colorable(g, k) == (k >= chi), (g.edges, k)
+
+
+def test_colouring_keeps_its_own_stack_on_1200_vertices():
+    # each search goes one level per vertex: 1,200 levels deep
+    assert is_k_colorable(Graph(1200), 1)
+    matching = Graph(1200, [(v, v + 1) for v in range(1, 1200, 2)])
+    assert is_k_colorable(matching, 2)
+    assert not is_k_colorable(matching, 1)
+    assert r_partition(matching, 2) == (
+        tuple(range(1, 1201, 2)),
+        tuple(range(2, 1201, 2)),
+    )
 
 
 # ---------------------------------------------------------------------------

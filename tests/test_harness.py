@@ -153,6 +153,18 @@ def test_enumeration_size_limit():
         enumerate_graphs(MAX_ENUM_N + 1)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_no_vertex_bound_below_one_gives_a_vacuous_sweep(n):
+    for call in (
+        lambda: enumerate_graphs(n),
+        lambda: enumerate_graphs_up_to(n),
+        lambda: run_battery(n, r=2),
+        lambda: run_battery(n, r=3),
+    ):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            call()
+
+
 def _plain_family(n, chi, omega):
     """The enumeration without twin pruning: every neighbourhood of every
     parent, ascending, each child validated by Graph.__init__, the first
