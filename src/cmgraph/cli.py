@@ -155,8 +155,6 @@ def _cmd_classg(args) -> int:
 
 def _cmd_harness(args) -> int:
     chars = tuple(f.characteristic for f in _fields(args.char, DEFAULT_HARNESS_CHARS))
-    if args.n_max < 1 or args.n_max > 9:
-        raise ValueError("--n-max must be between 1 and 9")
     summary = run_battery(
         n_max=args.n_max,
         r=args.r,

@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, independence_complex, link
-from .covers import perfect_r_matchings
+from .covers import _bipartite_matching
 from .graphs import Graph, r_partition
 from .homology import FieldSpec, reduced_betti
 
@@ -320,28 +320,22 @@ def hh_conditions_hold(g: Graph, pairs: tuple[tuple[int, int], ...]) -> bool:
 def bipartite_cm_ordering(g: Graph) -> HHOrdering | None:
     """Search for a Herzog-Hibi ordering; None means the graph is not CM.
 
-    Requires a bipartite graph with both parts nonempty.  Parts of unequal
-    size never admit an ordering.  Cross edges orient the pairs of the
-    perfect matching; an ordering compatible with condition (2) exists iff
-    that orientation is acyclic, and condition (3) holds for one topological
-    order iff it holds for all, so a single deterministic topological sort
-    decides the matter.
+    Requires a bipartite graph with both parts nonempty.  Under an HH
+    ordering v_i ~ w_j only when i <= j, so the adjacency is triangular and
+    its matching is the only perfect matching; parts of unequal size have
+    none.  One augmenting-path search finds a perfect matching, and cross
+    edges orient its pairs.  A cycle of that orientation is an alternating
+    cycle, which exists iff the matching is not the only one, and otherwise
+    an ordering compatible with condition (2) is a topological order of the
+    pairs.  Condition (3) holds for one topological order iff it holds for
+    all, so a single deterministic topological sort decides the matter.
     """
     parts = r_partition(g, 2)
     if parts is None:
         raise ValueError("graph is not bipartite with two nonempty parts")
-    left, right = parts
-    if len(left) != len(right):
+    matching = _bipartite_matching(g, *parts)
+    if matching is None:
         return None
-    # Under an HH ordering v_i ~ w_j only when i <= j, so the adjacency is
-    # triangular and its matching is the only perfect matching.
-    matchings = perfect_r_matchings(g, 2, limit=2)
-    if len(matchings) != 1:
-        return None
-    side = set(left)
-    matching = tuple(
-        (a, b) if a in side else (b, a) for a, b in matchings[0].cliques
-    )
     ordered = _topological_pair_order(g, matching)
     if ordered is not None and hh_conditions_hold(g, ordered):
         return HHOrdering(ordered)

@@ -5,13 +5,14 @@ cover is derived from an arbitrary clique cover by making the cliques
 disjoint in order.  alpha_clique_cover decides whether the vertices can be
 covered by as few cliques as the independence number allows, which is the
 minimum conceivable number since a clique meets an independent set at most
-once.
+once.  One augmenting-path matching decides whether two vertex sets are
+perfectly matched, for pairwise_part_matchings and the Herzog-Hibi search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, cliques_of_size, independence_number, maximal_cliques
 
@@ -33,7 +34,9 @@ def perfect_r_matchings(
     The search always branches on the lowest uncovered vertex with its
     cliques in lexicographic order, so matchings appear in lexicographic
     order of their sorted clique lists.  With a limit, enumeration stops
-    after that many matchings.
+    after that many matchings.  The search keeps its own stack, one frame
+    per chosen clique, so its depth is not bounded by Python's recursion
+    limit.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -42,8 +45,6 @@ def perfect_r_matchings(
     n = g.n
     if n % r != 0:
         return []
-    if n == 0:
-        return [RMatching(r, (), True)]
     candidates = cliques_of_size(g, r)
     by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
     for c in candidates:
@@ -54,27 +55,35 @@ def perfect_r_matchings(
     full = ((1 << (n + 1)) - 1) & ~1
     out: list[RMatching] = []
     chosen: list[tuple[int, ...]] = []
-
-    def cover(mask: int) -> bool:
+    # one frame per node with cliques to try: the mask it covers and the
+    # cliques through its lowest uncovered vertex that avoid the mask
+    stack: list[tuple[int, Iterator[tuple[int, tuple[int, ...]]]]] = []
+    mask = 0
+    while True:
         if mask == full:
             out.append(RMatching(r, tuple(chosen), True))
-            return limit is not None and len(out) >= limit
-        v = ((~mask & full) & -(~mask & full)).bit_length() - 1
-        for m, c in by_vertex[v]:
-            if m & mask:
-                continue
-            chosen.append(c)
-            if cover(mask | m):
-                return True
-            chosen.pop()
-        return False
-
-    cover(0)
-    return out
-
-
-def has_unique_perfect_r_matching(g: Graph, r: int) -> bool:
-    return len(perfect_r_matchings(g, r, limit=2)) == 1
+            if limit is not None and len(out) >= limit:
+                return out
+            if chosen:
+                chosen.pop()
+        else:
+            rest = full & ~mask
+            v = (rest & -rest).bit_length() - 1
+            options = iter([(m, c) for m, c in by_vertex[v] if not m & mask])
+            stack.append((mask, options))
+        while stack:
+            base, options = stack[-1]
+            step = next(options, None)
+            if step is not None:
+                break
+            stack.pop()
+            if chosen:
+                chosen.pop()
+        else:
+            return out
+        m, c = step
+        chosen.append(c)
+        mask = base | m
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,8 @@ def _alpha_cover(
     g: Graph, alpha: int, cliques: list[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...] | None:
     """alpha_clique_cover(g), given g's independence number and its maximal
-    cliques in lexicographic order."""
+    cliques in lexicographic order.  The search keeps its own stack, one
+    frame per chosen clique."""
     n = g.n
     if n == 0:
         return ()
@@ -168,24 +178,32 @@ def _alpha_cover(
             by_vertex[v].append(idx)
     full = ((1 << (n + 1)) - 1) & ~1
     chosen: list[int] = []
-
-    def cover(mask: int, left: int) -> bool:
-        if mask == full:
-            return True
-        if left == 0 or (full & ~mask).bit_count() > left * omega:
-            return False
+    # one frame per node with cliques to try: the mask it covers and the
+    # cliques through its lowest uncovered vertex
+    stack: list[tuple[int, Iterator[int]]] = []
+    mask = 0
+    while True:
         uncovered = full & ~mask
-        v = (uncovered & -uncovered).bit_length() - 1
-        for idx in by_vertex[v]:
-            chosen.append(idx)
-            if cover(mask | masks[idx], left - 1):
-                return True
+        if not uncovered:
+            return tuple(cliques[i] for i in chosen)
+        left = alpha - len(chosen)
+        if left and uncovered.bit_count() <= left * omega:
+            v = (uncovered & -uncovered).bit_length() - 1
+            stack.append((mask, iter(by_vertex[v])))
+        elif chosen:
             chosen.pop()
-        return False
-
-    if not cover(0, alpha):
-        return None
-    return tuple(cliques[i] for i in chosen)
+        while stack:
+            base, options = stack[-1]
+            idx = next(options, None)
+            if idx is not None:
+                break
+            stack.pop()
+            if chosen:
+                chosen.pop()
+        else:
+            return None
+        chosen.append(idx)
+        mask = base | masks[idx]
 
 
 def degree_r_minus_1_vertices(g: Graph, r: int) -> tuple[int, ...]:
@@ -195,26 +213,49 @@ def degree_r_minus_1_vertices(g: Graph, r: int) -> tuple[int, ...]:
     return tuple(v for v in g.vertices if g.degree(v) == r - 1)
 
 
-def _parts_have_perfect_matching(
-    g: Graph, a: tuple[int, ...], b: tuple[int, ...]
-) -> bool:
-    """Kuhn's augmenting-path matching between two vertex sets of equal size."""
-    match_b: dict[int, int] = {}
+def _bipartite_matching(
+    g: Graph, left: Sequence[int], right: Sequence[int]
+) -> tuple[tuple[int, int], ...] | None:
+    """A perfect matching between two vertex sets as (left, right) pairs
+    sorted by left vertex, or None when there is none (parts of unequal size
+    included).
 
-    def try_augment(u: int, seen: set[int]) -> bool:
-        for w in sorted(g.adj[u] & set(b)):
-            if w in seen:
+    Kuhn's augmenting paths on neighbour masks: each left vertex in turn
+    grows an alternating path depth first, lowest right vertex first, until
+    it reaches an unmatched right vertex; each right vertex enters the path
+    at most once per left vertex so augmented.  The path is a list, so its length is not bounded
+    by Python's recursion limit.
+    """
+    if len(left) != len(right):
+        return None
+    masks = g._masks
+    side = 0
+    for w in right:
+        side |= 1 << w
+    partner: dict[int, int] = {}  # right vertex -> its left vertex
+    for root in left:
+        seen = 0
+        path = [root]  # left vertices; path[i + 1] is partner[taken[i]]
+        taken: list[int] = []
+        while path:
+            free = masks[path[-1]] & side & ~seen
+            if not free:
+                path.pop()
+                if taken:
+                    taken.pop()
                 continue
-            seen.add(w)
-            if w not in match_b or try_augment(match_b[w], seen):
-                match_b[w] = u
-                return True
-        return False
-
-    for u in a:
-        if not try_augment(u, set()):
-            return False
-    return True
+            low = free & -free
+            seen |= low
+            w = low.bit_length() - 1
+            taken.append(w)
+            if w not in partner:
+                for u, x in zip(path, taken):
+                    partner[x] = u
+                break
+            path.append(partner[w])
+        else:
+            return None
+    return tuple(sorted((u, w) for w, u in partner.items()))
 
 
 def pairwise_part_matchings(
@@ -223,8 +264,8 @@ def pairwise_part_matchings(
     """Whether every two blocks of the partition are perfectly matched in g.
 
     The blocks must partition 1..n into independent sets; invalid partitions
-    raise ValueError.  Returns False as soon as two blocks have different
-    sizes or lack a perfect matching between them.
+    raise ValueError.  Returns False as soon as two blocks lack a perfect
+    matching between them, which blocks of different sizes always do.
     """
     blocks = [tuple(sorted(p)) for p in parts]
     flat = [v for b in blocks for v in b]
@@ -237,8 +278,6 @@ def pairwise_part_matchings(
                     raise ValueError(f"block {b} is not independent: {u} ~ {v}")
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            if len(blocks[i]) != len(blocks[j]):
-                return False
-            if not _parts_have_perfect_matching(g, blocks[i], blocks[j]):
+            if _bipartite_matching(g, blocks[i], blocks[j]) is None:
                 return False
     return True

@@ -295,24 +295,33 @@ def is_unmixed(g: Graph) -> bool:
 
 
 def cliques_of_size(g: Graph, r: int) -> list[tuple[int, ...]]:
-    """All cliques with exactly r vertices, in lexicographic order."""
+    """All cliques with exactly r vertices, in lexicographic order.
+
+    The search keeps its own stack, one frame per chosen vertex: the common
+    neighbours above it still to try.  A frame with fewer of them than the
+    clique still lacks is dropped, which loses no clique.
+    """
     if r < 1:
         raise ValueError("clique size must be at least 1")
     masks = g._masks
     out: list[tuple[int, ...]] = []
     members: list[int] = []
-
-    def grow(common: int, start: int) -> None:
-        if len(members) == r:
-            out.append(tuple(members))
-            return
-        for v in range(start, g.n + 1):
-            if common >> v & 1:
-                members.append(v)
-                grow(common & masks[v], v + 1)
+    stack = [_full_mask(g.n)]
+    while stack:
+        rest = stack[-1]
+        if len(members) + rest.bit_count() < r:
+            stack.pop()
+            if members:
                 members.pop()
-
-    grow(_full_mask(g.n), 1)
+            continue
+        low = rest & -rest
+        stack[-1] = rest ^ low
+        v = low.bit_length() - 1
+        if len(members) + 1 == r:
+            out.append((*members, v))
+        else:
+            members.append(v)
+            stack.append(stack[-1] & masks[v])
     return out
 
 

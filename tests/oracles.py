@@ -752,3 +752,72 @@ def hh_ordering_reference(g: Graph) -> HHOrdering | None:
         if ordered is not None and hh_conditions_hold(g, ordered):
             return HHOrdering(ordered)
     return None
+
+
+# ---------------------------------------------------------------------------
+# clique searches: the recursive forms the package's stack searches replaced
+
+
+def _cliques_in_lex_order(g: Graph, r: int) -> list[tuple[int, ...]]:
+    return [
+        c for c in itertools.combinations(range(1, g.n + 1), r) if is_clique(g, c)
+    ]
+
+
+def perfect_r_matchings_recursive(
+    g: Graph, r: int, limit: int | None = None
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The clique lists of perfect_r_matchings(g, r, limit), in its order:
+    one recursion level per clique, branching on the lowest uncovered vertex
+    with its r-cliques in lexicographic order.  It runs into Python's
+    recursion limit past about a thousand cliques."""
+    by_vertex: dict[int, list[tuple[int, ...]]] = {}
+    for c in _cliques_in_lex_order(g, r):
+        by_vertex.setdefault(c[0], []).append(c)
+    out: list[tuple[tuple[int, ...], ...]] = []
+    chosen: list[tuple[int, ...]] = []
+
+    def cover(covered: set[int]) -> bool:
+        if len(covered) == g.n:
+            out.append(tuple(chosen))
+            return limit is not None and len(out) >= limit
+        v = min(set(range(1, g.n + 1)) - covered)
+        for c in by_vertex.get(v, []):
+            if covered.isdisjoint(c):
+                chosen.append(c)
+                if cover(covered | set(c)):
+                    return True
+                chosen.pop()
+        return False
+
+    if g.n % r == 0:
+        cover(set())
+    return out
+
+
+def alpha_cover_recursive(g: Graph, alpha: int) -> tuple[tuple[int, ...], ...] | None:
+    """The first cover of the vertices by alpha maximal cliques in the order
+    of the package's alpha_clique_cover: one recursion level per clique,
+    branching on the lowest uncovered vertex with its maximal cliques in
+    lexicographic order, pruned when the uncovered vertices outnumber what
+    the cliques left can hold."""
+    cliques = maximal_cliques_brute(g)
+    omega = max((len(c) for c in cliques), default=0)
+    chosen: list[tuple[int, ...]] = []
+
+    def cover(covered: set[int], left: int) -> bool:
+        uncovered = set(range(1, g.n + 1)) - covered
+        if not uncovered:
+            return True
+        if left == 0 or len(uncovered) > left * omega:
+            return False
+        v = min(uncovered)
+        for c in cliques:
+            if v in c:
+                chosen.append(c)
+                if cover(covered | set(c), left - 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(chosen) if cover(set(), alpha) else None

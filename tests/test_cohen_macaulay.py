@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import oracles
@@ -347,10 +349,10 @@ def test_single_edge_ordering():
     assert order is not None and order.pairs == ((1, 2),)
 
 
-def test_ordering_matches_the_every_matching_search_on_every_bipartite_class_to_n8():
-    # connected or not: the unique perfect matching gives the ordering the
-    # reference finds by trying every perfect matching in turn
-    graphs = enumerate_graphs_up_to(8, GraphFilters(r_partite=2)).graphs
+def test_ordering_matches_the_every_matching_search_on_every_bipartite_class_to_n9():
+    # connected or not: the one augmenting-path matching gives the ordering
+    # the reference finds by trying every perfect matching in turn
+    graphs = enumerate_graphs_up_to(9, GraphFilters(r_partite=2)).graphs
     found = 0
     for g in graphs:
         order = bipartite_cm_ordering(g)
@@ -362,6 +364,27 @@ def test_ordering_matches_the_every_matching_search_on_every_bipartite_class_to_
 def test_no_ordering_for_k10_10_without_enumerating_its_matchings():
     # the every-matching search tries all 10! perfect matchings here
     assert bipartite_cm_ordering(oracles.complete_bipartite(10, 10)) is None
+
+
+def hall_violator(k: int) -> Graph:
+    """A connected bipartite graph on parts 1..k and k+1..2k with no perfect
+    matching: left k - 1 and k both see only 2k - 1.  Backtracking over
+    matchings grows about tenfold per pair on it."""
+    edges = [(u, w) for u in range(1, k - 1) for w in range(k + 1, 2 * k)]
+    edges += [(k - 1, 2 * k - 1), (k, 2 * k - 1), (1, 2 * k)]
+    return Graph(2 * k, edges)
+
+
+@pytest.mark.parametrize("k", [20, 100])
+def test_no_ordering_without_a_perfect_matching_in_polynomial_time(k):
+    g = hall_violator(k)
+    assert is_connected(g) and r_partition(g, 2) == (
+        tuple(range(1, k + 1)),
+        tuple(range(k + 1, 2 * k + 1)),
+    )
+    start = time.process_time()
+    assert bipartite_cm_ordering(g) is None
+    assert time.process_time() - start < 1.0
 
 
 def test_ordering_existence_matches_reisner_on_connected_bipartite_graphs():

@@ -1,13 +1,15 @@
+import itertools
+
 import pytest
 
 import oracles
 from cmgraph.covers import (
     BasicCliqueCover,
     RMatching,
+    _bipartite_matching,
     alpha_clique_cover,
     basic_clique_cover,
     degree_r_minus_1_vertices,
-    has_unique_perfect_r_matching,
     pairwise_part_matchings,
     perfect_r_matchings,
 )
@@ -59,11 +61,31 @@ def test_matching_limit_truncates_deterministically():
     assert perfect_r_matchings(c6, 2, limit=1) == perfect_r_matchings(c6, 2)[:1]
 
 
+def stack_corpus():
+    """Every class up to n = 7, seeded 9-vertex graphs and K_9."""
+    return (
+        list(enumerate_graphs_up_to(7).graphs)
+        + oracles.random_graphs(20, 9, seed=53)
+        + oracles.random_graphs(20, 9, seed=54, p=0.8)
+        + [oracles.complete_graph(9)]
+    )
+
+
+def test_matchings_keep_the_recursive_order():
+    for g in stack_corpus():
+        for r in (1, 2, 3, 4):
+            for limit in (None, 1, 2):
+                got = perfect_r_matchings(g, r, limit)
+                assert all(m.r == r and m.perfect for m in got)
+                expected = oracles.perfect_r_matchings_recursive(g, r, limit)
+                assert [m.cliques for m in got] == expected, (g.edges, r, limit)
+
+
 def test_unique_perfect_matching():
-    assert has_unique_perfect_r_matching(oracles.path_graph(2), 2)
-    assert not has_unique_perfect_r_matching(oracles.cycle_graph(6), 2)
-    assert not has_unique_perfect_r_matching(oracles.path_graph(3), 2)  # none at all
-    assert has_unique_perfect_r_matching(oracles.complete_graph(3), 3)
+    assert len(perfect_r_matchings(oracles.path_graph(2), 2, limit=2)) == 1
+    assert len(perfect_r_matchings(oracles.cycle_graph(6), 2, limit=2)) == 2
+    assert perfect_r_matchings(oracles.path_graph(3), 2, limit=2) == []  # none at all
+    assert len(perfect_r_matchings(oracles.complete_graph(3), 3, limit=2)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +123,22 @@ def test_alpha_cover_known_values():
     assert alpha_clique_cover(oracles.path_graph(3)) == ((1, 2), (2, 3))
     assert alpha_clique_cover(oracles.cycle_graph(5)) is None
     assert alpha_clique_cover(Graph(0, [])) == ()
+
+
+def test_alpha_cover_keeps_the_recursive_first_cover():
+    for g in stack_corpus():
+        expected = oracles.alpha_cover_recursive(g, independence_number(g))
+        assert alpha_clique_cover(g) == expected, g.edges
+
+
+def test_searches_keep_their_own_stack_on_1200_vertices():
+    # one level per chosen clique: 1,200 levels deep
+    edgeless = Graph(1200)
+    singletons = tuple((v,) for v in range(1, 1201))
+    assert perfect_r_matchings(edgeless, 1, limit=1) == [
+        RMatching(r=1, cliques=singletons, perfect=True)
+    ]
+    assert alpha_clique_cover(edgeless) == singletons
 
 
 def test_fig1_has_no_cover_by_three_cliques(fig1):
@@ -149,3 +187,41 @@ def test_pairwise_part_matchings_validates_input():
         pairwise_part_matchings(oracles.complete_graph(3), [(1, 2), (3,)])
     with pytest.raises(ValueError, match="partition"):
         pairwise_part_matchings(oracles.path_graph(3), [(1,), (2,)])
+
+
+def has_perfect_matching_brute(g, left, right) -> bool:
+    return len(left) == len(right) and any(
+        all(g.has_edge(u, w) for u, w in zip(left, partners))
+        for partners in itertools.permutations(right)
+    )
+
+
+def test_bipartite_matching_matches_brute_force_on_every_split_to_n7():
+    # edges inside a side are ignored; both orientations of every split
+    for g in enumerate_graphs_up_to(7).graphs:
+        vertices = range(1, g.n + 1)
+        for size in range(g.n + 1):
+            for left in itertools.combinations(vertices, size):
+                right = tuple(v for v in vertices if v not in left)
+                got = _bipartite_matching(g, left, right)
+                if got is None:
+                    assert not has_perfect_matching_brute(g, left, right)
+                    continue
+                assert [u for u, _ in got] == list(left), (g.edges, left)
+                assert sorted(w for _, w in got) == list(right)
+                assert all(g.has_edge(u, w) for u, w in got)
+
+
+def test_pairwise_part_matchings_on_a_1500_step_augmenting_path():
+    """The path v1 .. v3002 with v(2i) labelled i, v(2i+1) labelled 1501 + i
+    and v1 labelled 3002.  Each left vertex but v1 first takes its lower
+    neighbour, so v1 comes last and augments along the whole path."""
+    k = 1501
+    label = {1: 2 * k}
+    label.update({2 * i: i for i in range(1, k + 1)})
+    label.update({2 * i + 1: k + i for i in range(1, k)})
+    g = Graph(2 * k, [(label[j], label[j + 1]) for j in range(1, 2 * k)])
+    left, right = range(k + 1, 2 * k + 1), range(1, k + 1)
+    assert pairwise_part_matchings(g, [left, right])
+    pairs = _bipartite_matching(g, tuple(left), tuple(right))
+    assert pairs[-1] == (2 * k, 1) and pairs[0] == (k + 1, 2)

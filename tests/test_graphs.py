@@ -173,14 +173,21 @@ def test_cliques_of_size_lists_all_in_lex_order():
     k4 = oracles.complete_graph(4)
     assert cliques_of_size(k4, 2) == list(itertools.combinations(range(1, 5), 2))
     assert cliques_of_size(k4, 3) == list(itertools.combinations(range(1, 5), 3))
-    for g in seeded_corpus()[:10]:
-        for r in (2, 3):
+    for g in small_corpus() + tuple(seeded_corpus()):
+        for r in (1, 2, 3, 4):
             expected = [
                 c
                 for c in itertools.combinations(range(1, g.n + 1), r)
                 if oracles.is_clique(g, c)
             ]
             assert cliques_of_size(g, r) == expected
+
+
+def test_cliques_of_size_keeps_its_own_stack_on_k1100():
+    # one level per clique member: 1,100 levels deep, then every shorter
+    # branch is dropped for lack of candidates
+    k = Graph(1100, itertools.combinations(range(1, 1101), 2))
+    assert cliques_of_size(k, 1100) == [tuple(range(1, 1101))]
 
 
 # ---------------------------------------------------------------------------

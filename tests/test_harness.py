@@ -572,7 +572,7 @@ def test_smallest_degree_sweep_counterexample_is_genuine():
     from cmgraph.covers import (
         alpha_clique_cover,
         degree_r_minus_1_vertices,
-        has_unique_perfect_r_matching,
+        perfect_r_matchings,
     )
     from cmgraph.graphs import Graph, maximal_cliques
 
@@ -587,7 +587,7 @@ def test_smallest_degree_sweep_counterexample_is_genuine():
     assert alpha_clique_cover(g) == ((1, 4, 5), (2, 6, 8), (3, 7, 9))
 
     assert degree_r_minus_1_vertices(g, 3) == ()
-    assert has_unique_perfect_r_matching(g, 3)
+    assert len(perfect_r_matchings(g, 3, limit=2)) == 1
     for char in (0, 2, 3):
         assert cm_graph(g, FieldSpec(char)).is_cm
     assert oracles.is_cm_brute(g, 0) and oracles.is_cm_brute(g, 2)
@@ -640,7 +640,7 @@ def test_run_battery_report_is_byte_stable(tmp_path):
 
 
 def test_battery_records_match_direct_computation(tmp_path):
-    from cmgraph.covers import has_unique_perfect_r_matching
+    from cmgraph.covers import perfect_r_matchings
     from cmgraph.cohen_macaulay import cm_graph
     from cmgraph.graphs import Graph
 
@@ -650,7 +650,8 @@ def test_battery_records_match_direct_computation(tmp_path):
         rec = json.loads(line)["properties"]
         g = Graph(rec["n"], [tuple(e) for e in rec["edges"]])
         assert rec["cm"]["0"] == cm_graph(g, Q).is_cm
-        assert rec["unique_perfect_r_matching"] == has_unique_perfect_r_matching(g, 2)
+        unique = len(perfect_r_matchings(g, 2, limit=2)) == 1
+        assert rec["unique_perfect_r_matching"] == unique
         assert rec["independence_number"] == oracles.independence_number_brute(g)
 
 
