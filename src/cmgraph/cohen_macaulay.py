@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, independence_complex, link
 from .covers import _bipartite_matching
-from .graphs import Graph, r_partition
+from .graphs import Graph, _partition_search
 from .homology import FieldSpec, reduced_betti
 
 _F2 = FieldSpec(2)
@@ -196,15 +196,21 @@ class _LinkVerdicts:
     and vanishing F_2 homology below the dimension passes the link without
     reducing over Q, which costs more than reducing bitsets over F_2.  The
     F_2 vector is kept, so a scan over both Q and F_2 computes it once.
+
+    Connectivity settles a link of dimension 1 or more over every field
+    without a reduction when it is disconnected (reduced homology first in
+    degree 0, one less than the number of components) or has dimension 1
+    (connected, so nothing below degree 1).
     """
 
-    __slots__ = ("lk", "dim", "first", "f2_betti")
+    __slots__ = ("lk", "dim", "first", "f2_betti", "connected")
 
     def __init__(self, lk: SimplicialComplex):
         self.lk = lk
         self.dim = lk.dimension()
         self.first: dict[FieldSpec, int | None] = {}
         self.f2_betti: tuple[int, ...] | None = None
+        self.connected = self.dim < 1 or _facets_connected(lk._facet_masks())
 
     def _betti_f2(self) -> tuple[int, ...]:
         if self.f2_betti is None:
@@ -216,13 +222,36 @@ class _LinkVerdicts:
             return self.first[field]
         d = self.dim
         c = field.characteristic
-        if c == 0 and not any(self._betti_f2()[: d + 1]):
+        if not self.connected:
+            found = 0
+        elif d == 1:
+            found = None
+        elif c == 0 and not any(self._betti_f2()[: d + 1]):
             found = None
         else:
             betti = self._betti_f2() if c == 2 else reduced_betti(self.lk, field)
             found = next((i for i in range(-1, d) if betti[i + 1]), None)
         self.first[field] = found
         return found
+
+
+def _facets_connected(masks: tuple[int, ...]) -> bool:
+    """Whether the facets given by vertex masks form one connected complex:
+    the union grown from the first facet absorbs every facet it meets."""
+    reached = masks[0]
+    rest = masks[1:]
+    grew = True
+    while rest and grew:
+        grew = False
+        left = []
+        for m in rest:
+            if m & reached:
+                reached |= m
+                grew = True
+            else:
+                left.append(m)
+        rest = left
+    return not rest
 
 
 def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMReport]:
@@ -330,7 +359,7 @@ def bipartite_cm_ordering(g: Graph) -> HHOrdering | None:
     pairs.  Condition (3) holds for one topological order iff it holds for
     all, so a single deterministic topological sort decides the matter.
     """
-    parts = r_partition(g, 2)
+    parts = next(_partition_search(g, 2, g.vertices), None)
     if parts is None:
         raise ValueError("graph is not bipartite with two nonempty parts")
     matching = _bipartite_matching(g, *parts)

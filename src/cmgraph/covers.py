@@ -6,7 +6,8 @@ disjoint in order.  alpha_clique_cover decides whether the vertices can be
 covered by as few cliques as the independence number allows, which is the
 minimum conceivable number since a clique meets an independent set at most
 once.  One augmenting-path matching decides whether two vertex sets are
-perfectly matched, for pairwise_part_matchings and the Herzog-Hibi search.
+perfectly matched, for pairwise_part_matchings, the records' check of every
+r-partition and the Herzog-Hibi search.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, cliques_of_size, independence_number, maximal_cliques
+from .graphs import (
+    Graph,
+    _partition_search,
+    cliques_of_size,
+    independence_number,
+    maximal_cliques,
+)
 
 
 @dataclass(frozen=True)
@@ -214,31 +221,31 @@ def degree_r_minus_1_vertices(g: Graph, r: int) -> tuple[int, ...]:
 
 
 def _bipartite_matching(
-    g: Graph, left: Sequence[int], right: Sequence[int]
+    g: Graph, left: int, right: int
 ) -> tuple[tuple[int, int], ...] | None:
-    """A perfect matching between two vertex sets as (left, right) pairs
-    sorted by left vertex, or None when there is none (parts of unequal size
-    included).
+    """A perfect matching between two vertex sets, given as masks (bit v for
+    vertex v), as (left, right) pairs sorted by left vertex, or None when
+    there is none (parts of unequal size included).
 
-    Kuhn's augmenting paths on neighbour masks: each left vertex in turn
-    grows an alternating path depth first, lowest right vertex first, until
-    it reaches an unmatched right vertex; each right vertex enters the path
-    at most once per left vertex so augmented.  The path is a list, so its length is not bounded
-    by Python's recursion limit.
+    Kuhn's augmenting paths on neighbour masks: each left vertex in turn,
+    lowest first, grows an alternating path depth first, lowest right vertex
+    first, until it reaches an unmatched right vertex; each right vertex
+    enters the path at most once per left vertex so augmented.  The path is
+    a list, so its length is not bounded by Python's recursion limit.
     """
-    if len(left) != len(right):
+    if left.bit_count() != right.bit_count():
         return None
     masks = g._masks
-    side = 0
-    for w in right:
-        side |= 1 << w
     partner: dict[int, int] = {}  # right vertex -> its left vertex
-    for root in left:
+    rest = left
+    while rest:
+        root = rest & -rest
+        rest ^= root
         seen = 0
-        path = [root]  # left vertices; path[i + 1] is partner[taken[i]]
+        path = [root.bit_length() - 1]  # left vertices; path[i + 1] is partner[taken[i]]
         taken: list[int] = []
         while path:
-            free = masks[path[-1]] & side & ~seen
+            free = masks[path[-1]] & right & ~seen
             if not free:
                 path.pop()
                 if taken:
@@ -264,20 +271,54 @@ def pairwise_part_matchings(
     """Whether every two blocks of the partition are perfectly matched in g.
 
     The blocks must partition 1..n into independent sets; invalid partitions
-    raise ValueError.  Returns False as soon as two blocks lack a perfect
-    matching between them, which blocks of different sizes always do.
+    raise ValueError.  A block is independent when no member's neighbour
+    mask meets the block's mask.  Returns False as soon as two blocks lack
+    a perfect matching between them, which blocks of different sizes always
+    do.
     """
     blocks = [tuple(sorted(p)) for p in parts]
     flat = [v for b in blocks for v in b]
     if len(flat) != len(set(flat)) or set(flat) != set(g.vertices):
         raise ValueError("blocks must partition the vertex set")
+    masks = g._masks
+    block_masks = []
     for b in blocks:
-        for i, u in enumerate(b):
-            for v in b[i + 1 :]:
-                if g.has_edge(u, v):
-                    raise ValueError(f"block {b} is not independent: {u} ~ {v}")
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if _bipartite_matching(g, blocks[i], blocks[j]) is None:
+        bm = 0
+        for v in b:
+            bm |= 1 << v
+        for u in b:
+            # the first member with a neighbour in the block meets only
+            # later members: an earlier one would have met it
+            inside = masks[u] & bm
+            if inside:
+                v = (inside & -inside).bit_length() - 1
+                raise ValueError(f"block {b} is not independent: {u} ~ {v}")
+        block_masks.append(bm)
+    return _blocks_matched(g, block_masks)
+
+
+def _blocks_matched(g: Graph, blocks: Sequence[int]) -> bool:
+    """Whether every two of the block masks are perfectly matched in g."""
+    for i, a in enumerate(blocks):
+        for b in blocks[i + 1 :]:
+            if _bipartite_matching(g, a, b) is None:
                 return False
+    return True
+
+
+def _r_partitions_matched(g: Graph, r: int) -> bool:
+    """Whether every partition of g into r nonempty independent blocks has
+    blocks of one size, every two perfectly matched; True when there is no
+    such partition.
+
+    The partitions are searched lazily, and the first whose blocks differ
+    in size or miss a matching ends the search.  Callers that hold a
+    perfect r-matching know the answer without it: each of its r-cliques
+    meets every independent block exactly once, so every block has n / r
+    vertices and the cliques' edges match every two blocks.
+    """
+    for blocks in _partition_search(g, r, g.vertices):
+        size = blocks[0].bit_count()
+        if any(b.bit_count() != size for b in blocks) or not _blocks_matched(g, blocks):
+            return False
     return True

@@ -8,7 +8,7 @@ pure and every returned collection is in a deterministic canonical order
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # canonical_form does a labelled search; past this size it is not a sensible
 # tool and callers get an explicit error instead of an open-ended computation.
@@ -226,7 +226,8 @@ def _bron_kerbosch(nbr: tuple[int, ...] | list[int], full: int) -> list[int]:
     """All maximal cliques of the graph given by neighbour masks, as masks.
 
     Pivoting on the vertex covering the most candidates keeps the tree small;
-    the pivot choice is deterministic (max cover, then lowest vertex).  The
+    the pivot choice is deterministic (max cover, then lowest vertex), and
+    the scan for it stops at a vertex that covers as many as any can.  The
     search keeps its own stack of (clique, candidates, excluded) frames, so a
     clique of any size is found without deep recursion.  A node's children
     do not depend on each other's results, so each is pushed as soon as it
@@ -239,6 +240,9 @@ def _bron_kerbosch(nbr: tuple[int, ...] | list[int], full: int) -> list[int]:
         if p == 0 and x == 0:
             out.append(r)
             continue
+        # a vertex is not its own neighbour, so only a vertex of x can cover
+        # all of p; the first to cover this most is the max-then-lowest pivot
+        most = p.bit_count() - (0 if x else 1)
         pivot, best = -1, -1
         px = p | x
         while px:
@@ -247,6 +251,8 @@ def _bron_kerbosch(nbr: tuple[int, ...] | list[int], full: int) -> list[int]:
             c = (p & nbr[u]).bit_count()
             if c > best:
                 pivot, best = u, c
+                if c == most:
+                    break
             px ^= b
         cand = p & ~nbr[pivot]
         while cand:
@@ -361,7 +367,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     if k < 0:
         raise ValueError("k must be nonnegative")
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    return g.n <= k or bool(_partition_search(g, k, False, order))
+    return g.n <= k or next(_partition_search(g, k, order), None) is not None
 
 
 def chromatic_number(g: Graph) -> int:
@@ -376,10 +382,11 @@ def chromatic_number(g: Graph) -> int:
 
 
 def _partition_search(
-    g: Graph, r: int, collect_all: bool, order: Sequence[int]
-) -> list[tuple[tuple[int, ...], ...]]:
+    g: Graph, r: int, order: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
     """Proper colourings with exactly r nonempty classes, one per unordered
-    partition, visiting the vertices in the given order.
+    partition, visiting the vertices in the given order; each is yielded as
+    its blocks' vertex masks (bit v for vertex v) when it is found.
 
     Colours are introduced in first-use order, so every partition into
     independent blocks appears exactly once, with blocks ordered by their
@@ -389,9 +396,8 @@ def _partition_search(
     tried at each depth, so its depth is not bounded by the recursion limit.
     """
     n = g.n
-    found: list[tuple[tuple[int, ...], ...]] = []
     if r > n:
-        return found
+        return
     bits = [1 << v for v in order]
     nbrs = [g._masks[v] for v in order]
     block = [0] * r
@@ -402,9 +408,7 @@ def _partition_search(
     i = 0
     while i >= 0:
         if i == n:
-            found.append(tuple(_mask_to_tuple(b) for b in block))
-            if not collect_all:
-                return found
+            yield tuple(block)
             i -= 1
             continue
         c = colour[i]
@@ -426,7 +430,6 @@ def _partition_search(
         else:
             colour[i] = -1
             i -= 1
-    return found
 
 
 def r_partition(g: Graph, r: int) -> tuple[tuple[int, ...], ...] | None:
@@ -437,15 +440,18 @@ def r_partition(g: Graph, r: int) -> tuple[tuple[int, ...], ...] | None:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    found = _partition_search(g, r, False, g.vertices)
-    return found[0] if found else None
+    first = next(_partition_search(g, r, g.vertices), None)
+    return None if first is None else tuple(_mask_to_tuple(b) for b in first)
 
 
 def all_r_partitions(g: Graph, r: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every partition into exactly r nonempty independent blocks, each once."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    return _partition_search(g, r, True, g.vertices)
+    return [
+        tuple(_mask_to_tuple(b) for b in blocks)
+        for blocks in _partition_search(g, r, g.vertices)
+    ]
 
 
 def _has_odd_hole(nbr: tuple[int, ...] | list[int]) -> bool:

@@ -15,7 +15,8 @@ of the ensemble it reads, whether it runs once per characteristic, and a
 check that reduces a per-graph property record to a counterexample reason.
 Post-filters and records read one facts object per graph (_Facts), which
 computes each fact the first time it is asked for, at most once per graph;
-run_battery's records read the facts its ensemble scan already filled.
+run_battery's records read the facts its ensemble scan already filled,
+canonical forms from the enumeration included.
 run_battery runs the whole table; verify_claim runs one entry.  Reports are
 line-delimited JSON, one graph per line, sorted by canonical form,
 byte-identical across runs.
@@ -34,15 +35,14 @@ from .cohen_macaulay import _graph_profile, bipartite_cm_ordering
 from .complexes import SimplicialComplex
 from .covers import (
     _alpha_cover,
+    _r_partitions_matched,
     degree_r_minus_1_vertices,
-    pairwise_part_matchings,
     perfect_r_matchings,
 )
 from .graphs import (
     Graph,
     _augment,
     _twin_classes,
-    all_r_partitions,
     canonical_form,
     is_connected,
     is_k_colorable,
@@ -174,12 +174,12 @@ def _hereditary_family(
     chi_bound: int | None,
     clique_bound: int | None,
     top_clique: int | None = None,
-) -> tuple[tuple[Graph, ...], ...]:
+) -> tuple[dict[Graph, bytes], ...]:
     """Levels 1..n of the graphs up to isomorphism with chromatic number at
-    most chi_bound and clique number at most clique_bound, each level sorted
-    by canonical form.  A class is represented by its first child seen, with
-    parents in canonical order and the packed neighbourhoods of each parent
-    ascending.
+    most chi_bound and clique number at most clique_bound, each level
+    mapping its graphs, in canonical order, to their canonical forms.  A
+    class is represented by its first child seen, with parents in canonical
+    order and the packed neighbourhoods of each parent ascending.
 
     With top_clique = s (at least 2), level n keeps only the graphs whose
     every vertex and every edge lies in an s-clique; the levels below are the
@@ -190,7 +190,8 @@ def _hereditary_family(
         raise ValueError("n must be at least 1")
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration supports at most n = {MAX_ENUM_N}")
-    levels = [(Graph(1, ()),)]
+    first = Graph(1, ())
+    levels = [{first: canonical_form(first)}]
     for k in range(2, n + 1):
         top = top_clique if k == n else None
         seen: dict[bytes, Graph] = {}
@@ -209,7 +210,7 @@ def _hereditary_family(
                 key = canonical_form(child)
                 if key not in seen:
                     seen[key] = child
-        levels.append(tuple(seen[key] for key in sorted(seen)))
+        levels.append({seen[key]: key for key in sorted(seen)})
     return tuple(levels)
 
 
@@ -255,11 +256,18 @@ class _Facts:
 
     The independence number, unmixedness and the records' Ind(g) all come
     from one list of maximal independent sets, and the alpha cover search
-    reuses the independence number and the maximal cliques.
+    reuses the independence number and the maximal cliques.  The canonical
+    form may be handed over by the enumeration that computed it.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, key: bytes | None = None):
         self.g = g
+        if key is not None:
+            self.key = key
+
+    @cached_property
+    def key(self) -> bytes:
+        return canonical_form(self.g)
 
     @cached_property
     def independent_sets(self) -> list[tuple[int, ...]]:
@@ -333,8 +341,8 @@ def _ensembles(
     kept: dict[Graph, _Facts] = {}
     levels = _hereditary_family(n_max, chi, omega, _top_clique(filter_sets))
     for level in levels[n_min - 1 :]:
-        for g in level:
-            facts = _Facts(g)
+        for g, key in level.items():
+            facts = _Facts(g, key)
             for f, out in zip(filter_sets, picked):
                 if _passes(facts, f):
                     out.append(g)
@@ -370,7 +378,7 @@ def _graph_record(g: Graph | _Facts, r: int, chars: tuple[int, ...]) -> tuple[st
     """
     facts = g if isinstance(g, _Facts) else _Facts(g)
     g = facts.g
-    canon = canonical_form(g).decode("ascii")
+    canon = facts.key.decode("ascii")
     # the maximal independent sets are an antichain covering every vertex
     cx = SimplicialComplex._antichain(g.n, facts.independent_sets)
     reports = _graph_profile(g, cx, [FieldSpec(c) for c in chars]) if chars else []
@@ -392,9 +400,9 @@ def _graph_record(g: Graph | _Facts, r: int, chars: tuple[int, ...]) -> tuple[st
         "has_alpha_clique_cover": facts.alpha_cover is not None,
         "perfect_r_matching_exists": bool(matchings),
         "unique_perfect_r_matching": len(matchings) == 1,
-        "all_r_partitions_equal_and_matched": all(
-            pairwise_part_matchings(g, p) for p in all_r_partitions(g, r)
-        ),
+        # a perfect r-matching matches the blocks of every r-partition
+        "all_r_partitions_equal_and_matched": bool(matchings)
+        or _r_partitions_matched(g, r),
         "hh_exists": hh_exists,
         "cm": {str(c): rep.is_cm for c, rep in zip(chars, reports)},
     }

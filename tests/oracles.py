@@ -7,7 +7,8 @@ package; only the Graph container is reused so results are comparable.
 The slow paths at the end keep earlier forms of the package's own searches
 to compare its fast paths with; the Reisner scan among them calls the
 package's link and reduced_betti, which the oracles above check on their
-own, and the Herzog-Hibi search its pair sort and condition check.
+own, the Herzog-Hibi search its pair sort and condition check, and the
+r-partition check the partition list and the part matchings.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from cmgraph.cohen_macaulay import (
     hh_conditions_hold,
 )
 from cmgraph.complexes import link
-from cmgraph.graphs import Graph
+from cmgraph.covers import pairwise_part_matchings
+from cmgraph.graphs import Graph, all_r_partitions
 from cmgraph.homology import reduced_betti
 
 
@@ -821,3 +823,40 @@ def alpha_cover_recursive(g: Graph, alpha: int) -> tuple[tuple[int, ...], ...] |
         return False
 
     return tuple(chosen) if cover(set(), alpha) else None
+
+
+# ---------------------------------------------------------------------------
+# the records' r-partition check and the Bron-Kerbosch pivot, as first written
+
+
+def r_partitions_matched_reference(g: Graph, r: int) -> bool:
+    """The record field all_r_partitions_equal_and_matched as it was first
+    defined: every r-partition listed, each validated and matched pair by
+    pair by pairwise_part_matchings."""
+    return all(pairwise_part_matchings(g, p) for p in all_r_partitions(g, r))
+
+
+def bron_kerbosch_full_scan(nbr, full: int) -> list[int]:
+    """graphs._bron_kerbosch with the pivot scan over every vertex of P | X:
+    the maximal cliques as masks, in the order that search emits them."""
+    out: list[int] = []
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if p == 0 and x == 0:
+            out.append(r)
+            continue
+        pivot, best = -1, -1
+        for u in range(len(nbr)):
+            if (p | x) >> u & 1:
+                c = bin(p & nbr[u]).count("1")
+                if c > best:
+                    pivot, best = u, c
+        cand = p & ~nbr[pivot]
+        for v in range(len(nbr)):
+            if cand >> v & 1:
+                b = 1 << v
+                stack.append((r | b, p & nbr[v], x & nbr[v]))
+                p ^= b
+                x |= b
+    return out

@@ -233,6 +233,37 @@ def test_scan_links_each_intersection_of_facets_with_a_link_to_check(monkeypatch
     assert calls == expected
 
 
+def test_link_verdicts_by_connectivity_equal_reduced_betti_on_every_link():
+    # every distinct link of Ind(G) for every class up to n = 7 and for the
+    # named graphs: the verdict and the failing degree, the witness index,
+    # over Q, F_2 and F_3 equal those read off reduced_betti
+    from cmgraph.complexes import link
+    from cmgraph.fixtures import fig1_graph
+    from cmgraph.homology import reduced_betti
+
+    spider = Graph(12, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6)] + [(v, v + 6) for v in range(1, 7)])
+    graphs = list(enumerate_graphs_up_to(7).graphs)
+    graphs += [whiskered_path(7), spider, c4_plus_whiskered_p5(), fig1_graph()]
+    links = {}
+    for g in graphs:
+        cx = independence_complex(g)
+        for face in cx.all_faces():
+            lk = link(cx, face)
+            links.setdefault(lk.facets, lk)
+    kinds = set()
+    for lk in links.values():
+        verdicts = cohen_macaulay._LinkVerdicts(lk)
+        d = lk.dimension()
+        for field in (Q, F2, F3):
+            betti = reduced_betti(lk, field)
+            expected = next((i for i in range(-1, d) if betti[i + 1]), None)
+            assert verdicts.first_failure(field) == expected, (lk.facets, field)
+        kinds.add((min(d, 2), verdicts.connected))
+    # disconnected links of dimension 1 and 2 or more, connected ones of
+    # dimension 1 (settled) and 2 or more (reduced)
+    assert {(1, False), (1, True), (2, False), (2, True)} <= kinds
+
+
 def test_whiskered_p8_is_cm_over_the_rationals():
     # whiskered trees are CM over every field
     assert cm_graph(whiskered_path(8), Q).is_cm is True

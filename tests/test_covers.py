@@ -3,17 +3,19 @@ import itertools
 import pytest
 
 import oracles
+from cmgraph import covers, harness
 from cmgraph.covers import (
     BasicCliqueCover,
     RMatching,
     _bipartite_matching,
+    _r_partitions_matched,
     alpha_clique_cover,
     basic_clique_cover,
     degree_r_minus_1_vertices,
     pairwise_part_matchings,
     perfect_r_matchings,
 )
-from cmgraph.graphs import Graph, independence_number
+from cmgraph.graphs import Graph, all_r_partitions, independence_number
 from cmgraph.harness import enumerate_graphs_up_to
 
 
@@ -189,6 +191,30 @@ def test_pairwise_part_matchings_validates_input():
         pairwise_part_matchings(oracles.path_graph(3), [(1,), (2,)])
 
 
+def test_pairwise_part_matchings_rejects_a_repeated_vertex():
+    with pytest.raises(ValueError, match="^blocks must partition the vertex set$"):
+        pairwise_part_matchings(oracles.path_graph(3), [(1, 3), (2, 3)])
+    with pytest.raises(ValueError, match="^blocks must partition the vertex set$"):
+        pairwise_part_matchings(oracles.path_graph(3), [(1, 1, 3), (2,)])
+
+
+def test_pairwise_part_matchings_rejects_a_missing_vertex():
+    with pytest.raises(ValueError, match="^blocks must partition the vertex set$"):
+        pairwise_part_matchings(oracles.path_graph(4), [(1, 3), (2,)])
+
+
+def test_pairwise_part_matchings_names_the_first_edge_of_a_dependent_block():
+    # the pairs of block members in lex order: (1, 2), (1, 3) and (1, 4) are
+    # no edges, (2, 3) is the first that is, though 2 ~ 4 too
+    g = oracles.graph_from_edges(5, [(2, 3), (2, 4), (3, 4), (1, 5)])
+    with pytest.raises(ValueError, match=r"^block \(1, 2, 3, 4\) is not independent: 2 ~ 3$"):
+        pairwise_part_matchings(g, [(4, 3, 2, 1), (5,)])
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
 def has_perfect_matching_brute(g, left, right) -> bool:
     return len(left) == len(right) and any(
         all(g.has_edge(u, w) for u, w in zip(left, partners))
@@ -203,7 +229,7 @@ def test_bipartite_matching_matches_brute_force_on_every_split_to_n7():
         for size in range(g.n + 1):
             for left in itertools.combinations(vertices, size):
                 right = tuple(v for v in vertices if v not in left)
-                got = _bipartite_matching(g, left, right)
+                got = _bipartite_matching(g, _mask(left), _mask(right))
                 if got is None:
                     assert not has_perfect_matching_brute(g, left, right)
                     continue
@@ -223,5 +249,81 @@ def test_pairwise_part_matchings_on_a_1500_step_augmenting_path():
     g = Graph(2 * k, [(label[j], label[j + 1]) for j in range(1, 2 * k)])
     left, right = range(k + 1, 2 * k + 1), range(1, k + 1)
     assert pairwise_part_matchings(g, [left, right])
-    pairs = _bipartite_matching(g, tuple(left), tuple(right))
+    pairs = _bipartite_matching(g, _mask(left), _mask(right))
     assert pairs[-1] == (2 * k, 1) and pairs[0] == (k + 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the records' r-partition check
+
+
+def _record_field(g, r):
+    return harness._graph_record(g, r, ())[1]["all_r_partitions_equal_and_matched"]
+
+
+def test_r_partition_check_equals_the_reference_on_every_class_to_n7():
+    for g in enumerate_graphs_up_to(7).graphs:
+        for r in (1, 2, 3, 4):
+            expected = oracles.r_partitions_matched_reference(g, r)
+            assert _r_partitions_matched(g, r) == expected, (g.edges, r)
+            assert _record_field(g, r) == expected, (g.edges, r)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_r_partition_check_equals_the_reference_on_seeded_graphs(n):
+    # sparse graphs, so that many are 3- or 4-colourable
+    for g in oracles.random_graphs(60, n, seed=1610 + n, p=0.35):
+        for r in (2, 3, 4):
+            expected = oracles.r_partitions_matched_reference(g, r)
+            assert _r_partitions_matched(g, r) == expected, (g.edges, r)
+            assert _record_field(g, r) == expected, (g.edges, r)
+
+
+# 9-vertex graphs with no perfect 3-matching, found by a seeded search over
+# graphs planted on the blocks {1, 2, 3}, {4, 5, 6}, {7, 8, 9}
+_LATER_PARTITION_FAILS = oracles.graph_from_edges(9, [
+    (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 5), (2, 7), (2, 9), (3, 4),
+    (3, 5), (3, 6), (3, 8), (3, 9), (4, 7), (4, 9), (5, 8), (6, 7), (6, 9),
+])
+_FIRST_AND_LAST_BLOCKS_UNMATCHED = oracles.graph_from_edges(9, [
+    (1, 4), (1, 5), (1, 6), (1, 9), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 6),
+    (3, 9), (4, 8), (4, 9), (5, 7), (5, 8), (5, 9), (6, 9),
+])
+
+
+def test_r_partition_check_reads_past_the_first_partition_and_pair():
+    # the first of three partitions passes, a later one fails
+    g = _LATER_PARTITION_FAILS
+    parts = all_r_partitions(g, 3)
+    assert len(parts) == 3 and pairwise_part_matchings(g, parts[0])
+    # the one partition has its first two and last two blocks matched, but
+    # not its first and last
+    h = _FIRST_AND_LAST_BLOCKS_UNMATCHED
+    ((a, b, c),) = all_r_partitions(h, 3)
+    assert _bipartite_matching(h, _mask(a), _mask(b)) and _bipartite_matching(h, _mask(b), _mask(c))
+    assert _bipartite_matching(h, _mask(a), _mask(c)) is None
+    for x in (g, h):
+        assert not perfect_r_matchings(x, 3, limit=1)
+        assert not oracles.r_partitions_matched_reference(x, 3)
+        assert not _r_partitions_matched(x, 3)
+        assert _record_field(x, 3) is False
+
+
+def test_a_record_with_a_perfect_r_matching_runs_no_partition_search(monkeypatch):
+    searched = []
+    real_search = covers._partition_search
+
+    def counting_search(g, r, order):
+        searched.append((g, r))
+        return real_search(g, r, order)
+
+    monkeypatch.setattr(covers, "_partition_search", counting_search)
+    # two disjoint triangles: a perfect 3-matching
+    triangles = oracles.graph_from_edges(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+    assert perfect_r_matchings(triangles, 3, limit=1)
+    assert _record_field(triangles, 3) is True
+    assert searched == []
+    # the path on three vertices has no perfect 2-matching: the search runs
+    # and its first partition, {1, 3} and {2}, has unequal blocks
+    assert _record_field(oracles.path_graph(3), 2) is False
+    assert searched == [(oracles.path_graph(3), 2)]

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,8 @@ from cmgraph.graphs import (
     Graph,
     GraphFormatError,
     _augment,
+    _bron_kerbosch,
+    _full_mask,
     _has_odd_hole,
     all_r_partitions,
     canonical_form,
@@ -151,6 +154,29 @@ def test_maximal_independent_sets_of_a_large_edgeless_graph():
     # one maximal set of 1,100 vertices: deeper than Python's default
     # recursion limit, so the search must keep its own stack
     assert maximal_independent_sets(Graph(1100)) == [tuple(range(1, 1101))]
+
+
+def test_pivot_scan_cut_keeps_every_pivot_on_3000_seeded_graphs():
+    """The pivot scan stops at the first vertex that covers as many
+    candidates as any can; the full scan picks that vertex too, so both
+    searches emit the same cliques in the same order."""
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+        full = _full_mask(n)
+        co = [full & ~m & ~(1 << v) if v else 0 for v, m in enumerate(g._masks)]
+        for nbr in (g._masks, co):
+            assert _bron_kerbosch(nbr, full) == oracles.bron_kerbosch_full_scan(nbr, full)
+
+
+def test_independence_number_of_a_large_edgeless_graph_stops_each_pivot_scan_early():
+    # every vertex is a candidate and none is excluded, so the first vertex
+    # of each scan covers all the others and ends the scan
+    start = time.process_time()
+    assert independence_number(Graph(1200)) == 1200
+    assert time.process_time() - start < 0.5
 
 
 def test_independence_number_and_unmixed_match_brute():

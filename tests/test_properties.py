@@ -1,5 +1,6 @@
-"""Property tests of the CM decider, its links and the shelling search, on
-graphs with at most 10 vertices and on complexes with at most 9.
+"""Property tests of the CM decider, its links, the shelling search and
+the records' r-partition check, on graphs with at most 10 vertices and on
+complexes with at most 9.
 
 Examples are drawn with hypothesis, derandomized so every run checks the
 same graphs and complexes.
@@ -13,8 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from cmgraph import cohen_macaulay
+from cmgraph import cohen_macaulay, harness
 from cmgraph.cohen_macaulay import cm_characteristic_profile, cm_graph, reisner_cm
+from cmgraph.covers import _r_partitions_matched, perfect_r_matchings
 from cmgraph.complexes import (
     SimplicialComplex,
     independence_complex,
@@ -170,3 +172,48 @@ def test_shelling_search_matches_the_recursive_reference_on_complexes_that_are_n
     assert (res.status, res.order, res.steps) == oracles.shelling_search_recursive(
         cx.facets, budget
     )
+
+
+@st.composite
+def r_factor_graphs(draw) -> tuple[int, Graph]:
+    """(r, g) with g on at most 9 vertices holding a perfect r-matching, its
+    cliques the runs of r in a random labelling, and r-colourable: the j-th
+    member of every clique has colour j, and further edges join vertices of
+    different colours only."""
+    r = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 9 // r))
+    n = r * k
+    labels = draw(st.permutations(range(1, n + 1)))
+    colour = {v: i % r for i, v in enumerate(labels)}
+    cliques = [labels[i * r : (i + 1) * r] for i in range(k)]
+    forced = {tuple(sorted(e)) for c in cliques for e in itertools.combinations(c, 2)}
+    pairs = [
+        e for e in itertools.combinations(range(1, n + 1), 2)
+        if colour[e[0]] != colour[e[1]] and e not in forced
+    ]
+    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return r, Graph(n, sorted(forced | extra))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(r_factor_graphs())
+def test_a_perfect_r_matching_matches_the_blocks_of_every_r_partition(case):
+    # each clique of the matching meets every independent block once
+    r, g = case
+    assert perfect_r_matchings(g, r, limit=1)
+    assert oracles.all_r_partitions_brute(g, r)
+    assert oracles.r_partitions_matched_reference(g, r)
+    assert _r_partitions_matched(g, r)
+    assert harness._graph_record(g, r, ())[1]["all_r_partitions_equal_and_matched"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(complexes())
+def test_link_verdicts_equal_the_first_reduced_betti_failure(cx):
+    # the connectivity shortcut gives what reducing over each field gives
+    verdicts = cohen_macaulay._LinkVerdicts(cx)
+    d = cx.dimension()
+    for field in (Q, F2, F3):
+        betti = reduced_betti(cx, field)
+        expected = next((i for i in range(-1, d) if betti[i + 1]), None)
+        assert verdicts.first_failure(field) == expected, field
