@@ -11,8 +11,11 @@ combinatorial criterion for bipartite graphs, which is characteristic-free.
 On a graph the scan is skipped when a characteristic-free certificate
 holds: Ind(G) pure and G vertex decomposable by shedding vertices, which
 makes Ind(G) shellable and so CM over every field.  cm_characteristic_profile
-and the harness records try it through _graph_profile; reisner_cm on a bare
-complex always scans.
+tries it through _graph_profile; reisner_cm on a bare complex always scans.
+The harness records keep verdicts only, so _graph_cm first looks on G's
+vertex masks for a face with a disconnected link of dimension 1 or more,
+which refutes CM over every field, and then tries the certificate and the
+scan.
 """
 
 from __future__ import annotations
@@ -102,7 +105,9 @@ def _graph_profile(
     g: Graph, cx: SimplicialComplex, fields: list[FieldSpec]
 ) -> list[CMReport]:
     """_reisner_scan(cx, fields) for cx = Ind(g), skipping the scan when cx
-    is pure and g is vertex decomposable by shedding vertices.
+    is pure and g is vertex decomposable by shedding vertices.  This is the
+    path of the callers that print witnesses; the harness records, which
+    keep only verdicts, take _graph_cm.
 
     A pure vertex-decomposable complex is shellable, hence CM over every
     field (Provan & Billera, 1980), and the scan of a CM complex reports a
@@ -111,6 +116,61 @@ def _graph_profile(
     if cx.is_pure() and _shedding_certified(g):
         return [CMReport(f, True, None) for f in fields]
     return _reisner_scan(cx, fields)
+
+
+def _graph_cm(g: Graph, cx: SimplicialComplex, fields: list[FieldSpec]) -> list[bool]:
+    """The verdicts of _graph_profile(g, cx, fields), with no witness.
+
+    A face whose link has dimension 1 or more and is disconnected fails
+    Reisner's criterion in degree 0 over every field, so such a face,
+    looked for by _has_disconnected_link, settles every field as False
+    before the certificate and the scan run.  It need not be the face the
+    canonical scan would name, which is why callers that print witnesses
+    keep _graph_profile.
+    """
+    if not cx.is_pure() or _has_disconnected_link(g, cx.dimension()):
+        return [False] * len(fields)
+    if _shedding_certified(g):
+        return [True] * len(fields)
+    return [report.is_cm for report in _reisner_scan(cx, fields)]
+
+
+def _has_disconnected_link(g: Graph, dim: int) -> bool:
+    """Whether Ind(g), pure of dimension dim, has a face whose link has
+    dimension 1 or more and is disconnected.
+
+    In a pure complex lk(F) has dimension dim - |F|, so the faces to try are
+    the independent sets F with |F| <= dim - 1.  In a flag complex
+    lk(F) = Ind(g - N[F]), whose 1-skeleton is the complement of g on the
+    mask V - N[F] (bit v for vertex v), and a complex is connected iff its
+    1-skeleton is.  The search grows F one vertex at a time, higher
+    vertices only, on its own stack of (V - N[F], vertices that may extend
+    F, |F|) frames, and stops at the first disconnected link.
+    """
+    if dim < 1:
+        return False
+    masks = g._masks
+    full = (1 << g.n + 1) - 2
+    stack = [(full, full, 0)]
+    while stack:
+        rest, extend, size = stack.pop()
+        # grow the complement's component of the lowest vertex of rest
+        reached = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = rest & ~masks[low.bit_length() - 1] & ~reached
+            reached |= new
+            frontier |= new
+        if reached != rest:
+            return True
+        if size < dim - 1:
+            while extend:
+                low = extend & -extend
+                extend ^= low
+                sub = rest & ~masks[low.bit_length() - 1] & ~low
+                stack.append((sub, sub & extend, size + 1))
+    return False
 
 
 def _shedding_certified(g: Graph) -> bool:

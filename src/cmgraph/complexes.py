@@ -47,14 +47,23 @@ class SimplicialComplex:
         if not norm:
             raise ValueError("a complex on n >= 1 vertices needs at least one facet")
         norm = sorted(set(norm))
-        sets = [frozenset(f) for f in norm]
-        for i, a in enumerate(sets):
-            for j, b in enumerate(sets):
-                if i != j and a <= b:
-                    raise ValueError(f"facet {norm[i]} is contained in facet {norm[j]}")
-        covered = set().union(*sets) if sets else set()
+        # incidence[v]: the facets containing vertex v, bit i for norm[i].
+        # The facets containing facet i are the AND over its vertices, so
+        # the lowest other bit there is the first j with norm[i] <= norm[j].
+        incidence = [0] * (n + 1)
+        for i, f in enumerate(norm):
+            for v in f:
+                incidence[v] |= 1 << i
+        every = (1 << len(norm)) - 1
+        for i, f in enumerate(norm):
+            above = every ^ 1 << i
+            for v in f:
+                above &= incidence[v]
+            if above:
+                j = (above & -above).bit_length() - 1
+                raise ValueError(f"facet {norm[i]} is contained in facet {norm[j]}")
         for v in range(1, n + 1):
-            if v not in covered:
+            if not incidence[v]:
                 raise ValueError(f"vertex {v} lies in no facet")
         self.n = n
         self.facets = tuple(norm)

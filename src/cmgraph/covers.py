@@ -41,18 +41,28 @@ def perfect_r_matchings(
     The search always branches on the lowest uncovered vertex with its
     cliques in lexicographic order, so matchings appear in lexicographic
     order of their sorted clique lists.  With a limit, enumeration stops
-    after that many matchings.  The search keeps its own stack, one frame
-    per chosen clique, so its depth is not bounded by Python's recursion
-    limit.
+    after that many matchings.  A node whose uncovered vertices induce a
+    connected component with a size not divisible by r is not expanded:
+    each r-clique lies inside one component, so no matching lies below it.
+    The search keeps its own stack, one frame per chosen clique, so its
+    depth is not bounded by Python's recursion limit.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
-    n = g.n
-    if n % r != 0:
+    if g.n % r != 0:
         return []
-    candidates = cliques_of_size(g, r)
+    return _perfect_r_matchings(g, r, limit, cliques_of_size(g, r))
+
+
+def _perfect_r_matchings(
+    g: Graph, r: int, limit: int | None, candidates: list[tuple[int, ...]]
+) -> list[RMatching]:
+    """perfect_r_matchings(g, r, limit), given r dividing g.n and the
+    r-cliques of g in lexicographic order."""
+    n = g.n
+    masks = g._masks
     by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
     for c in candidates:
         m = 0
@@ -75,9 +85,12 @@ def perfect_r_matchings(
                 chosen.pop()
         else:
             rest = full & ~mask
-            v = (rest & -rest).bit_length() - 1
-            options = iter([(m, c) for m, c in by_vertex[v] if not m & mask])
-            stack.append((mask, options))
+            if _components_divisible(masks, rest, r):
+                v = (rest & -rest).bit_length() - 1
+                options = iter([(m, c) for m, c in by_vertex[v] if not m & mask])
+                stack.append((mask, options))
+            elif chosen:
+                chosen.pop()
         while stack:
             base, options = stack[-1]
             step = next(options, None)
@@ -91,6 +104,23 @@ def perfect_r_matchings(
         m, c = step
         chosen.append(c)
         mask = base | m
+
+
+def _components_divisible(masks: Sequence[int], rest: int, r: int) -> bool:
+    """Whether every connected component of the subgraph induced on the
+    vertex mask rest has a size divisible by r."""
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = masks[low.bit_length() - 1] & rest & ~comp
+            comp |= new
+            frontier |= new
+        if comp.bit_count() % r:
+            return False
+        rest ^= comp
+    return True
 
 
 @dataclass(frozen=True)

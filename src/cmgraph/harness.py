@@ -16,7 +16,9 @@ check that reduces a per-graph property record to a counterexample reason.
 Post-filters and records read one facts object per graph (_Facts), which
 computes each fact the first time it is asked for, at most once per graph;
 run_battery's records read the facts its ensemble scan already filled,
-canonical forms from the enumeration included.
+canonical forms from the enumeration included.  A record keeps only CM
+verdicts, never a witness face, so it asks cohen_macaulay._graph_cm, which
+refutes most non-CM graphs by a disconnected link before any scan.
 run_battery runs the whole table; verify_claim runs one entry.  Reports are
 line-delimited JSON, one graph per line, sorted by canonical form,
 byte-identical across runs.
@@ -25,16 +27,16 @@ byte-identical across runs.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .cohen_macaulay import _graph_profile, bipartite_cm_ordering
+from .cohen_macaulay import _graph_cm, bipartite_cm_ordering
 from .complexes import SimplicialComplex
 from .covers import (
     _alpha_cover,
+    _perfect_r_matchings,
     _r_partitions_matched,
     degree_r_minus_1_vertices,
     perfect_r_matchings,
@@ -372,17 +374,28 @@ def _graph_record(g: Graph | _Facts, r: int, chars: tuple[int, ...]) -> tuple[st
     """Everything the sweeps need to know about one graph, JSON-ready.
 
     Every per-graph fact is read from one _Facts of the graph (g may be
-    one); the CM verdicts come from one Reisner scan of Ind(g) for all
-    chars, or from none when the shedding-vertex certificate settles them.
-    Ind(g) is built here, so facts held for later keep no faces.
+    one).  The CM verdicts for all chars come from _graph_cm: a
+    disconnected link found on g's masks or a non-pure Ind(g) refutes every
+    char, the shedding-vertex certificate confirms every char, and one
+    Reisner scan of Ind(g) decides the rest.  Records keep no witness.
+    Ind(g) is built here, so facts held for later keep no faces.  The
+    perfect r-matching search takes its r-cliques from the maximal cliques
+    when no clique has more than r vertices.
     """
     facts = g if isinstance(g, _Facts) else _Facts(g)
     g = facts.g
     canon = facts.key.decode("ascii")
     # the maximal independent sets are an antichain covering every vertex
     cx = SimplicialComplex._antichain(g.n, facts.independent_sets)
-    reports = _graph_profile(g, cx, [FieldSpec(c) for c in chars]) if chars else []
-    matchings = perfect_r_matchings(g, r, limit=2)
+    verdicts = _graph_cm(g, cx, [FieldSpec(c) for c in chars]) if chars else []
+    if r >= 1 and facts.clique_sizes[-1] <= r and g.n % r == 0:
+        # no clique outgrows r, so the r-cliques are the maximal cliques of
+        # size r, in lexicographic order as the search needs them; any
+        # other r, invalid ones included, goes to the public search
+        r_cliques = [c for c in facts.cliques if len(c) == r]
+        matchings = _perfect_r_matchings(g, r, 2, r_cliques)
+    else:
+        matchings = perfect_r_matchings(g, r, limit=2)
     hh_exists: bool | None = None
     if r == 2 and r_partition(g, 2) is not None:
         hh_exists = bipartite_cm_ordering(g) is not None
@@ -404,7 +417,7 @@ def _graph_record(g: Graph | _Facts, r: int, chars: tuple[int, ...]) -> tuple[st
         "all_r_partitions_equal_and_matched": bool(matchings)
         or _r_partitions_matched(g, r),
         "hh_exists": hh_exists,
-        "cm": {str(c): rep.is_cm for c, rep in zip(chars, reports)},
+        "cm": {str(c): cm for c, cm in zip(chars, verdicts)},
     }
     return canon, record
 
@@ -430,6 +443,9 @@ def compute_records(
     unique = list(dict.fromkeys(graphs))
     items = [(g, r, chars) for g in unique]
     if jobs > 1 and len(items) > 1:
+        # imported here, so that serial runs do not pay for the import
+        import multiprocessing
+
         chunk = max(1, len(items) // (jobs * 8))
         with multiprocessing.Pool(jobs) as pool:
             results = pool.starmap(_graph_record, items, chunksize=chunk)

@@ -450,6 +450,17 @@ def is_cm_brute(g: Graph, char: int) -> bool:
     return True
 
 
+def disconnected_link_brute(facets) -> bool:
+    """Whether some face has a link of dimension 1 or more with nonzero
+    reduced H_0, i.e. a disconnected link.  H_0 has no torsion, so one
+    field serves for all."""
+    for face in faces_from_facets(facets):
+        _, lk = link_reference(facets, face)
+        if max(len(k) for k in lk) >= 2 and betti_brute(lk, 2)[1]:
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # shedding decompositions, read as shelling orders
 
@@ -717,6 +728,24 @@ def reisner_cm_reference(cx, field):
             if betti[i + 1]:
                 return CMReport(field, False, HomologyWitness(face, i))
     return CMReport(field, True, None)
+
+
+# ---------------------------------------------------------------------------
+# facet validation: the pairwise containment loop the package replaced
+
+
+def contained_facet_reference(facets) -> str | None:
+    """The error SimplicialComplex raises for a facet inside another, by the
+    pairwise loop its incidence masks replaced: over the facets sorted and
+    deduplicated, the first ordered pair (i, j), i != j, with facet i inside
+    facet j; None when the facets are an antichain."""
+    norm = sorted({tuple(sorted(f)) for f in facets})
+    sets = [frozenset(f) for f in norm]
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if i != j and a <= b:
+                return f"facet {norm[i]} is contained in facet {norm[j]}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -146,6 +147,18 @@ def test_matchings(capsys, tmp_path):
         "r": 2,
         "matchings": [[[1, 2], [3, 4], [5, 6]], [[1, 6], [2, 3], [4, 5]]],
     }
+
+
+def test_matchings_on_two_odd_cliques_end_at_once(capsys, tmp_path):
+    # backtracking with no feasibility test would take minutes here
+    k19 = [(u, v) for u in range(1, 20) for v in range(u + 1, 20)]
+    g = Graph(38, k19 + [(u + 19, v + 19) for u, v in k19])
+    path = write_graph(tmp_path, g)
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, ["matchings", path, "--r", "2"])
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == {"r": 2, "matchings": []}
 
 
 def test_cover(capsys, tmp_path):

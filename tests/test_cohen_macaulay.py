@@ -133,7 +133,8 @@ PROFILE_FIELD_LISTS = ([Q, F2], [F2, Q], [Q, F2, F3], [F3], [Q, Q])
 
 def assert_graph_path_matches_reference(g: Graph) -> None:
     """reisner_cm on Ind(g) and cm_characteristic_profile on g both give the
-    reference scan's reports, witnesses included, one per requested field."""
+    reference scan's reports, witnesses included, one per requested field,
+    and the records' _graph_cm gives their verdicts."""
     cx = independence_complex(g)
     ref = {field: oracles.reisner_cm_reference(cx, field) for field in (Q, F2, F3)}
     for field in (Q, F2, F3):
@@ -143,6 +144,8 @@ def assert_graph_path_matches_reference(g: Graph) -> None:
             g.edges,
             fields,
         )
+        verdicts = [ref[f].is_cm for f in fields]
+        assert cohen_macaulay._graph_cm(g, cx, fields) == verdicts, (g.edges, fields)
 
 
 def mod3_moore_family() -> list[SimplicialComplex]:
@@ -164,6 +167,20 @@ def mod3_moore_family() -> list[SimplicialComplex]:
 def test_reisner_cm_matches_the_reference_scan_on_graphs_up_to_7():
     for g in enumerate_graphs_up_to(7).graphs:
         assert_graph_path_matches_reference(g)
+
+
+def test_disconnected_link_search_matches_the_brute_force_scan_up_to_7():
+    hits = 0
+    for g in enumerate_graphs_up_to(7).graphs:
+        cx = independence_complex(g)
+        if not cx.is_pure():
+            continue
+        found = cohen_macaulay._has_disconnected_link(g, cx.dimension())
+        assert found == oracles.disconnected_link_brute(cx.facets), g.edges
+        hits += found
+    # 237 classes have a pure Ind(G); 51 are not CM, and a disconnected
+    # link refutes all but one of them
+    assert hits == 50
 
 
 def c4_plus_whiskered_p5() -> Graph:

@@ -83,6 +83,17 @@ def test_matchings_keep_the_recursive_order():
                 assert [m.cliques for m in got] == expected, (g.edges, r, limit)
 
 
+def test_pruned_matchings_keep_the_recursive_order_on_bridged_cliques():
+    # after any first clique but the bridge (1, 8), K_7 keeps an odd rest:
+    # the subtrees the component test cuts
+    k7 = [(u, v) for u in range(1, 8) for v in range(u + 1, 8)]
+    g = Graph(14, k7 + [(u + 7, v + 7) for u, v in k7] + [(1, 8)])
+    for limit in (None, 1, 2):
+        got = perfect_r_matchings(g, 2, limit)
+        assert [m.cliques for m in got] == oracles.perfect_r_matchings_recursive(g, 2, limit)
+    assert len(perfect_r_matchings(g, 2)) == 15 * 15
+
+
 def test_unique_perfect_matching():
     assert len(perfect_r_matchings(oracles.path_graph(2), 2, limit=2)) == 1
     assert len(perfect_r_matchings(oracles.cycle_graph(6), 2, limit=2)) == 2

@@ -9,7 +9,7 @@ import oracles
 from cmgraph import cohen_macaulay, harness
 from cmgraph.cli import main
 from cmgraph.complexes import independence_complex
-from cmgraph.covers import alpha_clique_cover
+from cmgraph.covers import alpha_clique_cover, perfect_r_matchings
 from cmgraph.graphs import (
     Graph,
     _augment,
@@ -36,6 +36,7 @@ from cmgraph.homology import FieldSpec
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 
 # unlabeled graph counts, n = 1..7 (OEIS A000088)
 UNFILTERED_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
@@ -435,7 +436,7 @@ def test_char_free_records_skip_the_cm_decider(monkeypatch):
     def refuse(*args):
         raise AssertionError("the CM decider ran without characteristics")
 
-    monkeypatch.setattr(harness, "_graph_profile", refuse)
+    monkeypatch.setattr(harness, "_graph_cm", refuse)
     records = harness.compute_records(enumerate_graphs_up_to(4).graphs, 2, ())
     assert records and all(rec["cm"] == {} for _, rec in records.values())
 
@@ -444,14 +445,15 @@ def _certified_and_cm(n_max, r):
     """The size of the main ensemble at r on up to n_max vertices and how
     many of its graphs are unmixed and certified by shedding vertices,
     asserting on the way that these are exactly the graphs the Reisner scan
-    finds CM over chars 0 and 2."""
+    finds CM over chars 0, 2 and 3, and that the records' verdicts agree."""
     graphs = enumerate_graphs_up_to(n_max, harness._main_filters(r)).graphs
     certified = 0
     for g in graphs:
         cx = independence_complex(g)
-        q, f2 = cohen_macaulay._reisner_scan(cx, [Q, F2])
+        q, f2, f3 = cohen_macaulay._reisner_scan(cx, [Q, F2, F3])
         hit = cx.is_pure() and cohen_macaulay._shedding_certified(g)
-        assert q.is_cm == f2.is_cm == hit, g.edges
+        assert q.is_cm == f2.is_cm == f3.is_cm == hit, g.edges
+        assert cohen_macaulay._graph_cm(g, cx, [Q, F2, F3]) == [hit] * 3, g.edges
         certified += hit
     return len(graphs), certified
 
@@ -674,7 +676,6 @@ def test_run_battery_report_is_byte_stable(tmp_path):
 
 
 def test_battery_records_match_direct_computation(tmp_path):
-    from cmgraph.covers import perfect_r_matchings
     from cmgraph.cohen_macaulay import cm_graph
     from cmgraph.graphs import Graph
 
@@ -687,6 +688,20 @@ def test_battery_records_match_direct_computation(tmp_path):
         unique = len(perfect_r_matchings(g, 2, limit=2)) == 1
         assert rec["unique_perfect_r_matching"] == unique
         assert rec["independence_number"] == oracles.independence_number_brute(g)
+
+
+def test_record_matchings_equal_the_public_search():
+    # records take the r-cliques from the maximal cliques when no clique
+    # outgrows r and enumerate them otherwise; K_4 and larger cliques at
+    # r = 2 and 3 take the second path
+    graphs = enumerate_graphs_up_to(6).graphs
+    for r in (1, 2, 3):
+        records = harness.compute_records(graphs, r, ())
+        for g in graphs:
+            rec = records[g][1]
+            found = perfect_r_matchings(g, r, limit=2)
+            assert rec["perfect_r_matching_exists"] == bool(found), (g.edges, r)
+            assert rec["unique_perfect_r_matching"] == (len(found) == 1), (g.edges, r)
 
 
 def _sha(data: bytes) -> str:

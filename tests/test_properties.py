@@ -89,13 +89,15 @@ def whiskered(g: Graph) -> Graph:
 @given(st.one_of(graphs(max_n=10), graphs(max_n=5).map(whiskered)))
 def test_graph_profile_equals_the_scan_and_certified_graphs_are_cm(g):
     # the shedding certificate only ever stands in for a scan that passes
-    # every field; the reference scan confirms each certified graph
+    # every field, and a disconnected link for one that fails every field;
+    # the reference scan confirms the records' verdicts
     cx = independence_complex(g)
     fields = [F2, Q, F3, F2]
     assert cm_characteristic_profile(g, fields) == cohen_macaulay._reisner_scan(cx, fields)
+    reference = [oracles.reisner_cm_reference(cx, f).is_cm for f in fields]
+    assert cohen_macaulay._graph_cm(g, cx, fields) == reference
     if cx.is_pure() and cohen_macaulay._shedding_certified(g):
-        for field in (Q, F2, F3):
-            assert oracles.reisner_cm_reference(cx, field).is_cm
+        assert all(reference)
 
 
 def _complex_on_used_vertices(facets) -> SimplicialComplex:
