@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, maximal_independent_sets, parse_counted_lines
+from .graphs import Graph, _require_int, maximal_independent_sets, parse_counted_lines
 
 SHELLABLE = "shellable"
 NOT_SHELLABLE = "not_shellable"
@@ -26,16 +26,24 @@ class ComplexFormatError(ValueError):
 
 
 class SimplicialComplex:
-    """An abstract simplicial complex presented by its facets."""
+    """An abstract simplicial complex presented by its facets.
+
+    A malformed facet list raises ValueError; so do a vertex count or a
+    vertex that is not an integer (``bool`` included).
+    """
 
     __slots__ = ("n", "facets", "_faces_by_dim", "_masks")
 
     def __init__(self, n: int, facets: Iterable[Iterable[int]]):
+        _require_int(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm: list[tuple[int, ...]] = []
         for f in facets:
-            t = tuple(sorted(f))
+            vs = tuple(f)
+            for v in vs:
+                _require_int(v, "vertex")
+            t = tuple(sorted(vs))
             if len(set(t)) != len(t):
                 raise ValueError(f"facet {t} has a repeated vertex")
             for v in t:
@@ -47,13 +55,14 @@ class SimplicialComplex:
         if not norm:
             raise ValueError("a complex on n >= 1 vertices needs at least one facet")
         norm = sorted(set(norm))
-        # incidence[v]: the facets containing vertex v, bit i for norm[i].
+        # incidence[v]: the facets containing vertex v, bit i for norm[i],
+        # kept for the vertices that occur only, so nothing is sized by n.
         # The facets containing facet i are the AND over its vertices, so
         # the lowest other bit there is the first j with norm[i] <= norm[j].
-        incidence = [0] * (n + 1)
+        incidence: dict[int, int] = {}
         for i, f in enumerate(norm):
             for v in f:
-                incidence[v] |= 1 << i
+                incidence[v] = incidence.get(v, 0) | 1 << i
         every = (1 << len(norm)) - 1
         for i, f in enumerate(norm):
             above = every ^ 1 << i
@@ -62,9 +71,13 @@ class SimplicialComplex:
             if above:
                 j = (above & -above).bit_length() - 1
                 raise ValueError(f"facet {norm[i]} is contained in facet {norm[j]}")
-        for v in range(1, n + 1):
-            if not incidence[v]:
-                raise ValueError(f"vertex {v} lies in no facet")
+        # every vertex occurs in 1..n, so the lowest one missing is the
+        # first gap counting up from 1
+        missing = 1
+        while missing in incidence:
+            missing += 1
+        if missing <= n:
+            raise ValueError(f"vertex {missing} lies in no facet")
         self.n = n
         self.facets = tuple(norm)
         self._faces_by_dim: list[list[tuple[int, ...]]] | None = None

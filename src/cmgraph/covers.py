@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import (
     Graph,
     _partition_search,
+    _require_int,
     cliques_of_size,
     independence_number,
     maximal_cliques,
@@ -137,9 +138,7 @@ class BasicCliqueCover:
 
 def _check_clique(g: Graph, vs: Sequence[int]) -> tuple[int, ...]:
     for v in vs:
-        # bool is a subclass of int, but True is no vertex
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"cover member vertex {v!r} is not an integer")
+        _require_int(v, "cover member vertex")
     t = tuple(sorted(vs))
     if not t:
         raise ValueError("cover members must be nonempty")

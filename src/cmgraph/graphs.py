@@ -7,7 +7,6 @@ pure and every returned collection is in a deterministic canonical order
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Sequence
 
 # canonical_form does a labelled search; past this size it is not a sensible
@@ -24,21 +23,33 @@ class GraphFormatError(ValueError):
     """Malformed edge-list document."""
 
 
+def _require_int(x: object, what: str) -> None:
+    # bool is a subclass of int, but True is no vertex
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} {x!r} is not an integer")
+
+
 class Graph:
     """Undirected simple graph: no loops, no parallel edges.
 
-    ``edges`` is the sorted tuple of pairs ``(u, v)`` with ``u < v``;
-    ``adj[v]`` is the frozenset of neighbours of ``v`` (index 0 unused).
+    ``edges`` is the sorted tuple of pairs ``(u, v)`` with ``u < v``.  The
+    adjacency is kept once, as neighbour masks: bit u of ``_masks[v]`` is
+    set when u and v are adjacent (index 0 unused).  ``has_edge`` and
+    ``degree`` read the masks; a non-integer vertex count or edge end
+    (``bool`` included) raises ValueError.
     """
 
-    __slots__ = ("n", "edges", "adj", "_masks")
+    __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        _require_int(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
         for u, v in edges:
+            _require_int(u, "vertex")
+            _require_int(v, "vertex")
             if u == v:
                 raise ValueError(f"loop edge at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -51,14 +62,10 @@ class Graph:
         norm.sort()
         self.n = n
         self.edges = tuple(norm)
-        adj: list[set[int]] = [set() for _ in range(n + 1)]
         masks = [0] * (n + 1)
         for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.adj = tuple(frozenset(s) for s in adj)
         self._masks = tuple(masks)
 
     @property
@@ -66,10 +73,11 @@ class Graph:
         return range(1, self.n + 1)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        # a negative shift raises, and no vertex is below 1
+        return v > 0 and self._masks[u] >> v & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -95,18 +103,14 @@ def _augment(p: Graph, nbrs: int) -> Graph:
     """
     k = p.n + 1
     vs = _mask_to_tuple(nbrs)
-    adj = list(p.adj)
     masks = list(p._masks)
     bit = 1 << k
     for v in vs:
-        adj[v] = adj[v] | {k}
         masks[v] |= bit
-    adj.append(frozenset(vs))
     masks.append(nbrs)
     g = Graph.__new__(Graph)
     g.n = k
     g.edges = tuple(sorted(p.edges + tuple((v, k) for v in vs)))
-    g.adj = tuple(adj)
     g._masks = tuple(masks)
     return g
 
@@ -189,12 +193,8 @@ def format_graph(g: Graph) -> str:
 
 
 def complement(g: Graph) -> Graph:
-    edges = [
-        (u, v)
-        for u, v in itertools.combinations(g.vertices, 2)
-        if not g.has_edge(u, v)
-    ]
-    return Graph(g.n, edges)
+    co = _complement_masks(g)
+    return Graph(g.n, [(u, v) for u in g.vertices for v in _mask_to_tuple(co[u]) if u < v])
 
 
 def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
@@ -204,8 +204,8 @@ def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, dict[int, int]]
     """
     if not 1 <= v <= g.n:
         raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    removed = g.adj[v] | {v}
-    kept = [u for u in g.vertices if u not in removed]
+    removed = g._masks[v] | 1 << v
+    kept = [u for u in g.vertices if not removed >> u & 1]
     relabel = {u: i for i, u in enumerate(kept, start=1)}
     edges = [
         (relabel[a], relabel[b]) for a, b in g.edges if a in relabel and b in relabel
@@ -269,17 +269,21 @@ def _full_mask(n: int) -> int:
     return ((1 << (n + 1)) - 1) & ~1
 
 
+def _complement_masks(g: Graph) -> list[int]:
+    """The complement's neighbour masks: index v holds the vertices other
+    than v that are not adjacent to v (index 0 unused, 0)."""
+    full = _full_mask(g.n)
+    return [full & ~m & ~(1 << v) if v else 0 for v, m in enumerate(g._masks)]
+
+
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All inclusion-maximal independent sets, sorted lexicographically.
 
     These are the maximal cliques of the complement, found by the pivoting
     Bron-Kerbosch search on non-neighbour masks.
     """
-    full = _full_mask(g.n)
-    nonadj = [0] * (g.n + 1)
-    for v in g.vertices:
-        nonadj[v] = full & ~g._masks[v] & ~(1 << v)
-    return sorted(_mask_to_tuple(m) for m in _bron_kerbosch(nonadj, full))
+    nonadj = _complement_masks(g)
+    return sorted(_mask_to_tuple(m) for m in _bron_kerbosch(nonadj, _full_mask(g.n)))
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -507,11 +511,9 @@ def is_perfect(g: Graph) -> bool:
 
     A graph is perfect iff neither it nor its complement contains an induced
     odd cycle of length >= 5.  Both are searched by _has_odd_hole, the
-    complement on the masks full & ~N(v) & ~{v}, without building it.
+    complement on its neighbour masks, without building it.
     """
-    full = _full_mask(g.n)
-    co = [full & ~m & ~(1 << v) if v else 0 for v, m in enumerate(g._masks)]
-    return not _has_odd_hole(g._masks) and not _has_odd_hole(co)
+    return not _has_odd_hole(g._masks) and not _has_odd_hole(_complement_masks(g))
 
 
 def _wl_groups(g: Graph) -> list[list[int]]:
@@ -520,7 +522,11 @@ def _wl_groups(g: Graph) -> list[list[int]]:
     Colours are the ranks of the sorted signatures, so once a round splits no
     class the next round would return the same colours: the loop stops there.
     """
-    nbrs = g.adj[1:]
+    # nbrs[v - 1]: the neighbours of v
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u - 1].append(v)
+        nbrs[v - 1].append(u)
     colors = [0] + [len(a) for a in nbrs]
     n_classes = len(set(colors[1:]))
     while True:

@@ -103,6 +103,16 @@ def _edge_set(g: Graph) -> set[frozenset[int]]:
     return {frozenset(e) for e in g.edges}
 
 
+def neighbours(g: Graph) -> tuple[frozenset[int], ...]:
+    """The neighbours of each vertex (index 0 unused, empty), read from
+    g.edges and not from the package's neighbour masks."""
+    nb: list[set[int]] = [set() for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        nb[u].add(v)
+        nb[v].add(u)
+    return tuple(frozenset(s) for s in nb)
+
+
 def is_independent(g: Graph, vs) -> bool:
     es = _edge_set(g)
     return all(frozenset(p) not in es for p in itertools.combinations(vs, 2))
@@ -159,6 +169,15 @@ def complement_brute(g: Graph) -> Graph:
     return graph_from_edges(g.n, [p for p in pairs if frozenset(p) not in es])
 
 
+def without_closed_neighbourhood(g: Graph, face: tuple[int, ...]) -> Graph:
+    """G - N[F], relabelled in order to 1..n'."""
+    nb = neighbours(g)
+    removed = set(face).union(*(nb[v] for v in face))
+    kept = {u: i for i, u in enumerate((u for u in g.vertices if u not in removed), 1)}
+    edges = [(kept[a], kept[b]) for a, b in g.edges if a in kept and b in kept]
+    return Graph(len(kept), edges)
+
+
 # ---------------------------------------------------------------------------
 # coloring DP over vertex bitmasks (bit i encodes vertex i + 1)
 
@@ -211,15 +230,15 @@ def is_perfect_brute(g: Graph) -> bool:
     return all(chi[s] == omega[s] for s in range(1 << g.n))
 
 
-def _induced_is_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
-    """Whether vs induces one cycle: every member has exactly two neighbours
-    inside vs, and vs is connected."""
+def _induced_is_cycle(nb: tuple[frozenset[int], ...], vs: tuple[int, ...]) -> bool:
+    """Whether vs induces one cycle in the graph with neighbour sets nb:
+    every member has exactly two neighbours inside vs, and vs is connected."""
     inside = set(vs)
-    if any(len(g.adj[v] & inside) != 2 for v in vs):
+    if any(len(nb[v] & inside) != 2 for v in vs):
         return False
     seen, frontier = {vs[0]}, [vs[0]]
     while frontier:
-        for w in g.adj[frontier.pop()] & inside:
+        for w in nb[frontier.pop()] & inside:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
@@ -229,8 +248,9 @@ def _induced_is_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
 def has_odd_hole_brute(g: Graph) -> bool:
     """An induced odd cycle on five or more vertices, by trying every odd
     vertex subset of that size."""
+    nb = neighbours(g)
     return any(
-        _induced_is_cycle(g, vs)
+        _induced_is_cycle(nb, vs)
         for size in range(5, g.n + 1, 2)
         for vs in itertools.combinations(range(1, g.n + 1), size)
     )
@@ -263,6 +283,7 @@ def partition_search_reference(
     if r > n:
         return found
     color = [0] * (n + 1)
+    nb = neighbours(g)
 
     def place(v: int, used: int) -> bool:
         if v > n:
@@ -275,7 +296,7 @@ def partition_search_reference(
             return False
         remaining = n - v
         for c in range(1, min(used + 1, r) + 1):
-            if any(color[u] == c for u in g.adj[v]):
+            if any(color[u] == c for u in nb[v]):
                 continue
             new_used = max(used, c)
             if r - new_used > remaining:
@@ -477,15 +498,17 @@ def shedding_shelling_order(g: Graph) -> list[tuple[int, ...]] | None:
     exhaustive; the caller checks the order with is_shelling_order.
     """
 
+    nb = neighbours(g)
+
     @functools.lru_cache(maxsize=None)
     def order(vs: frozenset[int]) -> tuple[tuple[int, ...], ...] | None:
-        cones = frozenset(v for v in vs if not g.adj[v] & vs)
+        cones = frozenset(v for v in vs if not nb[v] & vs)
         rest = vs - cones
         if not rest:
             return (tuple(sorted(cones)),)
         for v in sorted(rest):
-            nv = (g.adj[v] & rest) | {v}
-            if not any((g.adj[u] & rest) | {u} <= nv for u in g.adj[v] & rest):
+            nv = (nb[v] & rest) | {v}
+            if not any((nb[u] & rest) | {u} <= nv for u in nb[v] & rest):
                 continue
             deletion, lk = order(rest - {v}), order(rest - nv)
             if deletion is not None and lk is not None:
@@ -543,13 +566,14 @@ def mod_rank(mat: list[list[int]], p: int) -> int:
 
 def _wl_groups_reference(g: Graph) -> list[list[int]]:
     n = g.n
+    nb = neighbours(g)
     colors = [0] * (n + 1)
     for v in g.vertices:
-        colors[v] = g.degree(v)
+        colors[v] = len(nb[v])
     prev: list[int] | None = None
     while True:
         sigs = {
-            v: (colors[v], tuple(sorted(colors[u] for u in g.adj[v])))
+            v: (colors[v], tuple(sorted(colors[u] for u in nb[v])))
             for v in g.vertices
         }
         rank = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
@@ -765,6 +789,7 @@ def hh_ordering_reference(g: Graph) -> HHOrdering | None:
     if len(left) != len(right):
         return None
     k = len(left)
+    nb = neighbours(g)
     free = set(right)
     partner = [0] * k
 
@@ -772,7 +797,7 @@ def hh_ordering_reference(g: Graph) -> HHOrdering | None:
         if i == k:
             yield tuple(zip(left, partner))
             return
-        for w in sorted(g.adj[left[i]] & free):
+        for w in sorted(nb[left[i]] & free):
             free.discard(w)
             partner[i] = w
             yield from matchings(i + 1)

@@ -37,6 +37,8 @@ Q = FieldSpec(0)
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 
+pytestmark = pytest.mark.acceptance
+
 
 def test_criterion_1_fig1_cm_away_from_characteristic_two(fig1):
     rep0 = cm_graph(fig1, Q)

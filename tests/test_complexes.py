@@ -57,6 +57,37 @@ def test_facets_are_normalized_and_validated():
         SimplicialComplex(3, [(1, 2, 3), (1, 2)])  # contained facet
 
 
+@pytest.mark.parametrize(
+    "n, facets, message",
+    [
+        (2, [("1", 2)], "vertex '1' is not an integer"),
+        (2, [(True, 2)], "vertex True is not an integer"),
+        (2, [(1, 2.0)], "vertex 2.0 is not an integer"),
+        (False, [], "vertex count False is not an integer"),
+        (2.0, [(1, 2)], "vertex count 2.0 is not an integer"),
+    ],
+)
+def test_complex_rejects_non_integer_vertices(n, facets, message):
+    with pytest.raises(ValueError) as err:
+        SimplicialComplex(n, facets)
+    assert str(err.value) == message
+
+
+def test_header_vertex_count_sizes_no_allocation():
+    # per-vertex incidence sized by n peaked near 80 MB at n = 10**7
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            SimplicialComplex(10**7, [(1, 2)])
+        with pytest.raises(ComplexFormatError) as parse_err:
+            parse_complex("10000000 1\n1 2\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == str(parse_err.value) == "vertex 3 lies in no facet"
+    assert peak < 2**20
+
+
 def test_first_contained_facet_matches_the_pairwise_loop():
     rng = random.Random(17)
     raised = 0

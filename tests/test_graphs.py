@@ -14,6 +14,7 @@ from cmgraph.graphs import (
     _bron_kerbosch,
     _full_mask,
     _has_odd_hole,
+    _wl_groups,
     all_r_partitions,
     canonical_form,
     chromatic_number,
@@ -50,7 +51,7 @@ def seeded_corpus():
 def test_graph_normalizes_and_validates():
     g = Graph(4, [(3, 4), (1, 2)])
     assert g.edges == ((1, 2), (3, 4))
-    assert g.adj[2] == frozenset({1})
+    assert g._masks[2] == 1 << 1 and oracles.neighbours(g)[2] == frozenset({1})
     with pytest.raises(ValueError):
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
@@ -59,6 +60,53 @@ def test_graph_normalizes_and_validates():
         Graph(3, [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         Graph(-1, [])
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(True, 2)], "vertex True is not an integer"),
+        (3, [(1.0, 2)], "vertex 1.0 is not an integer"),
+        (3, [(1, "2")], "vertex '2' is not an integer"),
+        (True, [], "vertex count True is not an integer"),
+        (3.0, [], "vertex count 3.0 is not an integer"),
+    ],
+)
+def test_graph_rejects_non_integer_vertices(n, edges, message):
+    # True once passed as vertex 1 and was then written as 'True 2'
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges)
+    assert str(err.value) == message
+
+
+def mask_reader_corpus() -> list[Graph]:
+    """Every class up to n = 7 and seeded random graphs up to n = 9."""
+    corpus = list(enumerate_graphs_up_to(7).graphs)
+    for n in range(8, 10):
+        for i, p in enumerate((0.2, 0.5, 0.8)):
+            corpus += oracles.random_graphs(10, n, seed=1800 + 10 * n + i, p=p)
+    return corpus
+
+
+def test_mask_readers_match_the_edge_list():
+    for g in mask_reader_corpus():
+        nb = oracles.neighbours(g)
+        assert g._masks == tuple(sum(1 << v for v in s) for s in nb), g.edges
+        assert complement(g) == oracles.complement_brute(g), g.edges
+        for u in g.vertices:
+            assert g.degree(u) == len(nb[u])
+            # v = -1, 0 and n + 1 are no vertex, so never a neighbour
+            adjacent = [v for v in range(-1, g.n + 2) if g.has_edge(u, v)]
+            assert adjacent == sorted(nb[u]), (g.edges, u)
+            h, relabel = delete_closed_neighborhood(g, u)
+            assert h == oracles.without_closed_neighbourhood(g, (u,)), (g.edges, u)
+            kept = [v for v in g.vertices if v != u and v not in nb[u]]
+            assert relabel == {v: i for i, v in enumerate(kept, start=1)}
+
+
+def test_wl_groups_match_the_reference():
+    for g in mask_reader_corpus():
+        assert _wl_groups(g) == oracles._wl_groups_reference(g), g.edges
 
 
 def test_graph_equality_hash_pickle():
@@ -429,9 +477,9 @@ def test_canonical_form_matches_reference_on_every_child_of_the_n6_classes():
         for nbrs in range(0, 1 << k, 2):
             child = Graph(k, p.edges + tuple((v, k) for v in range(1, k) if nbrs >> v & 1))
             fast = _augment(p, nbrs)
-            assert (fast.n, fast.edges, fast.adj, fast._masks) == (
-                child.n, child.edges, child.adj, child._masks
-            )
+            assert [getattr(fast, s) for s in Graph.__slots__] == [
+                getattr(child, s) for s in Graph.__slots__
+            ]
             assert canonical_form(child) == oracles.canonical_form_reference(child)
 
 

@@ -61,14 +61,6 @@ def test_relabelling_keeps_cm_verdicts_and_betti_vectors(data):
         assert reduced_betti(cx_h, field) == reduced_betti(cx_g, field)
 
 
-def without_closed_neighbourhood(g: Graph, face: tuple[int, ...]) -> Graph:
-    """G - N[F], relabelled in order to 1..n'."""
-    removed = set(face).union(*(g.adj[v] for v in face))
-    kept = {u: i for i, u in enumerate((u for u in g.vertices if u not in removed), 1)}
-    edges = [(kept[a], kept[b]) for a, b in g.edges if a in kept and b in kept]
-    return Graph(len(kept), edges)
-
-
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(graphs())
 def test_link_of_a_face_is_the_independence_complex_off_its_closed_neighbourhood(g):
@@ -76,7 +68,8 @@ def test_link_of_a_face_is_the_independence_complex_off_its_closed_neighbourhood
     # faces with the same V - N[F] have equal links
     cx = independence_complex(g)
     for face in cx.all_faces():
-        assert link(cx, face) == independence_complex(without_closed_neighbourhood(g, face))
+        h = oracles.without_closed_neighbourhood(g, face)
+        assert link(cx, face) == independence_complex(h)
 
 
 def whiskered(g: Graph) -> Graph:
