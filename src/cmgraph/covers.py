@@ -45,8 +45,10 @@ def perfect_r_matchings(
     after that many matchings.  A node whose uncovered vertices induce a
     connected component with a size not divisible by r is not expanded:
     each r-clique lies inside one component, so no matching lies below it.
-    The search keeps its own stack, one frame per chosen clique, so its
-    depth is not bounded by Python's recursion limit.
+    At r = 2 neither is a node with a bipartite component whose two sides
+    are not perfectly matched.  The search keeps its own stack, one frame
+    per chosen clique, so its depth is not bounded by Python's recursion
+    limit.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -86,7 +88,11 @@ def _perfect_r_matchings(
                 chosen.pop()
         else:
             rest = full & ~mask
-            if _components_divisible(masks, rest, r):
+            if (
+                _components_matchable(g, rest)
+                if r == 2
+                else _components_divisible(masks, rest, r)
+            ):
                 v = (rest & -rest).bit_length() - 1
                 options = iter([(m, c) for m, c in by_vertex[v] if not m & mask])
                 stack.append((mask, options))
@@ -119,6 +125,45 @@ def _components_divisible(masks: Sequence[int], rest: int, r: int) -> bool:
             comp |= new
             frontier |= new
         if comp.bit_count() % r:
+            return False
+        rest ^= comp
+    return True
+
+
+def _components_matchable(g: Graph, rest: int) -> bool:
+    """Whether every connected component of the subgraph induced on the
+    vertex mask rest has an even size and, when it is bipartite, a perfect
+    matching between its two sides.
+
+    Each component is searched breadth first, layer by layer.  Its edges
+    join consecutive layers or lie inside one, so it is bipartite iff no
+    layer holds an edge, and then its sides are the even and the odd
+    layers.  A perfect 2-matching of a bipartite component matches its two
+    sides perfectly, so a component without one leaves no matching below.
+    """
+    masks = g._masks
+    while rest:
+        comp = layer = rest & -rest
+        sides = [layer, 0]
+        odd = 0
+        bipartite = True
+        while layer:
+            reached = 0
+            scan = layer
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                nbrs = masks[low.bit_length() - 1] & rest
+                if nbrs & layer:
+                    bipartite = False
+                reached |= nbrs
+            layer = reached & ~comp
+            comp |= layer
+            odd ^= 1
+            sides[odd] |= layer
+        if comp.bit_count() & 1:
+            return False
+        if bipartite and _bipartite_matching(g, sides[0], sides[1]) is None:
             return False
         rest ^= comp
     return True

@@ -35,8 +35,9 @@ class Graph:
     ``edges`` is the sorted tuple of pairs ``(u, v)`` with ``u < v``.  The
     adjacency is kept once, as neighbour masks: bit u of ``_masks[v]`` is
     set when u and v are adjacent (index 0 unused).  ``has_edge`` and
-    ``degree`` read the masks; a non-integer vertex count or edge end
-    (``bool`` included) raises ValueError.
+    ``degree`` read the masks: ``has_edge`` is False when either end is
+    outside 1..n, and ``degree`` raises ValueError there.  A non-integer
+    vertex count or edge end (``bool`` included) raises ValueError.
     """
 
     __slots__ = ("n", "edges", "_masks")
@@ -73,11 +74,13 @@ class Graph:
         return range(1, self.n + 1)
 
     def degree(self, v: int) -> int:
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} out of range 1..{self.n}")
         return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        # a negative shift raises, and no vertex is below 1
-        return v > 0 and self._masks[u] >> v & 1 == 1
+        # a negative shift raises, and no mask has a bit above n
+        return 1 <= u <= self.n and v > 0 and self._masks[u] >> v & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -370,7 +373,8 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+    masks = g._masks
+    order = sorted(g.vertices, key=lambda v: (-masks[v].bit_count(), v))
     return g.n <= k or next(_partition_search(g, k, order), None) is not None
 
 
@@ -516,33 +520,59 @@ def is_perfect(g: Graph) -> bool:
     return not _has_odd_hole(g._masks) and not _has_odd_hole(_complement_masks(g))
 
 
-def _wl_groups(g: Graph) -> list[list[int]]:
-    """Stable colour-refinement classes, ordered by an isomorphism-invariant key.
+def _refine(g: Graph) -> tuple[list[int], int]:
+    """Stable colour refinement: the colours (index v for vertex v; index 0,
+    no vertex, repeats vertex 1's) and their number.
 
-    Colours are the ranks of the sorted signatures, so once a round splits no
-    class the next round would return the same colours: the loop stops there.
+    The colours start as the degrees.  Each round ranks the signatures
+    (colour of v, sorted tuple of the colours of v's neighbours), so the
+    classes only split, and once a round splits no class the next would
+    return the same colours: the loop stops there.  The colours are ranks
+    in the sorted order of the signatures, an isomorphism-invariant order.
+
+    Each signature is encoded as one integer that sorts as the pair does.
+    Every colour refines the degree, so two vertices of one colour have
+    tuples of one length, and two sorted tuples of one length compare, at
+    the least colour c whose counts differ, as the tuple with more copies
+    of c first.  So the tuples sort as the count vectors (count of colour
+    0, of colour 1, ...) in descending lexicographic order, and the pair
+    sorts as colour << dn minus the sum over the neighbours u of
+    1 << d(n - 1 - colour(u)), with d = n.bit_length(): a count is at most
+    n - 1 < 1 << d, so each d-bit digit holds it with no carry, and the sum
+    stays below 1 << dn.  One pass over the edges builds every key.
     """
-    # nbrs[v - 1]: the neighbours of v
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        nbrs[u - 1].append(v)
-        nbrs[v - 1].append(u)
-    colors = [0] + [len(a) for a in nbrs]
-    n_classes = len(set(colors[1:]))
+    n = g.n
+    if n == 0:
+        return [0], 0
+    colours = [m.bit_count() for m in g._masks]
+    n_classes = len(set(colours[1:]))
+    d = n.bit_length()
+    top = d * n
+    weights = [1 << d * (n - 1 - c) for c in range(n)]
+    edges = g.edges
     while True:
-        sigs = [
-            (colors[v], tuple(sorted([colors[u] for u in a])))
-            for v, a in enumerate(nbrs, start=1)
-        ]
-        ranked = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(ranked)}
-        colors = [0] + [rank[s] for s in sigs]
-        if len(ranked) in (n_classes, g.n):
-            break
+        w = [weights[c] for c in colours]
+        keys = [c << top for c in colours]
+        for u, v in edges:
+            keys[u] -= w[v]
+            keys[v] -= w[u]
+        # index 0 is no vertex: give it vertex 1's key, which adds no class
+        keys[0] = keys[1]
+        ranked = sorted(set(keys))
+        rank = {k: i for i, k in enumerate(ranked)}
+        colours = [rank[k] for k in keys]
+        if len(ranked) in (n_classes, n):
+            return colours, len(ranked)
         n_classes = len(ranked)
-    groups: list[list[int]] = [[] for _ in ranked]
+
+
+def _wl_groups(g: Graph) -> list[list[int]]:
+    """The stable colour-refinement classes of _refine, in colour order,
+    each ascending."""
+    colours, count = _refine(g)
+    groups: list[list[int]] = [[] for _ in range(count)]
     for v in g.vertices:
-        groups[colors[v]].append(v)
+        groups[colours[v]].append(v)
     return groups
 
 
@@ -565,33 +595,59 @@ def canonical_form(g: Graph) -> bytes:
     """A label-independent byte string: equal iff the graphs are isomorphic.
 
     Minimizes the sequence of adjacency rows (row j = bits of vertex j versus
-    the vertices placed before it) over all labelings, restricted to orderings
-    compatible with colour refinement.  Raises ValueError for n > 9.
+    the vertices placed before it, the first placed highest) over all
+    labelings, restricted to orderings compatible with colour refinement:
+    the vertices of colour 0 first, then those of colour 1, and so on.
+    Raises ValueError for n > 9.
 
-    The search places twins in ascending order only: swapping two unplaced
-    twins fixes every placed vertex, so both branches give the same rows.
-    Each node knows whether its rows so far equal the best sequence's prefix;
-    they do after the first child returns, since that child reached a leaf
-    or was pruned against an equal prefix.
+    When refinement leaves n classes, one ordering is compatible, and its
+    rows are read off the edges.  Otherwise a search places the vertices.
+    It places twins in ascending order only: swapping two unplaced twins
+    fixes every placed vertex, so both branches give the same rows.  Twins
+    always share a colour, so they are looked for inside each class of two
+    or more.  Each node knows whether its rows so far equal the best
+    sequence's prefix; they do after the first child returns, since that
+    child reached a leaf or was pruned against an equal prefix.
     """
     n = g.n
     if n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form supports at most {MAX_CANONICAL_N} vertices")
     if n == 0:
         return b"0:"
-    slots: list[int] = []
-    unplaced: list[int] = []
-    for gi, grp in enumerate(_wl_groups(g)):
-        slots.extend([gi] * len(grp))
-        unplaced.append(sum(1 << v for v in grp))
-    # twin_before[v]: the bit of the twin placed just before v, if any
-    twin_before = [0] * (n + 1)
-    for cls in _twin_classes(g):
-        for a, b in zip(cls, cls[1:]):
-            twin_before[b] = 1 << a
+    colours, count = _refine(g)
+    if count == n:
+        # colour j is the vertex at position j
+        rows = [0] * n
+        for u, v in g.edges:
+            a, b = colours[u], colours[v]
+            if a < b:
+                rows[b] |= 1 << (b - 1 - a)
+            else:
+                rows[a] |= 1 << (a - 1 - b)
+        return _form_bytes(n, rows)
     masks = g._masks
+    unplaced = [0] * count
+    for v in range(1, n + 1):
+        unplaced[colours[v]] |= 1 << v
+    slots = sorted(colours[1:])
+    # twin_before[v]: the bit of the twin placed just before v, if any.  One
+    # dict keys open and closed neighbourhoods: N(x) = N[y] would put y in
+    # N(x), so x in N[y] = N(x), which cannot be.  No vertex has twins of
+    # both kinds.
+    twin_before = [0] * (n + 1)
+    last: dict[int, int] = {}
+    for cls in unplaced:
+        if cls & (cls - 1):
+            rest = cls
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                v = b.bit_length() - 1
+                m = masks[v]
+                twin_before[v] = last.get(m, 0) | last.get(m | b, 0)
+                last[m] = last[m | b] = b
     placed: list[int] = []
-    rows: list[int] = []
+    rows = []
     best: list[int] = []
 
     def rec(j: int, eq: bool) -> None:
@@ -627,5 +683,9 @@ def canonical_form(g: Graph) -> bytes:
             eq = True
 
     rec(0, False)
-    body = ".".join(format(r, "x") for r in best)
+    return _form_bytes(n, best)
+
+
+def _form_bytes(n: int, rows: list[int]) -> bytes:
+    body = ".".join(format(r, "x") for r in rows)
     return f"{n}:{body}".encode("ascii")

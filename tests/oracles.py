@@ -65,6 +65,15 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return graph_from_edges(a + b, itertools.product(left, right))
 
 
+def hall_violator(k: int) -> Graph:
+    """A connected bipartite graph on parts 1..k and k+1..2k with no perfect
+    matching: left k - 1 and k both see only 2k - 1.  Backtracking over
+    matchings grows about tenfold per pair on it."""
+    edges = [(u, w) for u in range(1, k - 1) for w in range(k + 1, 2 * k)]
+    edges += [(k - 1, 2 * k - 1), (k, 2 * k - 1), (1, 2 * k)]
+    return Graph(2 * k, edges)
+
+
 def petersen_graph() -> Graph:
     outer = [(i, i % 5 + 1) for i in range(1, 6)]
     spokes = [(i, i + 5) for i in range(1, 6)]
@@ -650,6 +659,89 @@ def canonical_form_reference(g: Graph) -> bytes:
 
     rec()
     assert best is not None
+    body = ".".join(format(r, "x") for r in best)
+    return f"{n}:{body}".encode("ascii")
+
+
+def _wl_groups_sorted_tuples(g: Graph) -> list[list[int]]:
+    """Colour refinement on signatures (colour, sorted tuple of neighbour
+    colours), stopped at the first round that splits no class: the form the
+    package's count-vector refinement replaced."""
+    nb = neighbours(g)
+    colors = [0] + [len(nb[v]) for v in g.vertices]
+    n_classes = len(set(colors[1:]))
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted([colors[u] for u in nb[v]])))
+            for v in g.vertices
+        ]
+        ranked = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(ranked)}
+        colors = [0] + [rank[s] for s in sigs]
+        if len(ranked) in (n_classes, g.n):
+            break
+        n_classes = len(ranked)
+    groups: list[list[int]] = [[] for _ in ranked]
+    for v in g.vertices:
+        groups[colors[v]].append(v)
+    return groups
+
+
+def canonical_form_twin_pruned(g: Graph) -> bytes:
+    """canonical_form as the package computed it before its discrete path:
+    refinement on sorted tuples, then the same prefix-pruned search over
+    every refinement class, twins placed in ascending order only (swapping
+    two unplaced twins fixes every placed vertex)."""
+    n = g.n
+    if n == 0:
+        return b"0:"
+    nb = neighbours(g)
+    masks = [0] + [sum(1 << u for u in nb[v]) for v in g.vertices]
+    slots: list[int] = []
+    unplaced: list[int] = []
+    for gi, grp in enumerate(_wl_groups_sorted_tuples(g)):
+        slots.extend([gi] * len(grp))
+        unplaced.append(sum(1 << v for v in grp))
+    by_nbhd: dict[tuple[bool, int], list[int]] = {}
+    for v in g.vertices:
+        by_nbhd.setdefault((False, masks[v]), []).append(v)
+        by_nbhd.setdefault((True, masks[v] | 1 << v), []).append(v)
+    twin_before = [0] * (n + 1)
+    for cls in by_nbhd.values():
+        for a, b in zip(cls, cls[1:]):
+            twin_before[b] = 1 << a
+    placed: list[int] = []
+    rows: list[int] = []
+    best: list[int] = []
+
+    def rec(j: int, eq: bool) -> None:
+        if j == n:
+            if not eq:
+                best[:] = rows
+            return
+        gi = slots[j]
+        free = unplaced[gi]
+        cands = []
+        for v in range(1, n + 1):
+            if free >> v & 1 and not twin_before[v] & free:
+                r = 0
+                for u in placed:
+                    r = (r << 1) | (masks[v] >> u & 1)
+                cands.append((r, v))
+        cands.sort()
+        for r, v in cands:
+            if eq and r > best[j]:
+                break
+            rows.append(r)
+            placed.append(v)
+            unplaced[gi] = free ^ (1 << v)
+            rec(j + 1, eq and r == best[j])
+            unplaced[gi] = free
+            placed.pop()
+            rows.pop()
+            eq = True
+
+    rec(0, False)
     body = ".".join(format(r, "x") for r in best)
     return f"{n}:{body}".encode("ascii")
 

@@ -161,6 +161,19 @@ def test_matchings_on_two_odd_cliques_end_at_once(capsys, tmp_path):
     assert json.loads(out) == {"r": 2, "matchings": []}
 
 
+def test_matchings_on_a_bipartite_graph_without_a_perfect_matching_end_at_once(
+    capsys, tmp_path
+):
+    # every component the search leaves is even, so only a matching test of
+    # the bipartite rest cuts the subtrees: without it, minutes
+    path = write_graph(tmp_path, oracles.hall_violator(14))
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, ["matchings", path, "--r", "2"])
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == {"r": 2, "matchings": []}
+
+
 def test_cover(capsys, tmp_path):
     p3 = write_graph(tmp_path, oracles.path_graph(3))
     cov = tmp_path / "cover.json"

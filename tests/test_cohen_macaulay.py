@@ -3,7 +3,7 @@ import time
 import pytest
 
 import oracles
-from oracles import whiskered_path
+from oracles import hall_violator, whiskered_path
 from cmgraph import cohen_macaulay
 from cmgraph.cohen_macaulay import (
     CMReport,
@@ -412,15 +412,6 @@ def test_ordering_matches_the_every_matching_search_on_every_bipartite_class_to_
 def test_no_ordering_for_k10_10_without_enumerating_its_matchings():
     # the every-matching search tries all 10! perfect matchings here
     assert bipartite_cm_ordering(oracles.complete_bipartite(10, 10)) is None
-
-
-def hall_violator(k: int) -> Graph:
-    """A connected bipartite graph on parts 1..k and k+1..2k with no perfect
-    matching: left k - 1 and k both see only 2k - 1.  Backtracking over
-    matchings grows about tenfold per pair on it."""
-    edges = [(u, w) for u in range(1, k - 1) for w in range(k + 1, 2 * k)]
-    edges += [(k - 1, 2 * k - 1), (k, 2 * k - 1), (1, 2 * k)]
-    return Graph(2 * k, edges)
 
 
 @pytest.mark.parametrize("k", [20, 100])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -92,6 +93,32 @@ def test_pruned_matchings_keep_the_recursive_order_on_bridged_cliques():
         got = perfect_r_matchings(g, 2, limit)
         assert [m.cliques for m in got] == oracles.perfect_r_matchings_recursive(g, 2, limit)
     assert len(perfect_r_matchings(g, 2)) == 15 * 15
+
+
+def test_matching_cut_keeps_the_recursive_order_on_bipartite_rests():
+    # hall_violator leaves even, bipartite, unmatched rests; the random
+    # graphs on parts 1..k and k+1..2k, some with the edge (1, 2) inside a
+    # part, mix matched and unmatched, bipartite and non-bipartite rests
+    rng = random.Random(19)
+    graphs = [oracles.hall_violator(k) for k in range(3, 8)]
+    for k in (4, 5, 6):
+        for _ in range(15):
+            edges = [
+                (u, w) for u in range(1, k + 1) for w in range(k + 1, 2 * k + 1)
+                if rng.random() < 0.4
+            ]
+            if rng.random() < 0.3:
+                edges.append((1, 2))
+            graphs.append(Graph(2 * k, edges))
+    found = 0
+    for g in graphs:
+        for limit in (None, 1):
+            got = perfect_r_matchings(g, 2, limit)
+            assert [m.cliques for m in got] == oracles.perfect_r_matchings_recursive(
+                g, 2, limit
+            ), (g.edges, limit)
+        found += bool(got)
+    assert 0 < found < len(graphs)
 
 
 def test_unique_perfect_matching():

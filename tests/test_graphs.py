@@ -104,9 +104,72 @@ def test_mask_readers_match_the_edge_list():
             assert relabel == {v: i for i, v in enumerate(kept, start=1)}
 
 
+def test_vertex_readers_check_the_range():
+    # -1 read vertex 3 through Python's negative index, 4 raised IndexError
+    g = Graph(3, [(2, 3)])
+    assert not g.has_edge(-1, 2) and not g.has_edge(4, 1)
+    for v in (-1, 0, 4):
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range 1\.\.3$"):
+            g.degree(v)
+    for g in mask_reader_corpus():
+        nb = oracles.neighbours(g)
+        ends = range(-1, g.n + 2)
+        for u in ends:
+            inside = 1 <= u <= g.n
+            adjacent = [v for v in ends if g.has_edge(u, v)]
+            assert adjacent == (sorted(nb[u]) if inside else []), (g.edges, u)
+            if inside:
+                assert g.degree(u) == len(nb[u])
+            else:
+                with pytest.raises(ValueError):
+                    g.degree(u)
+
+
+def assert_refinement_classes(g):
+    """_wl_groups equals the reference, and its classes, in order, have one
+    degree each, ascending: the invariant that lets count vectors stand in
+    for sorted tuples."""
+    groups = _wl_groups(g)
+    assert groups == oracles._wl_groups_reference(g), g.edges
+    degrees = [{g.degree(v) for v in grp} for grp in groups]
+    assert all(len(d) == 1 for d in degrees), g.edges
+    assert [min(d) for d in degrees] == sorted(min(d) for d in degrees), g.edges
+
+
 def test_wl_groups_match_the_reference():
     for g in mask_reader_corpus():
-        assert _wl_groups(g) == oracles._wl_groups_reference(g), g.edges
+        assert_refinement_classes(g)
+
+
+def test_wl_groups_match_the_reference_on_every_labelled_graph_up_to_6():
+    for n in range(7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            assert_refinement_classes(
+                Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            )
+
+
+def test_refinement_splits_no_vertex_transitive_regular_graph():
+    # the first round ranks equal degrees, so the loop must see that round
+    # split nothing and stop with one class
+    triangles = _disjoint_triangles(3)
+    cube = Graph(8, [
+        (u + 1, v + 1) for u in range(8) for v in range(u + 1, 8) if (u ^ v).bit_count() == 1
+    ])
+    wagner = Graph(8, [(i, i % 8 + 1) for i in range(1, 9)] + [(i, i + 4) for i in range(1, 5)])
+    for g in (
+        oracles.cycle_graph(9),
+        triangles,
+        oracles.complement_brute(triangles),
+        cube,
+        wagner,
+    ):
+        assert_refinement_classes(g)
+        assert _wl_groups(g) == [list(g.vertices)], g.edges
+        assert canonical_form(g) == oracles.canonical_form_twin_pruned(g), g.edges
+    for g in (cube, wagner):
+        assert canonical_form(g) == oracles.canonical_form_reference(g), g.edges
 
 
 def test_graph_equality_hash_pickle():

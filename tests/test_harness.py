@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -495,6 +496,24 @@ def _digest(obj):
 
 def _record_digest(canon_record):
     return _digest(list(canon_record))
+
+
+@pytest.mark.extended
+def test_canonical_form_equals_the_twin_pruned_search_on_the_level_8_children():
+    # every labelled child the r = 3 family at n = 9 builds at level 8, and
+    # the 2,500 graphs the records-n9-r3 benchmark draws with seed 1
+    children = []
+    for p in harness._hereditary_family(7, 3, 3)[-1]:
+        for nbrs in harness._packed_masks(p):
+            if not harness._mask_has_clique(p._masks, nbrs, 3):
+                child = _augment(p, nbrs)
+                if is_k_colorable(child, 3):
+                    children.append(child)
+    assert len(children) == 47188
+    pool = _pool_graphs(1)
+    sample = [g for g, _ in random.Random(1).sample(pool, 2500)]
+    for g in children + sample:
+        assert canonical_form(g) == oracles.canonical_form_twin_pruned(g), g.edges
 
 
 def test_records_equal_the_pinned_pool_digests():
