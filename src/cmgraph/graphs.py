@@ -7,7 +7,7 @@ pure and every returned collection is in a deterministic canonical order
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # canonical_form does a labelled search; past this size it is not a sensible
 # tool and callers get an explicit error instead of an open-ended computation.
@@ -378,6 +378,49 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     return g.n <= k or next(_partition_search(g, k, order), None) is not None
 
 
+def _free_classes(g: Graph, k: int, fits: Callable[[int], bool] | None = None) -> list[int]:
+    """The free classes of g for k >= 1 colours, as vertex masks: the
+    inclusion-minimal independent sets B such that g - B is
+    (k-1)-colourable, by ascending size.  With fits, a test of vertex
+    masks that fails on every superset of a mask it fails on, only the
+    classes that pass it.
+
+    g plus a vertex w is k-colourable iff N(w) misses one of them: w takes
+    B's colour, and conversely w's colour class minus w contains one.  The
+    independent sets are grown by size, each from its members but the
+    highest, so each is met once; a set that fails fits or holds a class
+    found is skipped, and a class is not grown.  Each colourability test
+    is the partition search on g - B, visiting its vertices by decreasing
+    degree.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    masks = g._masks
+    order = sorted(g.vertices, key=lambda v: (-masks[v].bit_count(), v))
+    full = _full_mask(g.n)
+    classes: list[int] = []
+    # (independent set, the vertices it blocks: its members, their
+    # neighbours and every vertex below its highest member)
+    frontier = [(0, 1)]
+    while frontier:
+        grown = []
+        for b, blocked in frontier:
+            if fits is not None and not fits(b) or any(c & b == c for c in classes):
+                continue
+            rest = [v for v in order if not b >> v & 1]
+            if len(rest) < k or next(_partition_search(g, k - 1, rest), None) is not None:
+                classes.append(b)
+                continue
+            cand = full & ~blocked
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                grown.append((b | low, blocked | masks[v] | (low << 1) - 1))
+        frontier = grown
+    return classes
+
+
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number: the least k from the clique number up for
     which the graph is k-colourable."""
@@ -392,9 +435,10 @@ def chromatic_number(g: Graph) -> int:
 def _partition_search(
     g: Graph, r: int, order: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
-    """Proper colourings with exactly r nonempty classes, one per unordered
-    partition, visiting the vertices in the given order; each is yielded as
-    its blocks' vertex masks (bit v for vertex v) when it is found.
+    """Proper colourings of the subgraph induced on the vertices of order
+    with exactly r nonempty classes, one per unordered partition, visiting
+    the vertices in the given order; each is yielded as its blocks' vertex
+    masks (bit v for vertex v) when it is found.
 
     Colours are introduced in first-use order, so every partition into
     independent blocks appears exactly once, with blocks ordered by their
@@ -403,7 +447,7 @@ def _partition_search(
     vertex's neighbour mask.  The search keeps its own stack: the colour
     tried at each depth, so its depth is not bounded by the recursion limit.
     """
-    n = g.n
+    n = len(order)
     if r > n:
         return
     bits = [1 << v for v in order]
@@ -605,9 +649,11 @@ def canonical_form(g: Graph) -> bytes:
     It places twins in ascending order only: swapping two unplaced twins
     fixes every placed vertex, so both branches give the same rows.  Twins
     always share a colour, so they are looked for inside each class of two
-    or more.  Each node knows whether its rows so far equal the best
-    sequence's prefix; they do after the first child returns, since that
-    child reached a leaf or was pruned against an equal prefix.
+    or more.  When every class is one chain of twins, that leaves one
+    ordering, and its rows are read off the edges too.  Each node knows
+    whether its rows so far equal the best sequence's prefix; they do after
+    the first child returns, since that child reached a leaf or was pruned
+    against an equal prefix.
     """
     n = g.n
     if n > MAX_CANONICAL_N:
@@ -617,19 +663,11 @@ def canonical_form(g: Graph) -> bytes:
     colours, count = _refine(g)
     if count == n:
         # colour j is the vertex at position j
-        rows = [0] * n
-        for u, v in g.edges:
-            a, b = colours[u], colours[v]
-            if a < b:
-                rows[b] |= 1 << (b - 1 - a)
-            else:
-                rows[a] |= 1 << (a - 1 - b)
-        return _form_bytes(n, rows)
+        return _form_bytes(n, _rows_at(g, colours))
     masks = g._masks
     unplaced = [0] * count
     for v in range(1, n + 1):
         unplaced[colours[v]] |= 1 << v
-    slots = sorted(colours[1:])
     # twin_before[v]: the bit of the twin placed just before v, if any.  One
     # dict keys open and closed neighbourhoods: N(x) = N[y] would put y in
     # N(x), so x in N[y] = N(x), which cannot be.  No vertex has twins of
@@ -646,6 +684,19 @@ def canonical_form(g: Graph) -> bytes:
                 m = masks[v]
                 twin_before[v] = last.get(m, 0) | last.get(m | b, 0)
                 last[m] = last[m | b] = b
+    # index 0 is no vertex and has no twin before it
+    if twin_before.count(0) - 1 == count:
+        # every class is one chain of twins, placed in ascending order
+        position = [0] * (n + 1)
+        j = 0
+        for cls in unplaced:
+            while cls:
+                b = cls & -cls
+                cls ^= b
+                position[b.bit_length() - 1] = j
+                j += 1
+        return _form_bytes(n, _rows_at(g, position))
+    slots = sorted(colours[1:])
     placed: list[int] = []
     rows = []
     best: list[int] = []
@@ -686,6 +737,19 @@ def canonical_form(g: Graph) -> bytes:
     return _form_bytes(n, best)
 
 
+def _rows_at(g: Graph, position: list[int]) -> list[int]:
+    """The adjacency rows of the ordering that puts vertex v at
+    position[v] (0 first), read off the edges."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        a, b = position[u], position[v]
+        if a < b:
+            rows[b] |= 1 << (b - 1 - a)
+        else:
+            rows[a] |= 1 << (a - 1 - b)
+    return rows
+
+
 def _form_bytes(n: int, rows: list[int]) -> bytes:
-    body = ".".join(format(r, "x") for r in rows)
+    body = ".".join(["%x" % r for r in rows])
     return f"{n}:{body}".encode("ascii")

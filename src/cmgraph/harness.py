@@ -6,9 +6,11 @@ neighbourhood, so augmenting each (n-1)-vertex graph with every subset and
 deduplicating by canonical form is complete.  Subsets that differ only by a
 permutation of the parent's twins give isomorphic children; only the first
 of them in ascending order is built.  Hereditary constraints
-(colorability, clique bounds) prune during generation; so does, at the top
-level only, a clique condition every filter set of the call needs.  The
-other filters are applied afterwards.  Nothing is cached between calls.
+(colorability, clique bounds) prune during generation, the colouring by
+one AND per free class of the parent; so does, at the top level only, a
+clique condition every filter set of the call needs, which also cuts the
+level below to the parents the top level uses.  The other filters are
+applied afterwards.  Nothing is cached between calls.
 
 Every claim the harness checks is one entry of CLAIMS: its name, the filters
 of the ensemble it reads, whether it runs once per characteristic, and a
@@ -26,6 +28,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -44,10 +47,11 @@ from .covers import (
 from .graphs import (
     Graph,
     _augment,
+    _free_classes,
+    _mask_to_tuple,
     _twin_classes,
     canonical_form,
     is_connected,
-    is_k_colorable,
     is_perfect,
     maximal_cliques,
     maximal_independent_sets,
@@ -98,8 +102,8 @@ class TheoremVerdict:
 
 def _mask_has_clique(masks: tuple[int, ...], avail: int, size: int) -> bool:
     """Whether the vertices in avail contain a clique of the given size."""
-    if size == 0:
-        return True
+    if size <= 1:
+        return size == 0 or avail != 0
     while avail:
         if avail.bit_count() < size:
             return False
@@ -132,16 +136,24 @@ def _packed_masks(p: Graph) -> list[int]:
     return sorted(out)
 
 
-def _top_clique_test(p: Graph, s: int) -> Callable[[int], bool]:
-    """For s >= 2, a test of a neighbourhood nbrs of p: whether every vertex
-    and every edge of _augment(p, nbrs) lies in an s-clique.
+def _clique_tests(
+    p: Graph, s: int
+) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
+    """For s >= 2, two tests for the children of p whose every vertex and
+    every edge must lie in an s-clique: admits(nbrs), whether
+    _augment(p, nbrs) passes; and fits(B), for a vertex mask B, which
+    admits(nbrs) implies for every B that nbrs misses.
 
     The new cliques are the new vertex plus a clique inside nbrs.  So the
     test needs: for each v in nbrs, an (s-2)-clique in nbrs & N(v), which
     covers the edge to v and, with nbrs nonempty, the new vertex; each
     vertex of p in no s-clique of p to be in nbrs; and each edge uv of p in
     no s-clique of p to be in nbrs, with an (s-3)-clique in
-    nbrs & N(u) & N(v).
+    nbrs & N(u) & N(v).  With X the ends of those vertices and edges,
+    fits(B) asks that B miss X, and for an (s-2)-clique in N(x) - B for
+    each x in X and an (s-3)-clique in N(u) & N(v) - B for each of those
+    edges.  A B that fails fits makes every superset fail it, and when
+    every vertex and edge of p lies in an s-clique, every B passes.
     """
     masks = p._masks
     bare_vertices = 0
@@ -168,7 +180,26 @@ def _top_clique_test(p: Graph, s: int) -> Callable[[int], bool]:
                 return False
         return True
 
-    return admits
+    ends = bare_vertices
+    for pair, _ in bare_edges:
+        ends |= pair
+    xs = _mask_to_tuple(ends)
+    # every edge holds an empty clique
+    commons = [common for _, common in bare_edges] if s > 3 else []
+
+    def fits(b: int) -> bool:
+        return not ends & b and all(
+            _mask_has_clique(masks, masks[x] & ~b, s - 2) for x in xs
+        ) and all(_mask_has_clique(masks, common & ~b, s - 3) for common in commons)
+
+    return admits, fits
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > MAX_ENUM_N:
+        raise ValueError(f"enumeration supports at most n = {MAX_ENUM_N}")
 
 
 def _hereditary_family(
@@ -183,23 +214,49 @@ def _hereditary_family(
     class is represented by its first child seen, with parents in canonical
     order and the packed neighbourhoods of each parent ascending.
 
+    A child passes the colouring bound iff its neighbourhood misses one of
+    its parent's free classes (graphs._free_classes), found once per
+    parent.  A neighbourhood that misses a free class holds no
+    K_chi_bound, so the clique bound is tested apart only when it is below
+    chi_bound.
+
     With top_clique = s (at least 2), level n keeps only the graphs whose
-    every vertex and every edge lies in an s-clique; the levels below are the
-    parents and stay complete.  The condition is an isomorphism invariant,
-    so it drops whole classes and the classes it keeps have the same
+    every vertex and every edge lies in an s-clique (_clique_tests).  A
+    neighbourhood that passes misses only free classes that pass fits, so
+    the parents' class lists are cut to those.  A parent left with none
+    has no child at level n; from two vertices up it also fails the
+    condition itself, so level n - 1 drops it.  Level n - 1 needs only
+    graphs that meet the condition or have a child that does, so for s >= 3
+    its every vertex and every edge lies in an (s-1)-clique: that level is
+    built with the same tests for s - 1, before any canonical form.  The
+    levels below stay complete.  The tests are isomorphism invariants, so
+    they drop whole classes, and the classes kept have the same
     representatives."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > MAX_ENUM_N:
-        raise ValueError(f"enumeration supports at most n = {MAX_ENUM_N}")
+    _check_n(n)
+    if clique_bound is not None and chi_bound is not None and clique_bound >= chi_bound:
+        clique_bound = None
     first = Graph(1, ())
     levels = [{first: canonical_form(first)}]
     for k in range(2, n + 1):
-        top = top_clique if k == n else None
+        # the clique condition level k is built with: s at the top, s - 1
+        # below it, none under 2
+        need = None
+        if top_clique is not None and k >= n - 1 and top_clique - (n - k) >= 2:
+            need = top_clique - (n - k)
         seen: dict[bytes, Graph] = {}
+        barren: set[Graph] = set()
         for p in levels[-1]:
-            admits = _top_clique_test(p, top) if top is not None else None
+            admits, fits = (None, None) if need is None else _clique_tests(p, need)
+            if chi_bound is not None:
+                free = _free_classes(p, chi_bound, fits)
+            else:
+                free = [0] if fits is None or fits(0) else []
+            if not free:
+                barren.add(p)
+                continue
             for nbrs in _packed_masks(p):
+                if all(nbrs & b for b in free):
+                    continue
                 if admits is not None and not admits(nbrs):
                     continue
                 if clique_bound is not None and _mask_has_clique(
@@ -207,11 +264,11 @@ def _hereditary_family(
                 ):
                     continue
                 child = _augment(p, nbrs)
-                if chi_bound is not None and not is_k_colorable(child, chi_bound):
-                    continue
                 key = canonical_form(child)
                 if key not in seen:
                     seen[key] = child
+        if barren and k == n > 2:
+            levels[-1] = {g: key for g, key in levels[-1].items() if g not in barren}
         levels.append({seen[key]: key for key in sorted(seen)})
     return tuple(levels)
 
@@ -220,8 +277,9 @@ def _family_bounds(f: GraphFilters) -> tuple[int | None, int | None]:
     """The (chromatic, clique) bounds of the hereditary family f reads.
 
     A clique never outnumbers the colours, so the clique bound is capped at
-    the chromatic one: the family is the same, and the cheap clique prefilter
-    then spares the colouring test on every child containing K_{chi+1}.
+    the chromatic one: the family is the same, and filter sets that differ
+    only above the cap share it.  A bound equal to the chromatic one needs
+    no test of its own, since the family's colour test implies it.
     """
     chi, omega = f.r_partite, f.max_clique_size
     if chi is not None and chi < 1:
@@ -611,9 +669,10 @@ def run_battery(
     Every ensemble comes from one pass over one hereditary family.  Records
     are computed once per distinct graph (optionally in parallel) and shared
     by all verdicts, so the summary and the report are deterministic
-    regardless of jobs.  Raises ValueError for n_max outside
-    1..MAX_ENUM_N, no or invalid characteristics, r < 1, or jobs outside
-    1..os.cpu_count().
+    regardless of jobs.  The report is opened before any enumeration.
+    Raises ValueError for n_max outside 1..MAX_ENUM_N, no or invalid
+    characteristics, r < 1, jobs outside 1..os.cpu_count(), or a
+    report_path that cannot be written.
     """
     chars = tuple(characteristics)
     if not chars:
@@ -621,39 +680,49 @@ def run_battery(
     for c in chars:
         FieldSpec(c)
     _check_jobs(jobs)
-    claims = [cl for cl in CLAIMS.values() if cl.filters(r) is not None]
-    filters = {cl.ensemble: cl.filters(r) for cl in claims}
-    picked, facts = _ensembles(n_max, list(filters.values()))
-    ensembles = dict(zip(filters, picked))
-    records = compute_records(tuple(facts.values()), r, chars, jobs)
-
-    runs = [(cl, c) for c in chars for cl in claims if cl.per_char]
-    runs += [
-        (cl, None)
-        for cl in claims
-        if not cl.per_char and set(cl.needs_chars) <= set(chars)
-    ]
-    violations: dict[str, list[str]] = {}
-    verdicts: list[TheoremVerdict] = []
-    converse: dict[str, list[str]] = {}
-    for cl, c in runs:
-        v = _sweep(cl, ensembles[cl.ensemble], records, r, c)
-        if not cl.violation:
-            converse[str(c)] = sorted({canon for canon, _ in v.counterexamples})
-            continue
-        verdicts.append(v)
-        for canon, _ in v.counterexamples:
-            violations.setdefault(canon, []).append(v.claim)
-
-    for canon, rec in records.values():
-        rec["converse_candidate_chars"] = sorted(
-            int(c) for c in converse if canon in converse[c]
+    _check_n(n_max)
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    try:
+        opened = (
+            open(report_path, "w", encoding="ascii", newline="\n")
+            if report_path is not None
+            else contextlib.nullcontext()
         )
+    except OSError as exc:
+        raise ValueError(f"cannot write {report_path}: {exc}") from None
+    with opened as report:
+        claims = [cl for cl in CLAIMS.values() if cl.filters(r) is not None]
+        filters = {cl.ensemble: cl.filters(r) for cl in claims}
+        picked, facts = _ensembles(n_max, list(filters.values()))
+        ensembles = dict(zip(filters, picked))
+        records = compute_records(tuple(facts.values()), r, chars, jobs)
 
-    lines = report_lines(records, violations)
-    if report_path is not None:
-        with open(report_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.writelines(line + "\n" for line in lines)
+        runs = [(cl, c) for c in chars for cl in claims if cl.per_char]
+        runs += [
+            (cl, None)
+            for cl in claims
+            if not cl.per_char and set(cl.needs_chars) <= set(chars)
+        ]
+        violations: dict[str, list[str]] = {}
+        verdicts: list[TheoremVerdict] = []
+        converse: dict[str, list[str]] = {}
+        for cl, c in runs:
+            v = _sweep(cl, ensembles[cl.ensemble], records, r, c)
+            if not cl.violation:
+                converse[str(c)] = sorted({canon for canon, _ in v.counterexamples})
+                continue
+            verdicts.append(v)
+            for canon, _ in v.counterexamples:
+                violations.setdefault(canon, []).append(v.claim)
+
+        for canon, rec in records.values():
+            rec["converse_candidate_chars"] = sorted(
+                int(c) for c in converse if canon in converse[c]
+            )
+
+        if report is not None:
+            report.writelines(line + "\n" for line in report_lines(records, violations))
 
     return {
         "n_max": n_max,

@@ -152,10 +152,10 @@ def test_criterion_5_cm_forces_low_degree_vertex_and_unique_matching():
 
 
 def test_criterion_5_r4_sweep_reports_exactly_the_pinned_classes():
-    """At r = 4 the degree half already fails at n = 8: the sweep reports
-    exactly the two pinned classes over both fields, and the uniqueness
-    half holds with no converse candidates."""
-    r4 = run_battery(8, r=4, characteristics=(0, 2))
+    """At r = 4 the degree half already fails at n = 8: the sweep up to
+    n = 9 reports exactly the two pinned classes over both fields, and the
+    uniqueness half holds with no converse candidates."""
+    r4 = run_battery(9, r=4, characteristics=(0, 2))
     for v in _sweep_verdicts(r4, "uniqueness-corollary"):
         assert v["counterexamples"] == [], _describe({v["claim"]: v["counterexamples"]})
     assert r4["converse_candidates"] == {"0": [], "2": []}

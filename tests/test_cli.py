@@ -317,6 +317,22 @@ def test_harness_vertex_bound_out_of_range_exits_2(capsys, n_max, message):
     assert err == f"cmgraph: error: {message}\n"
 
 
+def test_harness_unwritable_report_exits_2_before_enumerating(capsys, tmp_path, monkeypatch):
+    # the report is opened first, so a bad path costs no sweep
+    from cmgraph import harness
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the report was opened")
+
+    monkeypatch.setattr(harness, "_ensembles", no_sweep)
+    target = tmp_path / "missing" / "report.jsonl"
+    code, out, err = run_cli(capsys, ["harness", "--n-max", "3", "-o", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"cmgraph: error: cannot write {target}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

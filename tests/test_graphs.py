@@ -6,6 +6,7 @@ import time
 import pytest
 
 import oracles
+from cmgraph import graphs
 from cmgraph.graphs import (
     MAX_CANONICAL_N,
     Graph,
@@ -14,6 +15,7 @@ from cmgraph.graphs import (
     _bron_kerbosch,
     _full_mask,
     _has_odd_hole,
+    _refine,
     _wl_groups,
     all_r_partitions,
     canonical_form,
@@ -529,6 +531,32 @@ def test_canonical_form_matches_reference_on_labelled_graphs_up_to_5():
         for bits in range(1 << len(pairs)):
             g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
             assert canonical_form(g) == oracles.canonical_form_reference(g), g.edges
+
+
+def test_forced_orderings_equal_the_twin_pruned_search_on_labelled_graphs_up_to_6(monkeypatch):
+    """When every refinement class is one chain of twins, canonical_form
+    reads the rows of the one ordering left off the edges.  On every
+    labelled graph up to n = 6 its forms equal the twin-pruned search of
+    the oracles, and that path serves graphs whose refinement is not
+    discrete."""
+    served = []
+    real_rows = graphs._rows_at
+
+    def counted(g, position):
+        served.append(g)
+        return real_rows(g, position)
+
+    monkeypatch.setattr(graphs, "_rows_at", counted)
+    forced = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            del served[:]
+            assert canonical_form(g) == oracles.canonical_form_twin_pruned(g), g.edges
+            if served and _refine(g)[1] < n:
+                forced += 1
+    assert forced > 10000
 
 
 def test_canonical_form_matches_reference_on_every_child_of_the_n6_classes():

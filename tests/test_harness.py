@@ -14,6 +14,7 @@ from cmgraph.covers import alpha_clique_cover, perfect_r_matchings
 from cmgraph.graphs import (
     Graph,
     _augment,
+    _free_classes,
     canonical_form,
     clique_number,
     is_connected,
@@ -303,16 +304,108 @@ def _in_s_cliques(g, s):
     )
 
 
-@pytest.mark.parametrize("chi, omega, top", [
-    (None, None, 2), (None, None, 3), (2, 2, 2), (3, 3, 3), (4, 4, 4),
-])
+def _accepted(g, chi, omega, s):
+    """Whether g belongs to the top level of the family, by the oracles."""
+    return (
+        _in_s_cliques(g, s)
+        and (omega is None or oracles.clique_number_brute(g) <= omega)
+        and (chi is None or oracles.chromatic_number_brute(g) <= chi)
+    )
+
+
+def _needed(level, chi, omega, s):
+    """The classes of a complete level that the level above needs: those
+    meeting the clique condition for s themselves and the parents of an
+    accepted child, found over every neighbourhood mask."""
+    needed = []
+    for p in level:
+        k = p.n + 1
+        if _in_s_cliques(p, s) or any(
+            _accepted(Graph(k, p.edges + tuple(
+                (v, k) for v in range(1, k) if nbrs >> (v - 1) & 1
+            )), chi, omega, s)
+            for nbrs in range(1 << p.n)
+        ):
+            needed.append(p)
+    return needed
+
+
+_CUT_CASES = [(None, None, 2), (None, None, 3), (2, 2, 2), (3, 3, 3), (4, 4, 4)]
+
+
+@pytest.mark.parametrize("chi, omega, top", _CUT_CASES)
 def test_top_level_keeps_exactly_the_classes_meeting_the_clique_condition(chi, omega, top):
-    """The cut drops no class it should keep and keeps none it should drop."""
+    """The cut drops no class it should keep and keeps none it should drop:
+    the levels below n - 1 are complete, level n - 1 holds exactly the
+    classes level n needs, and level n exactly the classes meeting the
+    clique condition."""
     got = harness._hereditary_family(7, chi, omega, top)
     full = _unfiltered_family(7, chi, omega)
-    assert [_fields(level) for level in got[:-1]] == [_fields(level) for level in full[:-1]]
+    assert [_fields(level) for level in got[:-2]] == [_fields(level) for level in full[:-2]]
+    assert _fields(got[-2]) == _fields(_needed(full[-2], chi, omega, top))
     kept = [g for g in full[-1] if _in_s_cliques(g, top)]
     assert kept and _fields(got[-1]) == _fields(kept)
+
+
+@pytest.mark.parametrize("chi, omega, top", _CUT_CASES)
+def test_level_n_minus_1_drops_no_parent_of_an_accepted_child(chi, omega, top):
+    """By brute force over every mask, for n = 3..6 (n = 7 is the test
+    above): no class the cut drops from level n - 1 has an accepted child,
+    and at chi = omega = s = 3, where the test is exact, every class it
+    keeps has one or meets the clique condition itself."""
+    for n in range(3, 7):
+        got = harness._hereditary_family(n, chi, omega, top)
+        full = harness._hereditary_family(n - 1, chi, omega)[-1]
+        kept = set(got[-2])
+        assert kept <= set(full)
+        needed = set(_needed(full, chi, omega, top))
+        assert needed <= kept, n
+        if (chi, omega, top) == (3, 3, 3):
+            assert kept == needed, n
+
+
+@pytest.mark.parametrize("chi", [2, 3, 4])
+def test_free_classes_decide_every_childs_colourability(chi):
+    """The family's colour test, a neighbourhood missing one of the parent's
+    free classes, equals is_k_colorable on every labelled child the
+    enumeration builds up to n = 8."""
+    children = 0
+    for level in harness._hereditary_family(7, chi, chi):
+        for p in level:
+            free = _free_classes(p, chi)
+            for nbrs in harness._packed_masks(p):
+                misses_one = any(not nbrs & b for b in free)
+                assert misses_one == is_k_colorable(_augment(p, nbrs), chi), (p.edges, nbrs)
+                children += 1
+    assert children > 8000
+
+
+def test_free_classes_are_the_minimal_sets_leaving_k_minus_1_colours():
+    """_free_classes against its definition, by the oracles, on every
+    labelled graph up to n = 5 and k = 1..4: the inclusion-minimal
+    independent sets whose removal leaves chromatic number below k."""
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            for k in range(1, 5):
+                free = []
+                for size in range(n + 1):
+                    for b in itertools.combinations(g.vertices, size):
+                        rest = [v for v in g.vertices if v not in b]
+                        if (
+                            oracles.is_independent(g, b)
+                            and not any(set(c) <= set(b) for c in free)
+                            and oracles.chromatic_number_brute(
+                                oracles.graph_from_edges(len(rest), [
+                                    (rest.index(u) + 1, rest.index(v) + 1)
+                                    for u, v in g.edges if u in rest and v in rest
+                                ])
+                            ) < k
+                        ):
+                            free.append(b)
+                got = [tuple(v for v in g.vertices if b >> v & 1) for b in _free_classes(g, k)]
+                assert got == free, (g.edges, k)
 
 
 # Filter set lists that share a family but not a clique size.
@@ -752,14 +845,15 @@ def test_battery_report_and_summary_bytes_are_pinned(tmp_path, r):
 
 
 def test_enumeration_keeps_no_state_between_calls(monkeypatch):
+    # the colour test reads each parent's free classes, found anew per call
     calls = []
-    real_colorable = harness.is_k_colorable
+    real_free_classes = harness._free_classes
 
-    def counting_colorable(g, k):
+    def counting_free_classes(g, k, *args):
         calls.append(k)
-        return real_colorable(g, k)
+        return real_free_classes(g, k, *args)
 
-    monkeypatch.setattr(harness, "is_k_colorable", counting_colorable)
+    monkeypatch.setattr(harness, "_free_classes", counting_free_classes)
     filters = GraphFilters(r_partite=2)
     first = enumerate_graphs_up_to(6, filters)
     after_first = len(calls)
