@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, independence_complex, link
 from .covers import _bipartite_matching
-from .graphs import Graph, _partition_search
+from .graphs import Graph, _complement_masks, _component, _full_mask, _partition_search
 from .homology import FieldSpec, reduced_betti
 
 _F2 = FieldSpec(2)
@@ -143,32 +143,26 @@ def _has_disconnected_link(g: Graph, dim: int) -> bool:
     the independent sets F with |F| <= dim - 1.  In a flag complex
     lk(F) = Ind(g - N[F]), whose 1-skeleton is the complement of g on the
     mask V - N[F] (bit v for vertex v), and a complex is connected iff its
-    1-skeleton is.  The search grows F one vertex at a time, higher
-    vertices only, on its own stack of (V - N[F], vertices that may extend
-    F, |F|) frames, and stops at the first disconnected link.
+    1-skeleton is: the link is connected iff graphs._component, run on the
+    complement's neighbour masks (built once per call), reaches all of
+    V - N[F].  The search grows F one vertex at a time, higher vertices
+    only, on its own stack of (V - N[F], vertices that may extend F, |F|)
+    frames, and stops at the first disconnected link.
     """
     if dim < 1:
         return False
-    masks = g._masks
-    full = (1 << g.n + 1) - 2
+    co = _complement_masks(g)
+    full = _full_mask(g.n)
     stack = [(full, full, 0)]
     while stack:
         rest, extend, size = stack.pop()
-        # grow the complement's component of the lowest vertex of rest
-        reached = frontier = rest & -rest
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = rest & ~masks[low.bit_length() - 1] & ~reached
-            reached |= new
-            frontier |= new
-        if reached != rest:
+        if _component(co, rest)[0] != rest:
             return True
         if size < dim - 1:
             while extend:
                 low = extend & -extend
                 extend ^= low
-                sub = rest & ~masks[low.bit_length() - 1] & ~low
+                sub = rest & co[low.bit_length() - 1]
                 stack.append((sub, sub & extend, size + 1))
     return False
 
@@ -220,7 +214,7 @@ def _shedding_certified(g: Graph) -> bool:
         return False
 
     memo: dict[int, bool] = {}
-    top = without_cones((1 << g.n + 1) - 2)
+    top = without_cones(_full_mask(g.n))
     if not top:
         return True
     stack = [(top, decide(top))]

@@ -5,9 +5,11 @@ cover is derived from an arbitrary clique cover by making the cliques
 disjoint in order.  alpha_clique_cover decides whether the vertices can be
 covered by as few cliques as the independence number allows, which is the
 minimum conceivable number since a clique meets an independent set at most
-once.  One augmenting-path matching decides whether two vertex sets are
-perfectly matched, for pairwise_part_matchings, the records' check of every
-r-partition and the Herzog-Hibi search.
+once.  The matching search skips a node whose uncovered vertices have a
+connected component that no matching fits, and graphs._component grows each
+component.  One augmenting-path matching decides whether two vertex sets
+are perfectly matched, for pairwise_part_matchings, the records' check of
+every r-partition, that pruning at r = 2 and the Herzog-Hibi search.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
+    _component,
+    _full_mask,
+    _mask_to_tuple,
     _partition_search,
     _require_int,
     cliques_of_size,
@@ -65,14 +70,13 @@ def _perfect_r_matchings(
     """perfect_r_matchings(g, r, limit), given r dividing g.n and the
     r-cliques of g in lexicographic order."""
     n = g.n
-    masks = g._masks
     by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
     for c in candidates:
         m = 0
         for v in c:
             m |= 1 << v
         by_vertex[c[0]].append((m, c))
-    full = ((1 << (n + 1)) - 1) & ~1
+    full = _full_mask(n)
     out: list[RMatching] = []
     chosen: list[tuple[int, ...]] = []
     # one frame per node with cliques to try: the mask it covers and the
@@ -88,11 +92,7 @@ def _perfect_r_matchings(
                 chosen.pop()
         else:
             rest = full & ~mask
-            if (
-                _components_matchable(g, rest)
-                if r == 2
-                else _components_divisible(masks, rest, r)
-            ):
+            if _components_fit(g, rest, r):
                 v = (rest & -rest).bit_length() - 1
                 options = iter([(m, c) for m, c in by_vertex[v] if not m & mask])
                 stack.append((mask, options))
@@ -113,58 +113,30 @@ def _perfect_r_matchings(
         mask = base | m
 
 
-def _components_divisible(masks: Sequence[int], rest: int, r: int) -> bool:
+def _components_fit(g: Graph, rest: int, r: int) -> bool:
     """Whether every connected component of the subgraph induced on the
-    vertex mask rest has a size divisible by r."""
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = masks[low.bit_length() - 1] & rest & ~comp
-            comp |= new
-            frontier |= new
-        if comp.bit_count() % r:
-            return False
-        rest ^= comp
-    return True
+    vertex mask rest has a size divisible by r and, at r = 2, when it is
+    bipartite, a perfect matching between its two sides.
 
-
-def _components_matchable(g: Graph, rest: int) -> bool:
-    """Whether every connected component of the subgraph induced on the
-    vertex mask rest has an even size and, when it is bipartite, a perfect
-    matching between its two sides.
-
-    Each component is searched breadth first, layer by layer.  Its edges
-    join consecutive layers or lie inside one, so it is bipartite iff no
-    layer holds an edge, and then its sides are the even and the odd
-    layers.  A perfect 2-matching of a bipartite component matches its two
-    sides perfectly, so a component without one leaves no matching below.
+    A component is bipartite iff neither of the sides that _component
+    returns, its vertices at even and at odd distance from its lowest
+    vertex, holds an edge.  A perfect 2-matching of a bipartite component
+    matches its two sides perfectly, so a component without one leaves no
+    matching below.
     """
     masks = g._masks
     while rest:
-        comp = layer = rest & -rest
-        sides = [layer, 0]
-        odd = 0
-        bipartite = True
-        while layer:
-            reached = 0
-            scan = layer
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                nbrs = masks[low.bit_length() - 1] & rest
-                if nbrs & layer:
-                    bipartite = False
-                reached |= nbrs
-            layer = reached & ~comp
-            comp |= layer
-            odd ^= 1
-            sides[odd] |= layer
-        if comp.bit_count() & 1:
+        comp, even = _component(masks, rest)
+        if comp.bit_count() % r:
             return False
-        if bipartite and _bipartite_matching(g, sides[0], sides[1]) is None:
-            return False
+        if r == 2:
+            odd = comp ^ even
+            # bipartite: no vertex has a neighbour on its own side
+            bipartite = not any(
+                masks[v] & (odd if odd >> v & 1 else even) for v in _mask_to_tuple(comp)
+            )
+            if bipartite and _bipartite_matching(g, even, odd) is None:
+                return False
         rest ^= comp
     return True
 
@@ -257,7 +229,7 @@ def _alpha_cover(
     for idx, c in enumerate(cliques):
         for v in c:
             by_vertex[v].append(idx)
-    full = ((1 << (n + 1)) - 1) & ~1
+    full = _full_mask(n)
     chosen: list[int] = []
     # one frame per node with cliques to try: the mask it covers and the
     # cliques through its lowest uncovered vertex

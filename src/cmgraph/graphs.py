@@ -269,7 +269,8 @@ def _bron_kerbosch(nbr: tuple[int, ...] | list[int], full: int) -> list[int]:
 
 
 def _full_mask(n: int) -> int:
-    return ((1 << (n + 1)) - 1) & ~1
+    """The mask of the vertices 1..n (bit v for vertex v)."""
+    return (1 << n + 1) - 2
 
 
 def _complement_masks(g: Graph) -> list[int]:
@@ -308,59 +309,108 @@ def is_unmixed(g: Graph) -> bool:
 
 
 def cliques_of_size(g: Graph, r: int) -> list[tuple[int, ...]]:
-    """All cliques with exactly r vertices, in lexicographic order.
-
-    The search keeps its own stack, one frame per chosen vertex: the common
-    neighbours above it still to try.  A frame with fewer of them than the
-    clique still lacks is dropped, which loses no clique.
-    """
+    """All cliques with exactly r vertices, in lexicographic order."""
     if r < 1:
         raise ValueError("clique size must be at least 1")
-    masks = g._masks
-    out: list[tuple[int, ...]] = []
+    return list(_cliques(g._masks, _full_mask(g.n), r))
+
+
+def _cliques(
+    nbr: Sequence[int], avail: int, size: int
+) -> Iterator[tuple[int, ...]]:
+    """The cliques with size >= 1 vertices inside the vertex mask avail of
+    the graph given by neighbour masks, in lexicographic order, each
+    yielded when it is found.
+
+    The search keeps its own stack, one frame per chosen vertex: the
+    candidates of its frame still to try after it.  rest holds the current
+    frame's candidates, the common neighbours of the chosen vertices above
+    the last one.  A frame with fewer candidates than the clique still
+    lacks is dropped, which loses no clique.
+    """
     members: list[int] = []
-    stack = [_full_mask(g.n)]
-    while stack:
-        rest = stack[-1]
-        if len(members) + rest.bit_count() < r:
-            stack.pop()
-            if members:
-                members.pop()
+    stack: list[int] = []
+    rest = avail
+    need = size
+    while True:
+        if rest.bit_count() < need:
+            if not stack:
+                return
+            rest = stack.pop()
+            members.pop()
+            need += 1
             continue
         low = rest & -rest
-        stack[-1] = rest ^ low
+        rest ^= low
         v = low.bit_length() - 1
-        if len(members) + 1 == r:
-            out.append((*members, v))
+        if need == 1:
+            yield (*members, v)
         else:
             members.append(v)
-            stack.append(stack[-1] & masks[v])
-    return out
+            stack.append(rest)
+            rest &= nbr[v]
+            need -= 1
+
+
+def _mask_has_clique(nbr: Sequence[int], avail: int, size: int) -> bool:
+    """Whether the vertices in avail contain a clique of the given size.
+
+    Sizes up to 2 are answered without a search: the empty clique is in
+    every mask, a vertex in every nonempty one, an edge in a mask where
+    some vertex has a neighbour above it, and no clique has a negative
+    size.  Larger sizes take the first clique of _cliques.
+    """
+    if size == 2:
+        rest = avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if nbr[low.bit_length() - 1] & rest:
+                return True
+        return False
+    if size <= 1:
+        return size == 0 or size == 1 and avail != 0
+    return next(_cliques(nbr, avail, size), None) is not None
 
 
 def clique_number(g: Graph) -> int:
     return max(len(c) for c in maximal_cliques(g))
 
 
-def _reach(masks: tuple[int, ...], start: int, within: int) -> int:
-    """The mask of the vertices of within reachable from start inside it."""
-    seen = 1 << start
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        rest = masks[u] & within & ~seen
-        seen |= rest
-        while rest:
-            b = rest & -rest
-            frontier.append(b.bit_length() - 1)
-            rest ^= b
-    return seen
+def _component(nbr: Sequence[int], rest: int) -> tuple[int, int]:
+    """The connected component of the lowest vertex of the mask rest in the
+    subgraph that the neighbour masks nbr induce on rest, and the vertices
+    of that component at even distance from the lowest vertex.
+
+    The component is grown breadth first, layer by layer, so a layer holds
+    the vertices at one distance.  Its edges join consecutive layers or lie
+    inside one, so it is bipartite iff neither of its two sides, the even
+    and the odd layers, holds an edge.
+    """
+    even = rest & -rest
+    # the first layer: the neighbours of the lowest vertex, which is not its
+    # own neighbour
+    layer = nbr[even.bit_length() - 1] & rest
+    comp = even | layer
+    odd = True
+    while layer:
+        reached = 0
+        while layer:
+            low = layer & -layer
+            layer ^= low
+            reached |= nbr[low.bit_length() - 1]
+        layer = reached & rest & ~comp
+        comp |= layer
+        odd = not odd
+        if not odd:
+            even |= layer
+    return comp, even
 
 
 def is_connected(g: Graph) -> bool:
     """True for graphs with at most one vertex and for connected graphs."""
     full = _full_mask(g.n)
-    return g.n <= 1 or _reach(g._masks, 1, full) == full
+    return g.n <= 1 or _component(g._masks, full)[0] == full
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:

@@ -48,6 +48,7 @@ from .graphs import (
     Graph,
     _augment,
     _free_classes,
+    _mask_has_clique,
     _mask_to_tuple,
     _twin_classes,
     canonical_form,
@@ -98,21 +99,6 @@ class TheoremVerdict:
     @property
     def holds(self) -> bool:
         return not self.counterexamples
-
-
-def _mask_has_clique(masks: tuple[int, ...], avail: int, size: int) -> bool:
-    """Whether the vertices in avail contain a clique of the given size."""
-    if size <= 1:
-        return size == 0 or avail != 0
-    while avail:
-        if avail.bit_count() < size:
-            return False
-        b = avail & -avail
-        v = b.bit_length() - 1
-        avail ^= b
-        if _mask_has_clique(masks, avail & masks[v], size - 1):
-            return True
-    return False
 
 
 def _packed_masks(p: Graph) -> list[int]:

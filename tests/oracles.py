@@ -132,6 +132,35 @@ def is_clique(g: Graph, vs) -> bool:
     return all(frozenset(p) in es for p in itertools.combinations(vs, 2))
 
 
+def labelled_graphs(n_max: int):
+    """Every labelled graph on 0..n_max vertices, each vertex count in turn."""
+    for n in range(n_max + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def component_reference(g: Graph, vs) -> tuple[frozenset[int], frozenset[int]]:
+    """The component of the least vertex of the nonempty set vs in the
+    subgraph of g induced on vs, and its vertices at even distance from that
+    vertex: a breadth-first search over neighbour sets that records each
+    vertex's distance."""
+    vs = set(vs)
+    nb = neighbours(g)
+    start = min(vs)
+    dist = {start: 0}
+    layer = [start]
+    while layer:
+        nxt = []
+        for u in layer:
+            for w in sorted(nb[u] & vs):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        layer = nxt
+    return frozenset(dist), frozenset(v for v, d in dist.items() if d % 2 == 0)
+
+
 def maximal_independent_sets_brute(g: Graph) -> list[tuple[int, ...]]:
     verts = range(1, g.n + 1)
     found = []

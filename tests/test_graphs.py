@@ -13,8 +13,11 @@ from cmgraph.graphs import (
     GraphFormatError,
     _augment,
     _bron_kerbosch,
+    _component,
     _full_mask,
     _has_odd_hole,
+    _mask_has_clique,
+    _mask_to_tuple,
     _refine,
     _wl_groups,
     all_r_partitions,
@@ -329,6 +332,32 @@ def test_cliques_of_size_keeps_its_own_stack_on_k1100():
     assert cliques_of_size(k, 1100) == [tuple(range(1, 1101))]
 
 
+def test_mask_has_clique_keeps_its_own_stack_on_k1100():
+    # the masks of K_1100: one level per clique member, 1,100 levels deep
+    full = _full_mask(1100)
+    masks = [full & ~(1 << v) if v else 0 for v in range(1101)]
+    assert _mask_has_clique(masks, full, 1100)
+    assert not _mask_has_clique(masks, full, 1101)
+
+
+def test_mask_has_clique_matches_brute_on_every_labelled_graph_up_to_5():
+    for g in oracles.labelled_graphs(5):
+        full = _full_mask(g.n)
+        clique = {
+            c
+            for k in range(g.n + 1)
+            for c in itertools.combinations(g.vertices, k)
+            if oracles.is_clique(g, c)
+        }
+        for avail in range(0, full + 1, 2):
+            vs = _mask_to_tuple(avail)
+            for size in range(-1, 6):
+                expected = size >= 0 and any(
+                    c in clique for c in itertools.combinations(vs, size)
+                )
+                assert _mask_has_clique(g._masks, avail, size) == expected, (g.edges, vs, size)
+
+
 # ---------------------------------------------------------------------------
 # connectivity and coloring
 
@@ -338,6 +367,26 @@ def test_is_connected():
     assert not is_connected(Graph(4, [(1, 2), (3, 4)]))
     assert is_connected(Graph(1, []))
     assert not is_connected(Graph(2, []))
+
+
+def _is_connected_reference(g):
+    return g.n <= 1 or len(oracles.component_reference(g, g.vertices)[0]) == g.n
+
+
+def test_component_matches_the_reference_on_every_labelled_graph_up_to_5():
+    for g in oracles.labelled_graphs(5):
+        assert _component(g._masks, 0) == (0, 0)
+        for rest in range(2, _full_mask(g.n) + 1, 2):
+            comp, even = oracles.component_reference(g, _mask_to_tuple(rest))
+            got = _component(g._masks, rest)
+            assert tuple(map(_mask_to_tuple, got)) == (tuple(sorted(comp)), tuple(sorted(even)))
+
+
+def test_is_connected_matches_the_reference():
+    classes = enumerate_graphs_up_to(7).graphs
+    assert len(classes) == 1252
+    for g in classes + tuple(oracles.random_graphs(300, 9, seed=20261019, p=0.25)):
+        assert is_connected(g) == _is_connected_reference(g), g.edges
 
 
 def test_chromatic_number_known_values():

@@ -1,5 +1,5 @@
-"""Every search in the package keeps its own stack, except two whose depth is
-bounded by the vertex limit of the enumeration.
+"""Every search in the package keeps its own stack, except one whose depth is
+bounded by the vertex limit of canonical forms.
 
 A function that calls itself recurses once per level of its search, so on a
 large input it ends in a RecursionError where the contract asks for an answer
@@ -18,8 +18,6 @@ PACKAGE = Path(cmgraph.__file__).resolve().parent
 BOUNDED = {
     "graphs.canonical_form.rec": "one level per vertex placed, and "
     "canonical_form raises ValueError for n > 9",
-    "harness._mask_has_clique": "one level per clique member, at most the "
-    "clique size, on the graphs the enumeration builds (n <= 9)",
 }
 
 
