@@ -159,7 +159,6 @@ def _cmd_harness(args) -> int:
         n_max=args.n_max,
         r=args.r,
         characteristics=chars,
-        jobs=args.jobs,
         report_path=args.output,
     )
     _emit(summary, args.pretty)
@@ -235,8 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2, help="clique/partition size")
     p.add_argument("--char", type=int, action="append", metavar="C",
                    help="field characteristic, repeatable (default: 0 2)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, 1 to the CPU count (else exit 2)")
     p.add_argument("-o", "--output", default=None, help="line-delimited JSON report path")
 
     p = command("fixtures", _cmd_fixtures, "write a bundled example graph")

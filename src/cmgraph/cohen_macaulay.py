@@ -14,8 +14,8 @@ makes Ind(G) shellable and so CM over every field.  cm_characteristic_profile
 tries it through _graph_profile; reisner_cm on a bare complex always scans.
 The harness records keep verdicts only, so _graph_cm first looks on G's
 vertex masks for a face with a disconnected link of dimension 1 or more,
-which refutes CM over every field, and then tries the certificate and the
-scan.
+which refutes CM over every field, and then reads _graph_profile's
+verdicts.
 """
 
 from __future__ import annotations
@@ -124,15 +124,13 @@ def _graph_cm(g: Graph, cx: SimplicialComplex, fields: list[FieldSpec]) -> list[
     A face whose link has dimension 1 or more and is disconnected fails
     Reisner's criterion in degree 0 over every field, so such a face,
     looked for by _has_disconnected_link, settles every field as False
-    before the certificate and the scan run.  It need not be the face the
-    canonical scan would name, which is why callers that print witnesses
-    keep _graph_profile.
+    before _graph_profile's certificate and scan decide the rest.  It need
+    not be the face the canonical scan would name, which is why callers
+    that print witnesses keep _graph_profile.
     """
     if not cx.is_pure() or _has_disconnected_link(g, cx.dimension()):
         return [False] * len(fields)
-    if _shedding_certified(g):
-        return [True] * len(fields)
-    return [report.is_cm for report in _reisner_scan(cx, fields)]
+    return [report.is_cm for report in _graph_profile(g, cx, fields)]
 
 
 def _has_disconnected_link(g: Graph, dim: int) -> bool:

@@ -471,17 +471,6 @@ def _free_classes(g: Graph, k: int, fits: Callable[[int], bool] | None = None) -
     return classes
 
 
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number: the least k from the clique number up for
-    which the graph is k-colourable."""
-    if g.n == 0:
-        return 0
-    k = clique_number(g)
-    while not is_k_colorable(g, k):
-        k += 1
-    return k
-
-
 def _partition_search(
     g: Graph, r: int, order: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
@@ -694,13 +683,13 @@ def canonical_form(g: Graph) -> bytes:
     the vertices of colour 0 first, then those of colour 1, and so on.
     Raises ValueError for n > 9.
 
-    When refinement leaves n classes, one ordering is compatible, and its
-    rows are read off the edges.  Otherwise a search places the vertices.
-    It places twins in ascending order only: swapping two unplaced twins
-    fixes every placed vertex, so both branches give the same rows.  Twins
-    always share a colour, so they are looked for inside each class of two
-    or more.  When every class is one chain of twins, that leaves one
-    ordering, and its rows are read off the edges too.  Each node knows
+    A search places the vertices.  It places twins in ascending order only:
+    swapping two unplaced twins fixes every placed vertex, so both branches
+    give the same rows.  Twins always share a colour, so they are looked for
+    inside each class of two or more.  When every class is one chain of
+    twins (a class of one vertex is a chain too, so this holds whenever
+    refinement leaves n classes), that leaves one ordering, and its rows are
+    read off the edges without a search.  Each node knows
     whether its rows so far equal the best sequence's prefix; they do after
     the first child returns, since that child reached a leaf or was pruned
     against an equal prefix.
@@ -711,9 +700,6 @@ def canonical_form(g: Graph) -> bytes:
     if n == 0:
         return b"0:"
     colours, count = _refine(g)
-    if count == n:
-        # colour j is the vertex at position j
-        return _form_bytes(n, _rows_at(g, colours))
     masks = g._masks
     unplaced = [0] * count
     for v in range(1, n + 1):

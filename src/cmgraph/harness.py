@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -414,19 +413,18 @@ def enumerate_graphs_up_to(
     return _ensembles(n_max, [filters or GraphFilters()])[0][0]
 
 
-def _graph_record(g: Graph | _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
-    """Everything the sweeps need to know about one graph, JSON-ready.
+def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
+    """Everything the sweeps need to know about the graph of facts,
+    JSON-ready.
 
-    Every per-graph fact is read from one _Facts of the graph (g may be
-    one).  The CM verdicts for all chars come from _graph_cm: a
-    disconnected link found on g's masks or a non-pure Ind(g) refutes every
-    char, the shedding-vertex certificate confirms every char, and one
-    Reisner scan of Ind(g) decides the rest.  Records keep no witness.
-    Ind(g) is built here, so facts held for later keep no faces.  The
-    perfect r-matching search takes its r-cliques from the maximal cliques
-    when no clique has more than r vertices.
+    Every per-graph fact is read from facts.  The CM verdicts for all
+    chars come from _graph_cm: a disconnected link found on g's masks or a
+    non-pure Ind(g) refutes every char, the shedding-vertex certificate
+    confirms every char, and one Reisner scan of Ind(g) decides the rest.
+    Records keep no witness.  Ind(g) is built here, so facts held for later
+    keep no faces.  The perfect r-matching search takes its r-cliques from
+    the maximal cliques when no clique has more than r vertices.
     """
-    facts = g if isinstance(g, _Facts) else _Facts(g)
     g = facts.g
     canon = facts.key.decode("ascii")
     # the maximal independent sets are an antichain covering every vertex
@@ -466,36 +464,21 @@ def _graph_record(g: Graph | _Facts, r: int, chars: tuple[int, ...]) -> tuple[st
     return canon, record
 
 
-def _check_jobs(jobs: int) -> None:
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise ValueError(f"jobs must be between 1 and {cpus} (the CPU count), got {jobs}")
-
-
 def compute_records(
-    graphs: tuple[Graph | _Facts, ...], r: int, chars: tuple[int, ...], jobs: int = 1
+    graphs: tuple[Graph | _Facts, ...], r: int, chars: tuple[int, ...]
 ) -> dict[Graph, tuple[str, dict]]:
-    """Per-graph records, optionally fanned out over worker processes.
+    """Per-graph records, keyed by graph, computed once per distinct graph.
 
     An entry of graphs may be a graph's _Facts, whose facts found so far are
-    reused (a _Facts pickles with them).  The result is keyed by graph and
-    independent of jobs: workers only map a pure function, and assembly
-    re-sorts by input order.  With no chars the records carry an empty "cm"
-    map.  Raises ValueError unless 1 <= jobs <= os.cpu_count().
+    reused; a bare graph gets a _Facts of its own.  Each record is computed
+    before the next graph's facts are built, so no facts outlive their
+    record here.  With no chars the records carry an empty "cm" map.
     """
-    _check_jobs(jobs)
-    unique = list(dict.fromkeys(graphs))
-    items = [(g, r, chars) for g in unique]
-    if jobs > 1 and len(items) > 1:
-        # imported here, so that serial runs do not pay for the import
-        import multiprocessing
-
-        chunk = max(1, len(items) // (jobs * 8))
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(_graph_record, items, chunksize=chunk)
-    else:
-        results = [_graph_record(*it) for it in items]
-    return dict(zip((g.g if isinstance(g, _Facts) else g for g in unique), results))
+    out: dict[Graph, tuple[str, dict]] = {}
+    for g in dict.fromkeys(graphs):
+        facts = g if isinstance(g, _Facts) else _Facts(g)
+        out[facts.g] = _graph_record(facts, r, chars)
+    return out
 
 
 @dataclass(frozen=True)
@@ -606,14 +589,12 @@ def verify_claim(
     ensemble: GraphEnsemble,
     r: int,
     char: int | None = None,
-    jobs: int = 1,
 ) -> TheoremVerdict:
     """Run one claim of CLAIMS on an ensemble enumerated with its filters.
 
     char is the field characteristic of a per-characteristic claim and must
     be None for the others.  Raises ValueError for an unknown claim, an
-    ensemble with other filters, a missing or superfluous char, or jobs
-    outside 1..os.cpu_count().
+    ensemble with other filters, or a missing or superfluous char.
     """
     spec = CLAIMS.get(claim)
     if spec is None:
@@ -623,7 +604,7 @@ def verify_claim(
     if spec.per_char != (char is not None):
         raise ValueError(f"{claim} {'needs a' if spec.per_char else 'takes no'} characteristic")
     chars = (char,) if spec.per_char else spec.needs_chars
-    return _sweep(spec, ensemble, compute_records(ensemble.graphs, r, chars, jobs), r, char)
+    return _sweep(spec, ensemble, compute_records(ensemble.graphs, r, chars), r, char)
 
 
 def report_lines(
@@ -647,25 +628,22 @@ def run_battery(
     n_max: int,
     r: int = 2,
     characteristics: tuple[int, ...] = (0, 2),
-    jobs: int = 1,
     report_path: str | None = None,
 ) -> dict:
     """Run every claim of CLAIMS at the given bounds and assemble a summary.
 
     Every ensemble comes from one pass over one hereditary family.  Records
-    are computed once per distinct graph (optionally in parallel) and shared
-    by all verdicts, so the summary and the report are deterministic
-    regardless of jobs.  The report is opened before any enumeration.
-    Raises ValueError for n_max outside 1..MAX_ENUM_N, no or invalid
-    characteristics, r < 1, jobs outside 1..os.cpu_count(), or a
-    report_path that cannot be written.
+    are computed once per distinct graph and shared by all verdicts, and
+    the summary and the report are deterministic.  The report is opened
+    before any enumeration.  Raises ValueError for n_max outside
+    1..MAX_ENUM_N, no or invalid characteristics, r < 1, or a report_path
+    that cannot be written.
     """
     chars = tuple(characteristics)
     if not chars:
         raise ValueError("at least one characteristic is required")
     for c in chars:
         FieldSpec(c)
-    _check_jobs(jobs)
     _check_n(n_max)
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -682,7 +660,7 @@ def run_battery(
         filters = {cl.ensemble: cl.filters(r) for cl in claims}
         picked, facts = _ensembles(n_max, list(filters.values()))
         ensembles = dict(zip(filters, picked))
-        records = compute_records(tuple(facts.values()), r, chars, jobs)
+        records = compute_records(tuple(facts.values()), r, chars)
 
         runs = [(cl, c) for c in chars for cl in claims if cl.per_char]
         runs += [

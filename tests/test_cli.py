@@ -333,6 +333,14 @@ def test_harness_unwritable_report_exits_2_before_enumerating(capsys, tmp_path, 
     assert not target.parent.exists()
 
 
+def test_harness_has_no_jobs_option(capsys):
+    code, out, err = run_cli(capsys, ["harness", "--n-max", "3", "--jobs", "2"])
+    assert code == 2 and out == ""
+    assert "--jobs" in err
+    code, out, _ = run_cli(capsys, ["harness", "--help"])
+    assert code == 0 and "--n-max" in out and "--jobs" not in out
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -296,7 +296,7 @@ def test_pairwise_part_matchings_on_a_1500_step_augmenting_path():
 
 
 def _record_field(g, r):
-    return harness._graph_record(g, r, ())[1]["all_r_partitions_equal_and_matched"]
+    return harness.compute_records((g,), r, ())[g][1]["all_r_partitions_equal_and_matched"]
 
 
 def test_r_partition_check_equals_the_reference_on_every_class_to_n7():

@@ -22,7 +22,6 @@ from cmgraph.graphs import (
     _wl_groups,
     all_r_partitions,
     canonical_form,
-    chromatic_number,
     clique_number,
     cliques_of_size,
     complement,
@@ -389,23 +388,25 @@ def test_is_connected_matches_the_reference():
         assert is_connected(g) == _is_connected_reference(g), g.edges
 
 
+def _has_chromatic_number(g, chi):
+    return not is_k_colorable(g, chi - 1) and is_k_colorable(g, chi)
+
+
 def test_chromatic_number_known_values():
-    assert chromatic_number(oracles.cycle_graph(5)) == 3
-    assert chromatic_number(oracles.cycle_graph(6)) == 2
-    assert chromatic_number(oracles.complete_graph(4)) == 4
-    assert chromatic_number(oracles.petersen_graph()) == 3
-    assert chromatic_number(Graph(3, [])) == 1
+    assert _has_chromatic_number(oracles.cycle_graph(5), 3)
+    assert _has_chromatic_number(oracles.cycle_graph(6), 2)
+    assert _has_chromatic_number(oracles.complete_graph(4), 4)
+    assert _has_chromatic_number(oracles.petersen_graph(), 3)
+    assert _has_chromatic_number(Graph(3, []), 1)
     # the Mycielski graph M5: 23 vertices, no triangle, chromatic number 5
     m5 = oracles.mycielski(oracles.mycielski(oracles.cycle_graph(5)))
     assert m5.n == 23 and clique_number(m5) == 2
-    assert not is_k_colorable(m5, 4)
-    assert chromatic_number(m5) == 5
+    assert _has_chromatic_number(m5, 5)
 
 
 def test_chromatic_number_matches_brute():
     for g in small_corpus() + tuple(seeded_corpus()):
         chi = oracles.chromatic_number_brute(g)
-        assert chromatic_number(g) == chi
         for k in range(chi + 2):
             assert is_k_colorable(g, k) == (k >= chi), (g.edges, k)
 

@@ -883,24 +883,3 @@ def test_r_below_one_is_rejected(capsys, r):
         run_battery(3, r=r)
     assert main(["harness", "--n-max", "3", "--r", str(r)]) == 2
     assert capsys.readouterr().err == "cmgraph: error: r must be at least 1\n"
-
-
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
-def test_jobs_outside_one_to_cpu_count_is_rejected(capsys, jobs):
-    with pytest.raises(ValueError, match="jobs must be between 1 and"):
-        run_battery(3, r=2, jobs=jobs)
-    with pytest.raises(ValueError, match="jobs must be between 1 and"):
-        harness.compute_records(enumerate_graphs_up_to(3).graphs, 2, (0,), jobs=jobs)
-    code = main(["harness", "--n-max", "3", "--jobs", str(jobs)])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert err.startswith("cmgraph: error: jobs must be between 1 and")
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers")
-def test_parallel_report_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-    a = run_battery(5, r=2, jobs=1, report_path=str(serial))
-    b = run_battery(5, r=2, jobs=2, report_path=str(parallel))
-    assert parallel.read_bytes() == serial.read_bytes()
-    assert dict(a, report_path=None) == dict(b, report_path=None)

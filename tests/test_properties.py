@@ -199,7 +199,7 @@ def test_a_perfect_r_matching_matches_the_blocks_of_every_r_partition(case):
     assert oracles.all_r_partitions_brute(g, r)
     assert oracles.r_partitions_matched_reference(g, r)
     assert _r_partitions_matched(g, r)
-    assert harness._graph_record(g, r, ())[1]["all_r_partitions_equal_and_matched"]
+    assert harness.compute_records((g,), r, ())[g][1]["all_r_partitions_equal_and_matched"]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
