@@ -5,8 +5,12 @@ complex is Cohen-Macaulay over a field K iff for every face F (including the
 empty face) the link of F has vanishing reduced homology in all degrees
 strictly below its dimension.  It, cm_characteristic_profile and the
 harness records share one scan, which links only the faces that are
-intersections of facets.  bipartite_cm_ordering applies the Herzog-Hibi
-combinatorial criterion for bipartite graphs, which is characteristic-free.
+intersections of facets and decides each distinct link once with
+_link_failures: the link's 1-skeleton, grown by graphs._component,
+settles disconnected links and links of dimension 1, and the rest are
+reduced, over Q after an F_2 screen.  bipartite_cm_ordering applies the
+Herzog-Hibi combinatorial criterion for bipartite graphs, which is
+characteristic-free.
 
 On a graph the scan is skipped when a characteristic-free certificate
 holds: Ind(G) pure and G vertex decomposable by shedding vertices, which
@@ -238,72 +242,48 @@ def _shedding_certified(g: Graph) -> bool:
     return verdict
 
 
-class _LinkVerdicts:
-    """One link's first failing homology index per field, found on demand.
+def _link_failures(lk: SimplicialComplex, fields: list[FieldSpec]) -> dict[FieldSpec, int | None]:
+    """The link lk's first failing degree for each field: the least i below
+    lk's dimension with nonzero reduced homology in degree i, or None when
+    the link passes.
 
-    first[field] is the least i < dim with nonzero reduced homology in
-    degree i, or None when the link passes.  Over the rationals the F_2
-    Betti vector screens first: no integer matrix has larger rank over F_2
-    than over Q, so F_2 Betti numbers bound the rational ones from above,
-    and vanishing F_2 homology below the dimension passes the link without
-    reducing over Q, which costs more than reducing bitsets over F_2.  The
-    F_2 vector is kept, so a scan over both Q and F_2 computes it once.
+    A link of dimension 1 or more is settled over every field without a
+    reduction when it is disconnected (reduced homology first in degree 0,
+    one less than the number of components) or has dimension 1 (connected,
+    so nothing below degree 1).  A complex is connected iff its 1-skeleton
+    is, and graphs._component grows the 1-skeleton's component from its
+    neighbour masks: a vertex's mask is the union of the facets holding it,
+    and its own bit there does not change the component.
 
-    Connectivity settles a link of dimension 1 or more over every field
-    without a reduction when it is disconnected (reduced homology first in
-    degree 0, one less than the number of components) or has dimension 1
-    (connected, so nothing below degree 1).
+    Otherwise the F_2 Betti vector is reduced at most once.  It answers F_2,
+    and it screens Q: no integer matrix has larger rank over F_2 than over
+    Q, so F_2 Betti numbers bound the rational ones from above, and
+    vanishing F_2 homology below the dimension passes the link without
+    reducing over Q, which costs more than reducing bitsets over F_2.
     """
-
-    __slots__ = ("lk", "dim", "first", "f2_betti", "connected")
-
-    def __init__(self, lk: SimplicialComplex):
-        self.lk = lk
-        self.dim = lk.dimension()
-        self.first: dict[FieldSpec, int | None] = {}
-        self.f2_betti: tuple[int, ...] | None = None
-        self.connected = self.dim < 1 or _facets_connected(lk._facet_masks())
-
-    def _betti_f2(self) -> tuple[int, ...]:
-        if self.f2_betti is None:
-            self.f2_betti = reduced_betti(self.lk, _F2)
-        return self.f2_betti
-
-    def first_failure(self, field: FieldSpec) -> int | None:
-        if field in self.first:
-            return self.first[field]
-        d = self.dim
+    d = lk.dimension()
+    if d >= 1:
+        nbr = [0] * (lk.n + 1)
+        for facet, m in zip(lk.facets, lk._facet_masks()):
+            for v in facet:
+                nbr[v] |= m
+        full = _full_mask(lk.n)
+        if _component(nbr, full)[0] != full:
+            return dict.fromkeys(fields, 0)
+        if d == 1:
+            return dict.fromkeys(fields)
+    f2 = None
+    first: dict[FieldSpec, int | None] = {}
+    for field in fields:
         c = field.characteristic
-        if not self.connected:
-            found = 0
-        elif d == 1:
-            found = None
-        elif c == 0 and not any(self._betti_f2()[: d + 1]):
-            found = None
+        if c in (0, 2) and f2 is None:
+            f2 = reduced_betti(lk, _F2)
+        if c == 2 or c == 0 and not any(f2[: d + 1]):
+            betti = f2
         else:
-            betti = self._betti_f2() if c == 2 else reduced_betti(self.lk, field)
-            found = next((i for i in range(-1, d) if betti[i + 1]), None)
-        self.first[field] = found
-        return found
-
-
-def _facets_connected(masks: tuple[int, ...]) -> bool:
-    """Whether the facets given by vertex masks form one connected complex:
-    the union grown from the first facet absorbs every facet it meets."""
-    reached = masks[0]
-    rest = masks[1:]
-    grew = True
-    while rest and grew:
-        grew = False
-        left = []
-        for m in rest:
-            if m & reached:
-                reached |= m
-                grew = True
-            else:
-                left.append(m)
-        rest = left
-    return not rest
+            betti = reduced_betti(lk, field)
+        first[field] = next((i for i in range(-1, d) if betti[i + 1]), None)
+    return first
 
 
 def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMReport]:
@@ -321,7 +301,10 @@ def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMRepo
     has a vertex v outside it in all of them, so lk(F) is a cone over v,
     acyclic over every field, and is skipped.  A link's facets determine it,
     since every vertex lies in a facet, so verdicts are kept by facets for
-    the rest of the call: distinct faces often have equal links.
+    the rest of the call: distinct faces often have equal links.  The scan
+    calls _link_failures once per distinct link, for the fields active when
+    it first meets the link; fields only drop out, so a later face with the
+    same link asks no field that call left out.
     """
     if not cx.is_pure():
         by_size = sorted(cx.facets, key=len)
@@ -329,7 +312,7 @@ def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMRepo
         return [CMReport(f, False, witness) for f in fields]
     active = list(dict.fromkeys(fields))
     failed: dict[FieldSpec, HomologyWitness] = {}
-    by_facets: dict[tuple[tuple[int, ...], ...], _LinkVerdicts] = {}
+    by_facets: dict[tuple[tuple[int, ...], ...], dict[FieldSpec, int | None]] = {}
     dim = cx.dimension()
     # incidence[v]: the facets containing vertex v, bit i for the i-th facet
     masks = cx._facet_masks()
@@ -344,12 +327,12 @@ def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMRepo
         if sum(1 for m in incidence if m & above == above) > len(face):
             continue
         lk = link(cx, face)
-        entry = by_facets.get(lk.facets)
-        if entry is None:
-            entry = by_facets[lk.facets] = _LinkVerdicts(lk)
+        first = by_facets.get(lk.facets)
+        if first is None:
+            first = by_facets[lk.facets] = _link_failures(lk, active)
         dropped = False
         for field in active:
-            i = entry.first_failure(field)
+            i = first[field]
             if i is not None:
                 failed[field] = HomologyWitness(face, i)
                 dropped = True

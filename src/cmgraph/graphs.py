@@ -373,10 +373,6 @@ def _mask_has_clique(nbr: Sequence[int], avail: int, size: int) -> bool:
     return next(_cliques(nbr, avail, size), None) is not None
 
 
-def clique_number(g: Graph) -> int:
-    return max(len(c) for c in maximal_cliques(g))
-
-
 def _component(nbr: Sequence[int], rest: int) -> tuple[int, int]:
     """The connected component of the lowest vertex of the mask rest in the
     subgraph that the neighbour masks nbr induce on rest, and the vertices

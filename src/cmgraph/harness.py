@@ -44,6 +44,7 @@ from .covers import (
     perfect_r_matchings,
 )
 from .graphs import (
+    MAX_CANONICAL_N,
     Graph,
     _augment,
     _free_classes,
@@ -58,8 +59,6 @@ from .graphs import (
     r_partition,
 )
 from .homology import FieldSpec
-
-MAX_ENUM_N = 9
 
 
 @dataclass(frozen=True)
@@ -183,8 +182,10 @@ def _clique_tests(
 def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > MAX_ENUM_N:
-        raise ValueError(f"enumeration supports at most n = {MAX_ENUM_N}")
+    # classes are deduplicated by canonical form, so the enumeration stops
+    # where canonical forms do
+    if n > MAX_CANONICAL_N:
+        raise ValueError(f"enumeration supports at most n = {MAX_CANONICAL_N}")
 
 
 def _hereditary_family(
@@ -203,7 +204,9 @@ def _hereditary_family(
     its parent's free classes (graphs._free_classes), found once per
     parent.  A neighbourhood that misses a free class holds no
     K_chi_bound, so the clique bound is tested apart only when it is below
-    chi_bound.
+    chi_bound.  No chi_bound means n, which every graph on n vertices
+    meets: a parent has fewer than n vertices, so its one free class is the
+    empty set.
 
     With top_clique = s (at least 2), level n keeps only the graphs whose
     every vertex and every edge lies in an s-clique (_clique_tests).  A
@@ -218,7 +221,9 @@ def _hereditary_family(
     they drop whole classes, and the classes kept have the same
     representatives."""
     _check_n(n)
-    if clique_bound is not None and chi_bound is not None and clique_bound >= chi_bound:
+    if chi_bound is None:
+        chi_bound = n
+    if clique_bound is not None and clique_bound >= chi_bound:
         clique_bound = None
     first = Graph(1, ())
     levels = [{first: canonical_form(first)}]
@@ -232,10 +237,7 @@ def _hereditary_family(
         barren: set[Graph] = set()
         for p in levels[-1]:
             admits, fits = (None, None) if need is None else _clique_tests(p, need)
-            if chi_bound is not None:
-                free = _free_classes(p, chi_bound, fits)
-            else:
-                free = [0] if fits is None or fits(0) else []
+            free = _free_classes(p, chi_bound, fits)
             if not free:
                 barren.add(p)
                 continue
@@ -398,7 +400,7 @@ def _ensembles(
 def enumerate_graphs(n: int, filters: GraphFilters | None = None) -> GraphEnsemble:
     """All graphs on exactly n vertices (up to isomorphism) passing the filters.
 
-    Raises ValueError for n outside 1..MAX_ENUM_N.
+    Raises ValueError for n outside 1..MAX_CANONICAL_N.
     """
     return _ensembles(n, [filters or GraphFilters()], n_min=n)[0][0]
 
@@ -408,7 +410,7 @@ def enumerate_graphs_up_to(
 ) -> GraphEnsemble:
     """All graphs on 1..n_max vertices passing the filters, ordered by (n, canon).
 
-    Raises ValueError for n_max outside 1..MAX_ENUM_N.
+    Raises ValueError for n_max outside 1..MAX_CANONICAL_N.
     """
     return _ensembles(n_max, [filters or GraphFilters()])[0][0]
 
@@ -636,8 +638,8 @@ def run_battery(
     are computed once per distinct graph and shared by all verdicts, and
     the summary and the report are deterministic.  The report is opened
     before any enumeration.  Raises ValueError for n_max outside
-    1..MAX_ENUM_N, no or invalid characteristics, r < 1, or a report_path
-    that cannot be written.
+    1..MAX_CANONICAL_N, no or invalid characteristics, r < 1, or a
+    report_path that cannot be written.
     """
     chars = tuple(characteristics)
     if not chars:

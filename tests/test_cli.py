@@ -311,7 +311,7 @@ def test_shellable_nonpure_complex_exits_2(capsys, tmp_path):
     [("0", "n must be at least 1"), ("10", "enumeration supports at most n = 9")],
 )
 def test_harness_vertex_bound_out_of_range_exits_2(capsys, n_max, message):
-    # the bound is checked by run_battery alone, from MAX_ENUM_N
+    # the bound is checked by run_battery alone, from MAX_CANONICAL_N
     code, out, err = run_cli(capsys, ["harness", "--n-max", n_max])
     assert code == 2 and out == ""
     assert err == f"cmgraph: error: {message}\n"

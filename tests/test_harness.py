@@ -12,11 +12,11 @@ from cmgraph.cli import main
 from cmgraph.complexes import independence_complex
 from cmgraph.covers import alpha_clique_cover, perfect_r_matchings
 from cmgraph.graphs import (
+    MAX_CANONICAL_N,
     Graph,
     _augment,
     _free_classes,
     canonical_form,
-    clique_number,
     is_connected,
     is_k_colorable,
     is_perfect,
@@ -26,7 +26,6 @@ from cmgraph.graphs import (
 )
 from cmgraph.harness import (
     CLAIMS,
-    MAX_ENUM_N,
     GraphEnsemble,
     GraphFilters,
     enumerate_graphs,
@@ -153,7 +152,7 @@ def test_filters_agree_with_post_hoc_predicates():
 
 def test_enumeration_size_limit():
     with pytest.raises(ValueError):
-        enumerate_graphs(MAX_ENUM_N + 1)
+        enumerate_graphs(MAX_CANONICAL_N + 1)
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -180,7 +179,7 @@ def _plain_family(n, chi, omega):
                 child = Graph(k, p.edges + tuple(
                     (v, k) for v in range(1, k) if nbrs >> (v - 1) & 1
                 ))
-                if omega is not None and clique_number(child) > omega:
+                if omega is not None and max(len(c) for c in maximal_cliques(child)) > omega:
                     continue
                 if chi is not None and not is_k_colorable(child, chi):
                     continue
