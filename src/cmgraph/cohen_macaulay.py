@@ -89,11 +89,6 @@ def reisner_cm(cx: SimplicialComplex, field: FieldSpec) -> CMReport:
     return _reisner_scan(cx, [field])[0]
 
 
-def cm_graph(g: Graph, field: FieldSpec) -> CMReport:
-    """Cohen-Macaulayness of a graph, i.e. of its independence complex."""
-    return cm_characteristic_profile(g, [field])[0]
-
-
 def cm_characteristic_profile(g: Graph, fields: list[FieldSpec]) -> list[CMReport]:
     """One report per requested field, from a single scan of Ind(g)'s faces,
     or from none when Ind(g) is certified CM over every field.

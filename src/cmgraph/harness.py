@@ -21,9 +21,8 @@ run_battery's records read the facts its ensemble scan already filled,
 canonical forms from the enumeration included.  A record keeps only CM
 verdicts, never a witness face, so it asks cohen_macaulay._graph_cm, which
 refutes most non-CM graphs by a disconnected link before any scan.
-run_battery runs the whole table; verify_claim runs one entry.  Reports are
-line-delimited JSON, one graph per line, sorted by canonical form,
-byte-identical across runs.
+run_battery runs the whole table.  Reports are line-delimited JSON, one
+graph per line, sorted by canonical form, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -83,20 +82,6 @@ class GraphEnsemble:
     n_max: int
     filters: GraphFilters
     graphs: tuple[Graph, ...]
-
-
-@dataclass(frozen=True)
-class TheoremVerdict:
-    """Outcome of one sweep: the claim, how many graphs were checked, and
-    every counterexample as (canonical form, reason)."""
-
-    claim: str
-    graphs_checked: int
-    counterexamples: tuple[tuple[str, str], ...]
-
-    @property
-    def holds(self) -> bool:
-        return not self.counterexamples
 
 
 def _packed_masks(p: Graph) -> list[int]:
@@ -569,46 +554,6 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
-def _sweep(
-    claim: Claim,
-    ensemble: GraphEnsemble,
-    records: dict[Graph, tuple[str, dict]],
-    r: int,
-    char: int | None,
-) -> TheoremVerdict:
-    ces = []
-    for g in ensemble.graphs:
-        canon, rec = records[g]
-        reason = claim.check(rec, char)
-        if reason:
-            ces.append((canon, reason))
-    name = claim.name.format(r=r, char=char, n_max=ensemble.n_max)
-    return TheoremVerdict(name, len(ensemble.graphs), tuple(ces))
-
-
-def verify_claim(
-    claim: str,
-    ensemble: GraphEnsemble,
-    r: int,
-    char: int | None = None,
-) -> TheoremVerdict:
-    """Run one claim of CLAIMS on an ensemble enumerated with its filters.
-
-    char is the field characteristic of a per-characteristic claim and must
-    be None for the others.  Raises ValueError for an unknown claim, an
-    ensemble with other filters, or a missing or superfluous char.
-    """
-    spec = CLAIMS.get(claim)
-    if spec is None:
-        raise ValueError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
-    if ensemble.filters != spec.filters(r):
-        raise ValueError(f"{claim} at r = {r} reads the ensemble {spec.filters(r)}")
-    if spec.per_char != (char is not None):
-        raise ValueError(f"{claim} {'needs a' if spec.per_char else 'takes no'} characteristic")
-    chars = (char,) if spec.per_char else spec.needs_chars
-    return _sweep(spec, ensemble, compute_records(ensemble.graphs, r, chars), r, char)
-
-
 def report_lines(
     records: dict[Graph, tuple[str, dict]],
     violations: dict[str, list[str]],
@@ -636,12 +581,13 @@ def run_battery(
 
     Every ensemble comes from one pass over one hereditary family.  Records
     are computed once per distinct graph and shared by all verdicts, and
-    the summary and the report are deterministic.  The report is opened
-    before any enumeration.  Raises ValueError for n_max outside
+    the summary and the report are deterministic.  A characteristic given
+    more than once is swept once, at its first position.  The report is
+    opened before any enumeration.  Raises ValueError for n_max outside
     1..MAX_CANONICAL_N, no or invalid characteristics, r < 1, or a
     report_path that cannot be written.
     """
-    chars = tuple(characteristics)
+    chars = tuple(dict.fromkeys(characteristics))
     if not chars:
         raise ValueError("at least one characteristic is required")
     for c in chars:
@@ -671,16 +617,25 @@ def run_battery(
             if not cl.per_char and set(cl.needs_chars) <= set(chars)
         ]
         violations: dict[str, list[str]] = {}
-        verdicts: list[TheoremVerdict] = []
+        verdicts: list[dict] = []
         converse: dict[str, list[str]] = {}
         for cl, c in runs:
-            v = _sweep(cl, ensembles[cl.ensemble], records, r, c)
+            graphs = ensembles[cl.ensemble].graphs
+            ces = []
+            for g in graphs:
+                canon, rec = records[g]
+                reason = cl.check(rec, c)
+                if reason:
+                    ces.append([canon, reason])
             if not cl.violation:
-                converse[str(c)] = sorted({canon for canon, _ in v.counterexamples})
+                converse[str(c)] = sorted(canon for canon, _ in ces)
                 continue
-            verdicts.append(v)
-            for canon, _ in v.counterexamples:
-                violations.setdefault(canon, []).append(v.claim)
+            name = cl.name.format(r=r, char=c, n_max=n_max)
+            verdicts.append(
+                {"claim": name, "graphs_checked": len(graphs), "counterexamples": ces}
+            )
+            for canon, _ in ces:
+                violations.setdefault(canon, []).append(name)
 
         for canon, rec in records.values():
             rec["converse_candidate_chars"] = sorted(
@@ -696,14 +651,7 @@ def run_battery(
         "characteristics": list(chars),
         "graphs_checked": len({canon for canon, _ in records.values()}),
         "ensemble_sizes": {name: len(ens.graphs) for name, ens in ensembles.items()},
-        "verdicts": [
-            {
-                "claim": v.claim,
-                "graphs_checked": v.graphs_checked,
-                "counterexamples": [list(ce) for ce in v.counterexamples],
-            }
-            for v in verdicts
-        ],
+        "verdicts": verdicts,
         "converse_candidates": converse,
         "violations_total": sum(len(v) for v in violations.values()),
         "report_path": report_path,

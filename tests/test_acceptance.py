@@ -10,7 +10,11 @@ import itertools
 import pytest
 
 import oracles
-from cmgraph.cohen_macaulay import bipartite_cm_ordering, cm_graph, reisner_cm
+from cmgraph.cohen_macaulay import (
+    bipartite_cm_ordering,
+    cm_characteristic_profile,
+    reisner_cm,
+)
 from cmgraph.complexes import (
     BUDGET_EXHAUSTED,
     NOT_SHELLABLE,
@@ -21,13 +25,7 @@ from cmgraph.complexes import (
     is_shelling_order,
 )
 from cmgraph.graphs import Graph, canonical_form, delete_closed_neighborhood, is_unmixed
-from cmgraph.harness import (
-    GraphFilters,
-    enumerate_graphs,
-    enumerate_graphs_up_to,
-    run_battery,
-    verify_claim,
-)
+from cmgraph.harness import enumerate_graphs, enumerate_graphs_up_to, run_battery
 from cmgraph.homology import FieldSpec, boundary_matrices, reduced_betti
 from test_complexes import RP2_FACETS, boundary_sphere
 from test_harness import R3_DEGREE_COUNTEREXAMPLES, R4_DEGREE_COUNTEREXAMPLES
@@ -41,8 +39,8 @@ pytestmark = pytest.mark.acceptance
 
 
 def test_criterion_1_fig1_cm_away_from_characteristic_two(fig1):
-    rep0 = cm_graph(fig1, Q)
-    rep2 = cm_graph(fig1, F2)
+    rep0 = cm_characteristic_profile(fig1, [Q])[0]
+    rep2 = cm_characteristic_profile(fig1, [F2])[0]
     assert rep0.is_cm and rep0.witness is None
     assert not rep2.is_cm
     assert rep2.witness.face == ()
@@ -75,17 +73,15 @@ def test_criterion_3_extended_search_decides_not_shellable(fig1):
 def test_criterion_4_connected_bipartite_triple_agreement():
     """Matching ordering, char-0 and char-2 verdicts coincide through n = 8,
     and on unmixed graphs they coincide with unique-perfect-matching."""
-    ens = enumerate_graphs_up_to(8, GraphFilters(connected=True, r_partite=2))
-    verdict = verify_claim("bipartite-equivalences", ens, 2)
-    assert verdict.graphs_checked == 253
-    assert verdict.counterexamples == (), verdict.counterexamples
+    (verdict,) = _sweep_verdicts(run_battery(8, r=2), "bipartite-equivalences")
+    assert verdict["graphs_checked"] == 253
+    assert verdict["counterexamples"] == [], verdict["counterexamples"]
 
 
 @pytest.mark.extended
 def test_criterion_4_extended_n9():
-    ens = enumerate_graphs_up_to(9, GraphFilters(connected=True, r_partite=2))
-    verdict = verify_claim("bipartite-equivalences", ens, 2)
-    assert verdict.counterexamples == (), verdict.counterexamples
+    (verdict,) = _sweep_verdicts(run_battery(9, r=2), "bipartite-equivalences")
+    assert verdict["counterexamples"] == [], verdict["counterexamples"]
 
 
 def _sweep_verdicts(summary, prefix):
@@ -231,7 +227,7 @@ def _implication_sweep(graphs, shelling_budget):
             for v in range(1, g.n + 1):
                 h, _ = delete_closed_neighborhood(g, v)
                 if h.n:
-                    assert cm_graph(h, field).is_cm, (g.edges, v, field)
+                    assert cm_characteristic_profile(h, [field])[0].is_cm, (g.edges, v, field)
 
 
 def test_criterion_6_implication_suite_through_n7():

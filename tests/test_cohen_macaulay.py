@@ -11,7 +11,6 @@ from cmgraph.cohen_macaulay import (
     PurityWitness,
     bipartite_cm_ordering,
     cm_characteristic_profile,
-    cm_graph,
     cm_report_json,
     hh_conditions_hold,
     reisner_cm,
@@ -49,45 +48,46 @@ def test_purity_failure_is_witnessed():
 
 def test_triangle_is_cm_over_every_characteristic():
     for field in (Q, F2, F3):
-        assert cm_graph(oracles.complete_graph(3), field).is_cm
+        assert cm_characteristic_profile(oracles.complete_graph(3), [field])[0].is_cm
 
 
 def test_c5_is_cm_and_c4_is_not():
-    assert cm_graph(oracles.cycle_graph(5), Q).is_cm
-    rep = cm_graph(oracles.cycle_graph(4), Q)
+    assert cm_characteristic_profile(oracles.cycle_graph(5), [Q])[0].is_cm
+    rep = cm_characteristic_profile(oracles.cycle_graph(4), [Q])[0]
     assert not rep.is_cm
     # two disjoint edges: disconnection appears as reduced betti index 0
     assert rep.witness == HomologyWitness(face=(), index=0)
 
 
 def test_empty_graph_is_cm():
-    assert cm_graph(Graph(0, []), Q).is_cm
-    assert cm_graph(Graph(3, []), F2).is_cm  # one facet, the whole vertex set
+    assert cm_characteristic_profile(Graph(0, []), [Q])[0].is_cm
+    # one facet, the whole vertex set
+    assert cm_characteristic_profile(Graph(3, []), [F2])[0].is_cm
 
 
 def test_cm_graph_agrees_with_reisner_on_independence_complex(fig1):
     for g in (fig1, oracles.cycle_graph(5), oracles.path_graph(4)):
         for field in (Q, F2):
             assert (
-                cm_graph(g, field).is_cm
+                cm_characteristic_profile(g, [field])[0].is_cm
                 == reisner_cm(independence_complex(g), field).is_cm
             )
 
 
 def test_report_json_shapes(fig1):
-    rep2 = cm_graph(fig1, F2)
+    rep2 = cm_characteristic_profile(fig1, [F2])[0]
     assert cm_report_json(rep2) == {
         "characteristic": 2,
         "is_cm": False,
         "witness": {"face": [], "index": 1},
     }
-    rep_pure = cm_graph(oracles.path_graph(3), Q)
+    rep_pure = cm_characteristic_profile(oracles.path_graph(3), [Q])[0]
     assert cm_report_json(rep_pure) == {
         "characteristic": 0,
         "is_cm": False,
         "witness": {"kind": "purity", "facets": [[2], [1, 3]]},
     }
-    assert cm_report_json(cm_graph(oracles.complete_graph(3), Q)) == {
+    assert cm_report_json(cm_characteristic_profile(oracles.complete_graph(3), [Q])[0]) == {
         "characteristic": 0,
         "is_cm": True,
         "witness": None,
@@ -106,7 +106,7 @@ def test_reisner_matches_brute_force_oracle():
     for g in enumerate_graphs_up_to(6).graphs:
         for char in (0, 2):
             assert (
-                cm_graph(g, FieldSpec(char)).is_cm
+                cm_characteristic_profile(g, [FieldSpec(char)])[0].is_cm
                 == oracles.is_cm_brute(g, char)
             ), g.edges
 
@@ -285,11 +285,11 @@ def test_link_verdicts_by_connectivity_equal_reduced_betti_on_every_link():
 
 def test_whiskered_p8_is_cm_over_the_rationals():
     # whiskered trees are CM over every field
-    assert cm_graph(whiskered_path(8), Q).is_cm is True
+    assert cm_characteristic_profile(whiskered_path(8), [Q])[0].is_cm is True
 
 
 def test_whiskered_p8_is_cm_over_f3():
-    assert cm_graph(whiskered_path(8), F3).is_cm is True
+    assert cm_characteristic_profile(whiskered_path(8), [F3])[0].is_cm is True
 
 
 @pytest.mark.extended
@@ -439,5 +439,5 @@ def test_ordering_existence_matches_reisner_on_connected_bipartite_graphs():
         if r_partition(g, 2) is None or not is_connected(g):
             continue
         exists = bipartite_cm_ordering(g) is not None
-        assert exists == cm_graph(g, Q).is_cm, g.edges
-        assert exists == cm_graph(g, F2).is_cm, g.edges
+        assert exists == cm_characteristic_profile(g, [Q])[0].is_cm, g.edges
+        assert exists == cm_characteristic_profile(g, [F2])[0].is_cm, g.edges

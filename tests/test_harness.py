@@ -31,7 +31,6 @@ from cmgraph.harness import (
     enumerate_graphs,
     enumerate_graphs_up_to,
     run_battery,
-    verify_claim,
 )
 from cmgraph.homology import FieldSpec
 
@@ -455,32 +454,34 @@ def claim_ensemble(claim, n_max, r):
     return enumerate_graphs_up_to(n_max, CLAIMS[claim].filters(r))
 
 
+def verdict_of(summary, name):
+    """The one verdict of a run_battery summary with that full claim name."""
+    (verdict,) = [v for v in summary["verdicts"] if v["claim"] == name]
+    return verdict
+
+
 def test_degree_sweep_holds_for_bipartite_through_n6():
-    ens = claim_ensemble("main-theorem", 6, 2)
-    verdict = verify_claim("main-theorem", ens, 2, char=0)
-    assert verdict.holds and verdict.counterexamples == ()
-    assert verdict.graphs_checked == len(ens.graphs)
+    verdict = verdict_of(run_battery(6, r=2), "main-theorem r=2 char=0")
+    assert verdict["counterexamples"] == []
+    assert verdict["graphs_checked"] == len(claim_ensemble("main-theorem", 6, 2).graphs)
 
 
 def test_uniqueness_sweep_holds_for_bipartite_through_n6():
-    ens = claim_ensemble("uniqueness-corollary", 6, 2)
-    verdict = verify_claim("uniqueness-corollary", ens, 2, char=0)
-    assert verdict.holds
+    verdict = verdict_of(run_battery(6, r=2), "uniqueness-corollary r=2 char=0")
+    assert verdict["counterexamples"] == []
 
 
 def test_bipartite_equivalences_small():
-    ens = claim_ensemble("bipartite-equivalences", 6, 2)
-    verdict = verify_claim("bipartite-equivalences", ens, 2)
-    assert verdict.holds
-    assert verdict.graphs_checked == 27  # connected bipartite classes, n 2..6
+    verdict = verdict_of(run_battery(6, r=2), "bipartite-equivalences n<=6")
+    assert verdict["counterexamples"] == []
+    assert verdict["graphs_checked"] == 27  # connected bipartite classes, n 2..6
 
 
 def test_converse_fails_already_at_n6():
     """Degree-one vertex plus unique matching does not force Cohen-Macaulay."""
     ens = claim_ensemble("converse", 6, 2)
     by_canon = {canonical_form(g).decode(): g for g in ens.graphs}
-    verdict = verify_claim("converse", ens, 2, char=0)
-    found = [by_canon[canon] for canon, _ in verdict.counterexamples]
+    found = [by_canon[canon] for canon in run_battery(6, r=2)["converse_candidates"]["0"]]
     assert [(g.n, g.edges) for g in found] == [
         (6, ((1, 4), (1, 5), (2, 5), (2, 6), (3, 6)))  # a relabeled 6-path
     ]
@@ -496,22 +497,23 @@ def _blocks_matched_brute(g, a, b):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_char_free_claims_agree_with_oracles_through_n6(r):
-    """The two claims that read no characteristic run alone, and their
-    counterexamples are exactly the ones the brute-force oracles find."""
+    """The counterexamples of the two claims that read no characteristic
+    are exactly the ones the brute-force oracles find."""
+    summary = run_battery(6, r)
     ens = claim_ensemble("alpha-clique-cover", 6, r)
     assert ens.graphs
-    verdict = verify_claim("alpha-clique-cover", ens, r)
+    verdict = verdict_of(summary, f"alpha-clique-cover r={r}")
     expected = [
         canonical_form(g).decode()
         for g in ens.graphs
         if oracles.clique_cover_number_brute(g) != oracles.independence_number_brute(g)
     ]
-    assert verdict.graphs_checked == len(ens.graphs)
-    assert [canon for canon, _ in verdict.counterexamples] == expected
+    assert verdict["graphs_checked"] == len(ens.graphs)
+    assert [canon for canon, _ in verdict["counterexamples"]] == expected
 
     ens = claim_ensemble("parts-equal-and-matched", 6, r)
     assert ens.graphs
-    verdict = verify_claim("parts-equal-and-matched", ens, r)
+    verdict = verdict_of(summary, f"parts-equal-and-matched r={r}")
     expected = [
         canonical_form(g).decode()
         for g in ens.graphs
@@ -521,8 +523,8 @@ def test_char_free_claims_agree_with_oracles_through_n6(r):
             for a, b in itertools.combinations(parts, 2)
         )
     ]
-    assert verdict.graphs_checked == len(ens.graphs)
-    assert [canon for canon, _ in verdict.counterexamples] == expected
+    assert verdict["graphs_checked"] == len(ens.graphs)
+    assert [canon for canon, _ in verdict["counterexamples"]] == expected
 
 
 def test_char_free_records_skip_the_cm_decider(monkeypatch):
@@ -691,22 +693,6 @@ def test_battery_records_reuse_the_canonical_forms_of_the_enumeration(monkeypatc
     assert calls["all"] == len(pool)
 
 
-def test_verify_claim_rejects_mismatched_calls():
-    ens = claim_ensemble("main-theorem", 4, 2)
-    with pytest.raises(ValueError, match="unknown claim"):
-        verify_claim("no-such-claim", ens, 2, char=0)
-    with pytest.raises(ValueError, match="reads the ensemble"):
-        verify_claim("parts-equal-and-matched", ens, 2)
-    with pytest.raises(ValueError, match="reads the ensemble"):
-        verify_claim("main-theorem", ens, 3, char=0)
-    with pytest.raises(ValueError, match="needs a characteristic"):
-        verify_claim("main-theorem", ens, 2)
-    with pytest.raises(ValueError, match="takes no characteristic"):
-        verify_claim("alpha-clique-cover", claim_ensemble("alpha-clique-cover", 4, 2), 2, char=0)
-    with pytest.raises(ValueError, match="reads the ensemble"):
-        verify_claim("bipartite-equivalences", claim_ensemble("bipartite-equivalences", 4, 2), 3)
-
-
 def test_smallest_degree_sweep_counterexample_is_genuine():
     """The smallest graph class the r=3 degree sweep reports is real.
 
@@ -715,7 +701,7 @@ def test_smallest_degree_sweep_counterexample_is_genuine():
     3-matching, yet its minimum degree is 3, not r - 1 = 2.
     """
     from cmgraph.complexes import is_shellable, is_shelling_order
-    from cmgraph.cohen_macaulay import cm_graph
+    from cmgraph.cohen_macaulay import cm_characteristic_profile
     from cmgraph.covers import (
         alpha_clique_cover,
         degree_r_minus_1_vertices,
@@ -736,7 +722,7 @@ def test_smallest_degree_sweep_counterexample_is_genuine():
     assert degree_r_minus_1_vertices(g, 3) == ()
     assert len(perfect_r_matchings(g, 3, limit=2)) == 1
     for char in (0, 2, 3):
-        assert cm_graph(g, FieldSpec(char)).is_cm
+        assert cm_characteristic_profile(g, [FieldSpec(char)])[0].is_cm
     assert oracles.is_cm_brute(g, 0) and oracles.is_cm_brute(g, 2)
     res = is_shellable(independence_complex(g))
     assert res.status == "shellable" and is_shelling_order(res.order)
@@ -786,8 +772,14 @@ def test_run_battery_report_is_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_repeated_characteristics_are_swept_once():
+    assert run_battery(6, r=2, characteristics=(0, 2, 0)) == run_battery(
+        6, r=2, characteristics=(0, 2)
+    )
+
+
 def test_battery_records_match_direct_computation(tmp_path):
-    from cmgraph.cohen_macaulay import cm_graph
+    from cmgraph.cohen_macaulay import cm_characteristic_profile
     from cmgraph.graphs import Graph
 
     path = tmp_path / "report.jsonl"
@@ -795,7 +787,7 @@ def test_battery_records_match_direct_computation(tmp_path):
     for line in path.read_text().splitlines():
         rec = json.loads(line)["properties"]
         g = Graph(rec["n"], [tuple(e) for e in rec["edges"]])
-        assert rec["cm"]["0"] == cm_graph(g, Q).is_cm
+        assert rec["cm"]["0"] == cm_characteristic_profile(g, [Q])[0].is_cm
         unique = len(perfect_r_matchings(g, 2, limit=2)) == 1
         assert rec["unique_perfect_r_matching"] == unique
         assert rec["independence_number"] == oracles.independence_number_brute(g)

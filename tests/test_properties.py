@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from cmgraph import cohen_macaulay, harness
-from cmgraph.cohen_macaulay import cm_characteristic_profile, cm_graph, reisner_cm
+from cmgraph.cohen_macaulay import cm_characteristic_profile, reisner_cm
 from cmgraph.covers import _r_partitions_matched, perfect_r_matchings
 from cmgraph.complexes import (
     SimplicialComplex,
@@ -45,8 +45,11 @@ def graphs(draw, max_n: int = 8) -> Graph:
 def test_cm_over_f2_or_f3_implies_cm_over_q(g):
     # a matrix has no larger rank over F_p than over Q, so F_p Betti numbers
     # bound the rational ones from above in every link
-    if cm_graph(g, F2).is_cm or cm_graph(g, F3).is_cm:
-        assert cm_graph(g, Q).is_cm
+    if (
+        cm_characteristic_profile(g, [F2])[0].is_cm
+        or cm_characteristic_profile(g, [F3])[0].is_cm
+    ):
+        assert cm_characteristic_profile(g, [Q])[0].is_cm
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -57,7 +60,10 @@ def test_relabelling_keeps_cm_verdicts_and_betti_vectors(data):
     h = oracles.relabeled(g, dict(zip(range(1, g.n + 1), images)))
     cx_g, cx_h = independence_complex(g), independence_complex(h)
     for field in (Q, F2, F3):
-        assert cm_graph(h, field).is_cm == cm_graph(g, field).is_cm
+        assert (
+            cm_characteristic_profile(h, [field])[0].is_cm
+            == cm_characteristic_profile(g, [field])[0].is_cm
+        )
         assert reduced_betti(cx_h, field) == reduced_betti(cx_g, field)
 
 
