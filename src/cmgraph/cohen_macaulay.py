@@ -24,7 +24,6 @@ verdicts.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, independence_complex, link
@@ -382,12 +381,19 @@ def bipartite_cm_ordering(g: Graph) -> HHOrdering | None:
     Requires a bipartite graph with both parts nonempty.  Under an HH
     ordering v_i ~ w_j only when i <= j, so the adjacency is triangular and
     its matching is the only perfect matching; parts of unequal size have
-    none.  One augmenting-path search finds a perfect matching, and cross
-    edges orient its pairs.  A cycle of that orientation is an alternating
-    cycle, which exists iff the matching is not the only one, and otherwise
-    an ordering compatible with condition (2) is a topological order of the
-    pairs.  Condition (3) holds for one topological order iff it holds for
-    all, so a single deterministic topological sort decides the matter.
+    none.  One augmenting-path search finds a perfect matching, and the
+    pairs are sorted by the degree of their w, then by the pair.
+
+    Write v_a ~ w_b for pairs a != b as an arc a -> b.  Every neighbour of
+    w_b is the v of some pair, so b has deg(w_b) - 1 arcs coming in.  When
+    an ordering exists the matching is unique, so the arcs have no cycle
+    (a cycle is an alternating cycle), and condition (3) makes the arcs
+    transitive: it holds for one topological order iff it holds for all.
+    An arc a -> b then sends every arc into a on to b as well, and adds a
+    itself, so deg(w_b) > deg(w_a) and the degree sort is a topological
+    order, for which condition (3) holds.  When no ordering exists
+    hh_conditions_hold rejects every order of the pairs, the sorted one
+    included.
     """
     parts = next(_partition_search(g, 2, g.vertices), None)
     if parts is None:
@@ -395,38 +401,7 @@ def bipartite_cm_ordering(g: Graph) -> HHOrdering | None:
     matching = _bipartite_matching(g, *parts)
     if matching is None:
         return None
-    ordered = _topological_pair_order(g, matching)
-    if ordered is not None and hh_conditions_hold(g, ordered):
+    ordered = tuple(sorted(matching, key=lambda pair: (g.degree(pair[1]), pair)))
+    if hh_conditions_hold(g, ordered):
         return HHOrdering(ordered)
     return None
-
-
-def _topological_pair_order(
-    g: Graph, matching: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...] | None:
-    """Sort pairs so every cross edge v_a ~ w_b points forward; None on a cycle.
-
-    Deterministic: among ready pairs the one with the smallest (v, w) comes
-    first.
-    """
-    k = len(matching)
-    succ: list[list[int]] = [[] for _ in range(k)]
-    indeg = [0] * k
-    for a in range(k):
-        for b in range(k):
-            if a != b and g.has_edge(matching[a][0], matching[b][1]):
-                succ[a].append(b)
-                indeg[b] += 1
-    ready = [(matching[a], a) for a in range(k) if indeg[a] == 0]
-    heapq.heapify(ready)
-    out: list[tuple[int, int]] = []
-    while ready:
-        pair, a = heapq.heappop(ready)
-        out.append(pair)
-        for b in succ[a]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(ready, (matching[b], b))
-    if len(out) != k:
-        return None
-    return tuple(out)

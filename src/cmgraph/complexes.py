@@ -113,7 +113,8 @@ class SimplicialComplex:
         return self._faces_by_dim
 
     def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
-        """Faces of dimension d in lexicographic order; d = -1 gives [()]."""
+        """Faces of dimension d in lexicographic order; d = -1 gives [()],
+        and a d outside the complex's dimensions gives []."""
         if d == -1:
             return [()]
         faces = self._faces()
@@ -174,14 +175,11 @@ def parse_complex(text: str) -> SimplicialComplex:
     facets: list[tuple[int, ...]] = []
     for lineno, line in body:
         try:
-            vs = tuple(int(p) for p in line.split())
+            facets.append(tuple(int(p) for p in line.split()))
         except ValueError:
             raise ComplexFormatError(
                 f"line {lineno}: expected vertex indices, got {line!r}"
             ) from None
-        if not vs:
-            raise ComplexFormatError(f"line {lineno}: empty facet line")
-        facets.append(vs)
     try:
         return SimplicialComplex(n, facets)
     except ValueError as exc:

@@ -334,29 +334,22 @@ class _Facts:
         return _alpha_cover(self.g, self.alpha, self.cliques)
 
 
-# Post-filters in evaluation order: the filter field that enables each, and
-# the predicate, which reads the graph's facts and the field's value.  The
-# family is r-colourable when r_partite = r, so its graphs have an
-# r-partition exactly when they have at least r vertices.
-_POST_FILTERS = (
-    ("connected", lambda facts, _: facts.connected),
-    ("r_partite", lambda facts, r: facts.g.n >= r),
-    ("max_clique_size", lambda facts, s: facts.clique_sizes == [s]),
-    ("unmixed", lambda facts, _: facts.unmixed),
-    ("perfect", lambda facts, _: facts.perfect),
-    ("class_g", lambda facts, _: facts.alpha_cover is not None),
-)
-
-
 def _passes(facts: _Facts, f: GraphFilters) -> bool:
-    """Whether the graph of facts passes f's post-filters."""
-    for field, predicate in _POST_FILTERS:
-        value = getattr(f, field)
-        if value is None or value is False:
-            continue
-        if not predicate(facts, value):
-            return False
-    return True
+    """Whether the graph of facts passes f's post-filters, tested in the
+    order below and only up to the first that fails, so a fact is computed
+    only when a filter reads it.
+
+    The family is r-colourable when r_partite = r, so its graphs have an
+    r-partition exactly when they have at least r vertices.
+    """
+    return (
+        (not f.connected or facts.connected)
+        and (f.r_partite is None or facts.g.n >= f.r_partite)
+        and (f.max_clique_size is None or facts.clique_sizes == [f.max_clique_size])
+        and (not f.unmixed or facts.unmixed)
+        and (not f.perfect or facts.perfect)
+        and (not f.class_g or facts.alpha_cover is not None)
+    )
 
 
 def _ensembles(
@@ -579,6 +572,9 @@ def run_battery(
 ) -> dict:
     """Run every claim of CLAIMS at the given bounds and assemble a summary.
 
+    A claim runs when it applies at r and characteristics holds every
+    characteristic its check reads (needs_chars); any other claim is left
+    out, and so is its ensemble unless a running claim reads it too.
     Every ensemble comes from one pass over one hereditary family.  Records
     are computed once per distinct graph and shared by all verdicts, and
     the summary and the report are deterministic.  A characteristic given
@@ -604,18 +600,18 @@ def run_battery(
     except OSError as exc:
         raise ValueError(f"cannot write {report_path}: {exc}") from None
     with opened as report:
-        claims = [cl for cl in CLAIMS.values() if cl.filters(r) is not None]
+        claims = [
+            cl
+            for cl in CLAIMS.values()
+            if cl.filters(r) is not None and set(cl.needs_chars) <= set(chars)
+        ]
         filters = {cl.ensemble: cl.filters(r) for cl in claims}
         picked, facts = _ensembles(n_max, list(filters.values()))
         ensembles = dict(zip(filters, picked))
         records = compute_records(tuple(facts.values()), r, chars)
 
         runs = [(cl, c) for c in chars for cl in claims if cl.per_char]
-        runs += [
-            (cl, None)
-            for cl in claims
-            if not cl.per_char and set(cl.needs_chars) <= set(chars)
-        ]
+        runs += [(cl, None) for cl in claims if not cl.per_char]
         violations: dict[str, list[str]] = {}
         verdicts: list[dict] = []
         converse: dict[str, list[str]] = {}

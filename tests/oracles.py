@@ -7,7 +7,7 @@ package; only the Graph container is reused so results are comparable.
 The slow paths at the end keep earlier forms of the package's own searches
 to compare its fast paths with; the Reisner scan among them calls the
 package's link and reduced_betti, which the oracles above check on their
-own, the Herzog-Hibi search its pair sort and condition check, and the
+own, the Herzog-Hibi search its pair sort key and condition check, and the
 r-partition check the partition list and the part matchings.
 """
 
@@ -23,7 +23,6 @@ from cmgraph.cohen_macaulay import (
     HHOrdering,
     HomologyWitness,
     PurityWitness,
-    _topological_pair_order,
     hh_conditions_hold,
 )
 from cmgraph.complexes import link
@@ -102,6 +101,33 @@ def random_graphs(count: int, n: int, seed: int, p: float = 0.5) -> list[Graph]:
     return [
         Graph(n, [e for e in pairs if rng.random() < p]) for _ in range(count)
     ]
+
+
+def poset_graphs(count: int, m_max: int, seed: int) -> list[Graph]:
+    """Seeded graphs of random partial orders on 2..m_max elements: x_p ~ y_q
+    iff p <= q, the Herzog-Hibi form of a Cohen-Macaulay bipartite graph,
+    with the 2m vertices' labels shuffled.  Every second graph has one edge
+    x_p y_q with p != q toggled, which keeps every x_p ~ y_p and so leaves
+    no vertex isolated."""
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(count):
+        m = rng.randint(2, m_max)
+        # a random relation, forward in a shuffled order, closed transitively
+        order = rng.sample(range(m), m)
+        below = {(p, p) for p in range(m)}
+        below |= {
+            (order[a], order[b])
+            for a in range(m) for b in range(a + 1, m) if rng.random() < 0.3
+        }
+        for mid in range(m):
+            below |= {(p, q) for p, t in below if t == mid for s, q in below if s == mid}
+        if i % 2:
+            p, q = rng.sample(range(m), 2)
+            below ^= {(p, q)}
+        label = rng.sample(range(1, 2 * m + 1), 2 * m)
+        graphs.append(graph_from_edges(2 * m, [(label[p], label[m + q]) for p, q in below]))
+    return graphs
 
 
 # ---------------------------------------------------------------------------
@@ -900,9 +926,10 @@ def contained_facet_reference(facets) -> str | None:
 def hh_ordering_reference(g: Graph) -> HHOrdering | None:
     """bipartite_cm_ordering as a slow path: every perfect matching between
     the two parts, lexicographic by partner list, each sorted by the
-    package's _topological_pair_order and checked by hh_conditions_hold; the
-    first that passes gives the ordering.  The package tries only the unique
-    perfect matching and must return the same ordering."""
+    package's key (the degree of w, then the pair) and checked by
+    hh_conditions_hold; the first that passes gives the ordering.  The
+    package tries only the unique perfect matching and must return the
+    same ordering."""
     found = partition_search_reference(g, 2, collect_all=False)
     if not found:
         raise ValueError("graph is not bipartite with two nonempty parts")
@@ -925,8 +952,8 @@ def hh_ordering_reference(g: Graph) -> HHOrdering | None:
             free.add(w)
 
     for matching in matchings(0):
-        ordered = _topological_pair_order(g, matching)
-        if ordered is not None and hh_conditions_hold(g, ordered):
+        ordered = tuple(sorted(matching, key=lambda pair: (g.degree(pair[1]), pair)))
+        if hh_conditions_hold(g, ordered):
             return HHOrdering(ordered)
     return None
 

@@ -285,6 +285,24 @@ def test_unknown_fixture(capsys):
     assert code == 2 and "unknown fixture" in err
 
 
+def test_malformed_json_cover_exits_2(capsys, tmp_path):
+    p3 = write_graph(tmp_path, oracles.path_graph(3))
+    cov = tmp_path / "cover.json"
+    cov.write_text("[[1, 2], [3]")
+    code, out, err = run_cli(capsys, ["cover", p3, str(cov)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"cmgraph: error: {cov}: expected a JSON list of cliques: ")
+    assert err.count("\n") == 1
+
+
+def test_fixture_to_an_unwritable_path_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "fig1.edges"
+    code, out, err = run_cli(capsys, ["fixtures", "fig1", "-o", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"cmgraph: error: cannot write {target}: ")
+    assert err.count("\n") == 1 and not target.parent.exists()
+
+
 def test_bad_characteristic(capsys, fig1_file):
     code, out, err = run_cli(capsys, ["cm", fig1_file, "--char", "4"])
     assert code == 2 and err.startswith("cmgraph: error:")

@@ -411,6 +411,29 @@ def test_ordering_matches_the_every_matching_search_on_every_bipartite_class_to_
     assert found > 0 and not is_connected(graphs[0])
 
 
+def test_ordering_exists_exactly_when_poset_graphs_to_14_vertices_are_cm():
+    # beyond the exhaustive classes: poset graphs are CM, and a toggled
+    # cross edge may break that; the degree sort must find every ordering
+    graphs = oracles.poset_graphs(400, 7, seed=25)
+    cm_count = 0
+    for g in graphs:
+        order = bipartite_cm_ordering(g)
+        is_cm = cm_characteristic_profile(g, [Q])[0].is_cm
+        assert (order is not None) == is_cm, g.edges
+        assert order is None or hh_conditions_hold(g, order.pairs)
+        cm_count += is_cm
+    assert max(g.n for g in graphs) == 14 and 0 < cm_count < len(graphs)
+
+
+def test_pairs_that_are_not_edges_fail_the_conditions():
+    # one pair leaves conditions (2) and (3) nothing to check
+    assert hh_conditions_hold(oracles.path_graph(2), ((1, 2),))
+    assert not hh_conditions_hold(Graph(2, []), ((1, 2),))
+    p4 = oracles.path_graph(4)
+    assert hh_conditions_hold(p4, ((3, 4), (1, 2)))
+    assert not hh_conditions_hold(p4, ((1, 3), (2, 4)))
+
+
 def test_no_ordering_for_k10_10_without_enumerating_its_matchings():
     # the every-matching search tries all 10! perfect matchings here
     assert bipartite_cm_ordering(oracles.complete_bipartite(10, 10)) is None

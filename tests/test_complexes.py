@@ -73,6 +73,26 @@ def test_complex_rejects_non_integer_vertices(n, facets, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "n, facets, message",
+    [
+        (-1, [], "vertex count must be nonnegative"),
+        (2, [], "a complex on n >= 1 vertices needs at least one facet"),
+    ],
+)
+def test_complex_rejects_a_negative_count_or_no_facets(n, facets, message):
+    with pytest.raises(ValueError) as err:
+        SimplicialComplex(n, facets)
+    assert str(err.value) == message
+
+
+def test_faces_of_dim_outside_the_dimensions_is_empty():
+    cx = hollow_triangle()
+    assert cx.faces_of_dim(-1) == [()]
+    assert cx.faces_of_dim(-2) == [] and cx.faces_of_dim(2) == []
+    assert SimplicialComplex(0, []).faces_of_dim(0) == []
+
+
 def test_header_vertex_count_sizes_no_allocation():
     # per-vertex incidence sized by n peaked near 80 MB at n = 10**7
     tracemalloc.start()
@@ -179,12 +199,17 @@ def test_parse_format_round_trip():
         ("3 2\n1 2\n1 2 3\n", "is contained in"),
         ("2 1\n1 3\n", "out of range"),
         ("3 1\n1 2\n", "lies in no facet"),
+        ("2 1\n1 x\n", "expected vertex indices"),
     ],
 )
 def test_parse_rejects(text, fragment):
     with pytest.raises(ComplexFormatError) as err:
         parse_complex(text)
     assert fragment in str(err.value)
+
+
+def test_parse_skips_whitespace_only_lines_between_facets():
+    assert parse_complex("3 3\n1 2\n \t \n1 3\n\n2 3\n") == hollow_triangle()
 
 
 @pytest.mark.parametrize(

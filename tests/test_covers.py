@@ -57,6 +57,8 @@ def test_matchings_misc_edges():
     ]
     with pytest.raises(ValueError):
         perfect_r_matchings(oracles.path_graph(2), 0)
+    with pytest.raises(ValueError, match="^limit must be positive$"):
+        perfect_r_matchings(oracles.path_graph(2), 2, limit=0)
 
 
 def test_matching_limit_truncates_deterministically():
@@ -157,6 +159,20 @@ def test_basic_cover_rejects_non_int_vertices():
             basic_clique_cover(oracles.path_graph(3), bad)
 
 
+@pytest.mark.parametrize(
+    "cover, message",
+    [
+        ([[1, 2], [], [3]], "cover members must be nonempty"),
+        ([[1, 2, 1], [3]], "cover member (1, 1, 2) has a repeated vertex"),
+        ([[1, 2], [3, 4]], "vertex 4 out of range 1..3"),
+    ],
+)
+def test_basic_cover_rejects_bad_members(cover, message):
+    with pytest.raises(ValueError) as err:
+        basic_clique_cover(oracles.path_graph(3), cover)
+    assert str(err.value) == message
+
+
 def test_alpha_cover_known_values():
     assert alpha_clique_cover(oracles.cycle_graph(4)) == ((1, 2), (3, 4))
     assert alpha_clique_cover(oracles.cycle_graph(6)) == ((1, 2), (3, 4), (5, 6))
@@ -211,6 +227,8 @@ def test_degree_r_minus_1_vertices():
     assert degree_r_minus_1_vertices(star, 2) == (2, 3, 4)
     assert degree_r_minus_1_vertices(oracles.cycle_graph(4), 2) == ()
     assert degree_r_minus_1_vertices(oracles.path_graph(3), 2) == (1, 3)
+    with pytest.raises(ValueError, match="^r must be at least 1$"):
+        degree_r_minus_1_vertices(star, 0)
 
 
 def test_pairwise_part_matchings():

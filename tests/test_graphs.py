@@ -318,6 +318,21 @@ def test_cliques_of_size_lists_all_in_lex_order():
             assert cliques_of_size(g, r) == expected
 
 
+@pytest.mark.parametrize(
+    "search, size, message",
+    [
+        (cliques_of_size, 0, "clique size must be at least 1"),
+        (is_k_colorable, -1, "k must be nonnegative"),
+        (r_partition, 0, "r must be at least 1"),
+        (all_r_partitions, 0, "r must be at least 1"),
+    ],
+)
+def test_size_below_its_bound_is_rejected(search, size, message):
+    with pytest.raises(ValueError) as err:
+        search(oracles.path_graph(3), size)
+    assert str(err.value) == message
+
+
 def test_cliques_of_size_keeps_its_own_stack_on_k1100():
     # one level per clique member: 1,100 levels deep, then every shorter
     # branch is dropped for lack of candidates

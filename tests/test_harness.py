@@ -778,6 +778,22 @@ def test_repeated_characteristics_are_swept_once():
     )
 
 
+def test_a_claim_without_its_characteristics_builds_no_ensemble():
+    # bipartite-equivalences reads chars 0 and 2, so at (0,) neither the
+    # claim nor its ensemble appears
+    summary = run_battery(6, r=2, characteristics=(0,))
+    assert "bipartite" not in summary["ensemble_sizes"]
+    assert set(summary["ensemble_sizes"]) == {"main", "alpha-cover", "parts"}
+    assert not any(v["claim"].startswith("bipartite-equivalences") for v in summary["verdicts"])
+    assert len(summary["verdicts"]) == 4
+
+
+def test_no_characteristic_is_rejected():
+    with pytest.raises(ValueError) as err:
+        run_battery(5, characteristics=())
+    assert str(err.value) == "at least one characteristic is required"
+
+
 def test_battery_records_match_direct_computation(tmp_path):
     from cmgraph.cohen_macaulay import cm_characteristic_profile
     from cmgraph.graphs import Graph
@@ -872,5 +888,7 @@ def test_r_below_one_is_rejected(capsys, r):
     """The family bounds reject r < 1 before any graph is built."""
     with pytest.raises(ValueError, match="r must be at least 1"):
         run_battery(3, r=r)
+    with pytest.raises(ValueError, match="^r must be at least 1$"):
+        enumerate_graphs(3, GraphFilters(r_partite=r))
     assert main(["harness", "--n-max", "3", "--r", str(r)]) == 2
     assert capsys.readouterr().err == "cmgraph: error: r must be at least 1\n"
