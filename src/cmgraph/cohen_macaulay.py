@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, independence_complex, link
 from .covers import _bipartite_matching
-from .graphs import Graph, _complement_masks, _component, _full_mask, _partition_search
+from .graphs import Graph, _component, _full_mask, _partition_search
 from .homology import FieldSpec, reduced_betti
 
 _F2 = FieldSpec(2)
@@ -116,8 +116,11 @@ def _graph_profile(
     return _reisner_scan(cx, fields)
 
 
-def _graph_cm(g: Graph, cx: SimplicialComplex, fields: list[FieldSpec]) -> list[bool]:
-    """The verdicts of _graph_profile(g, cx, fields), with no witness.
+def _graph_cm(
+    g: Graph, cx: SimplicialComplex, fields: list[FieldSpec], co: list[int]
+) -> list[bool]:
+    """The verdicts of _graph_profile(g, cx, fields), with no witness; co
+    holds g's complement masks (graphs._complement_masks).
 
     A face whose link has dimension 1 or more and is disconnected fails
     Reisner's criterion in degree 0 over every field, so such a face,
@@ -126,29 +129,28 @@ def _graph_cm(g: Graph, cx: SimplicialComplex, fields: list[FieldSpec]) -> list[
     not be the face the canonical scan would name, which is why callers
     that print witnesses keep _graph_profile.
     """
-    if not cx.is_pure() or _has_disconnected_link(g, cx.dimension()):
+    if not cx.is_pure() or _has_disconnected_link(co, cx.dimension()):
         return [False] * len(fields)
     return [report.is_cm for report in _graph_profile(g, cx, fields)]
 
 
-def _has_disconnected_link(g: Graph, dim: int) -> bool:
+def _has_disconnected_link(co: list[int], dim: int) -> bool:
     """Whether Ind(g), pure of dimension dim, has a face whose link has
-    dimension 1 or more and is disconnected.
+    dimension 1 or more and is disconnected, for the graph g whose
+    complement has the neighbour masks co (graphs._complement_masks).
 
     In a pure complex lk(F) has dimension dim - |F|, so the faces to try are
     the independent sets F with |F| <= dim - 1.  In a flag complex
     lk(F) = Ind(g - N[F]), whose 1-skeleton is the complement of g on the
     mask V - N[F] (bit v for vertex v), and a complex is connected iff its
-    1-skeleton is: the link is connected iff graphs._component, run on the
-    complement's neighbour masks (built once per call), reaches all of
-    V - N[F].  The search grows F one vertex at a time, higher vertices
-    only, on its own stack of (V - N[F], vertices that may extend F, |F|)
-    frames, and stops at the first disconnected link.
+    1-skeleton is: the link is connected iff graphs._component, run on co,
+    reaches all of V - N[F].  The search grows F one vertex at a time,
+    higher vertices only, on its own stack of (V - N[F], vertices that may
+    extend F, |F|) frames, and stops at the first disconnected link.
     """
     if dim < 1:
         return False
-    co = _complement_masks(g)
-    full = _full_mask(g.n)
+    full = _full_mask(len(co) - 1)
     stack = [(full, full, 0)]
     while stack:
         rest, extend, size = stack.pop()
@@ -349,29 +351,29 @@ class HHOrdering:
 
 
 def hh_conditions_hold(g: Graph, pairs: tuple[tuple[int, int], ...]) -> bool:
-    """Check the three ordering conditions verbatim against the graph.
+    """Check the three ordering conditions against the graph.
 
     With pairs (v_1, w_1), ..., (v_k, w_k): (1) v_i ~ w_i for all i;
     (2) v_i ~ w_j implies i <= j; (3) v_i ~ w_j and v_j ~ w_k imply v_i ~ w_k
     for i < j < k.
+
+    Each v_i ~ w_j is tested once, into row i, a mask with bit j set when
+    it holds.  Under (1) and (2) row j holds j and nothing below it, so (3)
+    asks, for each j > i in row i, that row i hold row j's bits above j.
     """
-    k = len(pairs)
-    for i in range(k):
-        if not g.has_edge(pairs[i][0], pairs[i][1]):
+    rows = [
+        sum(1 << j for j, (_, w) in enumerate(pairs) if g.has_edge(v, w))
+        for v, _ in pairs
+    ]
+    for i, row in enumerate(rows):
+        if not row >> i & 1 or row & (1 << i) - 1:
             return False
-    for i in range(k):
-        for j in range(k):
-            if i > j and g.has_edge(pairs[i][0], pairs[j][1]):
+        later = row >> i + 1 << i + 1
+        while later:
+            low = later & -later
+            later ^= low
+            if rows[low.bit_length() - 1] & ~row & ~((low << 1) - 1):
                 return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            for t in range(j + 1, k):
-                if (
-                    g.has_edge(pairs[i][0], pairs[j][1])
-                    and g.has_edge(pairs[j][0], pairs[t][1])
-                    and not g.has_edge(pairs[i][0], pairs[t][1])
-                ):
-                    return False
     return True
 
 

@@ -97,23 +97,36 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def _child(p: Graph, nbrs: int) -> tuple[list[int], tuple[tuple[int, int], ...]]:
+    """The neighbour masks and the edges, p's first and the new ones after
+    them, of p plus a vertex k = p.n + 1 adjacent to the vertices of the
+    mask nbrs (bit v for vertex v)."""
+    k = p.n + 1
+    bit = 1 << k
+    masks = list(p._masks)
+    new = []
+    rest = nbrs
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        masks[v] |= bit
+        new.append((v, k))
+    masks.append(nbrs)
+    return masks, p.edges + tuple(new)
+
+
 def _augment(p: Graph, nbrs: int) -> Graph:
     """p plus a vertex k = p.n + 1 adjacent to the vertices of the mask nbrs
     (bit v for vertex v).
 
-    Built from p's fields without Graph.__init__'s validation, for the
-    enumeration's inner loop; the result equals Graph(k, edges) in every slot.
+    Built from _child without Graph.__init__'s validation, for the
+    enumeration; the result equals Graph(k, edges) in every slot.
     """
-    k = p.n + 1
-    vs = _mask_to_tuple(nbrs)
-    masks = list(p._masks)
-    bit = 1 << k
-    for v in vs:
-        masks[v] |= bit
-    masks.append(nbrs)
+    masks, edges = _child(p, nbrs)
     g = Graph.__new__(Graph)
-    g.n = k
-    g.edges = tuple(sorted(p.edges + tuple((v, k) for v in vs)))
+    g.n = p.n + 1
+    g.edges = tuple(sorted(edges))
     g._masks = tuple(masks)
     return g
 
@@ -286,8 +299,13 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     These are the maximal cliques of the complement, found by the pivoting
     Bron-Kerbosch search on non-neighbour masks.
     """
-    nonadj = _complement_masks(g)
-    return sorted(_mask_to_tuple(m) for m in _bron_kerbosch(nonadj, _full_mask(g.n)))
+    return _maximal_independent_sets(_complement_masks(g))
+
+
+def _maximal_independent_sets(co: list[int]) -> list[tuple[int, ...]]:
+    """maximal_independent_sets of the graph whose complement has the
+    neighbour masks co (_complement_masks)."""
+    return sorted(_mask_to_tuple(m) for m in _bron_kerbosch(co, _full_mask(len(co) - 1)))
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -596,18 +614,30 @@ def is_perfect(g: Graph) -> bool:
     odd cycle of length >= 5.  Both are searched by _has_odd_hole, the
     complement on its neighbour masks, without building it.
     """
-    return not _has_odd_hole(g._masks) and not _has_odd_hole(_complement_masks(g))
+    return _is_perfect(g._masks, _complement_masks(g))
 
 
-def _refine(g: Graph) -> tuple[list[int], int]:
-    """Stable colour refinement: the colours (index v for vertex v; index 0,
-    no vertex, repeats vertex 1's) and their number.
+def _is_perfect(masks: tuple[int, ...], co: list[int]) -> bool:
+    """is_perfect of the graph with neighbour masks masks and complement
+    masks co (_complement_masks)."""
+    return not _has_odd_hole(masks) and not _has_odd_hole(co)
 
-    The colours start as the degrees.  Each round ranks the signatures
-    (colour of v, sorted tuple of the colours of v's neighbours), so the
-    classes only split, and once a round splits no class the next would
-    return the same colours: the loop stops there.  The colours are ranks
-    in the sorted order of the signatures, an isomorphism-invariant order.
+
+def _refine(
+    n: int, masks: Sequence[int], edges: Sequence[tuple[int, int]]
+) -> tuple[list[int], int]:
+    """Stable colour refinement of the graph on 1..n with neighbour masks
+    masks and edges edges, in any order: the colours (index v for vertex v;
+    index 0, no vertex, repeats vertex 1's) and their number.
+
+    The colours start as the ranks of the degrees, ranked once before the
+    loop.  Each round ranks the signatures (colour of v, sorted tuple of
+    the colours of v's neighbours), so the classes only split.  The colour
+    leads the signature, so a round that splits no class keeps every
+    colour: the loop returns the colours it has, without ranking the round,
+    and stops there, since the next round would be the same.  The colours
+    are ranks in the sorted order of the signatures, an
+    isomorphism-invariant order.
 
     Each signature is encoded as one integer that sorts as the pair does.
     Every colour refines the degree, so two vertices of one colour have
@@ -620,35 +650,40 @@ def _refine(g: Graph) -> tuple[list[int], int]:
     n - 1 < 1 << d, so each d-bit digit holds it with no carry, and the sum
     stays below 1 << dn.  One pass over the edges builds every key.
     """
-    n = g.n
     if n == 0:
         return [0], 0
-    colours = [m.bit_count() for m in g._masks]
-    n_classes = len(set(colours[1:]))
+    # a degree's rank is the number of smaller degrees that occur; index 0
+    # is no vertex, and its empty mask would add the degree 0
+    present = 0
+    for m in masks[1:]:
+        present |= 1 << m.bit_count()
+    colours = [(present & (1 << m.bit_count()) - 1).bit_count() for m in masks]
+    colours[0] = colours[1]
+    count = present.bit_count()
     d = n.bit_length()
     top = d * n
     weights = [1 << d * (n - 1 - c) for c in range(n)]
-    edges = g.edges
-    while True:
+    while count < n:
         w = [weights[c] for c in colours]
         keys = [c << top for c in colours]
         for u, v in edges:
             keys[u] -= w[v]
             keys[v] -= w[u]
-        # index 0 is no vertex: give it vertex 1's key, which adds no class
+        # index 0 is no vertex: vertex 1's key adds no class
         keys[0] = keys[1]
-        ranked = sorted(set(keys))
-        rank = {k: i for i, k in enumerate(ranked)}
+        distinct = set(keys)
+        if len(distinct) == count:
+            break
+        rank = {k: i for i, k in enumerate(sorted(distinct))}
         colours = [rank[k] for k in keys]
-        if len(ranked) in (n_classes, n):
-            return colours, len(ranked)
-        n_classes = len(ranked)
+        count = len(distinct)
+    return colours, count
 
 
 def _wl_groups(g: Graph) -> list[list[int]]:
     """The stable colour-refinement classes of _refine, in colour order,
     each ascending."""
-    colours, count = _refine(g)
+    colours, count = _refine(g.n, g._masks, g.edges)
     groups: list[list[int]] = [[] for _ in range(count)]
     for v in g.vertices:
         groups[colours[v]].append(v)
@@ -685,18 +720,29 @@ def canonical_form(g: Graph) -> bytes:
     inside each class of two or more.  When every class is one chain of
     twins (a class of one vertex is a chain too, so this holds whenever
     refinement leaves n classes), that leaves one ordering, and its rows are
-    read off the edges without a search.  Each node knows
-    whether its rows so far equal the best sequence's prefix; they do after
-    the first child returns, since that child reached a leaf or was pruned
-    against an equal prefix.
+    read off the edges without a search; when refinement leaves n classes,
+    the colours are the positions.  Each node knows whether its rows so far
+    equal the best sequence's prefix; they do after the first child
+    returns, since that child reached a leaf or was pruned against an equal
+    prefix.
     """
-    n = g.n
+    return _canonical(g.n, g._masks, g.edges)
+
+
+def _canonical(
+    n: int, masks: Sequence[int], edges: Sequence[tuple[int, int]]
+) -> bytes:
+    """canonical_form of the graph on 1..n with neighbour masks masks
+    (index 0 unused, 0) and edges edges, each edge once, in any order.  The
+    enumeration hands it a child's masks and edges before it builds the
+    child as a Graph."""
     if n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form supports at most {MAX_CANONICAL_N} vertices")
     if n == 0:
         return b"0:"
-    colours, count = _refine(g)
-    masks = g._masks
+    colours, count = _refine(n, masks, edges)
+    if count == n:
+        return _form_bytes(n, _rows_at(n, edges, colours))
     unplaced = [0] * count
     for v in range(1, n + 1):
         unplaced[colours[v]] |= 1 << v
@@ -727,7 +773,7 @@ def canonical_form(g: Graph) -> bytes:
                 cls ^= b
                 position[b.bit_length() - 1] = j
                 j += 1
-        return _form_bytes(n, _rows_at(g, position))
+        return _form_bytes(n, _rows_at(n, edges, position))
     slots = sorted(colours[1:])
     placed: list[int] = []
     rows = []
@@ -769,11 +815,13 @@ def canonical_form(g: Graph) -> bytes:
     return _form_bytes(n, best)
 
 
-def _rows_at(g: Graph, position: list[int]) -> list[int]:
-    """The adjacency rows of the ordering that puts vertex v at
-    position[v] (0 first), read off the edges."""
-    rows = [0] * g.n
-    for u, v in g.edges:
+def _rows_at(
+    n: int, edges: Sequence[tuple[int, int]], position: list[int]
+) -> list[int]:
+    """The adjacency rows of the ordering of the n vertices that puts
+    vertex v at position[v] (0 first), read off the edges."""
+    rows = [0] * n
+    for u, v in edges:
         a, b = position[u], position[v]
         if a < b:
             rows[b] |= 1 << (b - 1 - a)

@@ -5,11 +5,15 @@ on n vertices arises from one on n - 1 by attaching a new vertex to some
 neighbourhood, so augmenting each (n-1)-vertex graph with every subset and
 deduplicating by canonical form is complete.  Subsets that differ only by a
 permutation of the parent's twins give isomorphic children; only the first
-of them in ascending order is built.  Hereditary constraints
+of them in ascending order is tried.  Hereditary constraints
 (colorability, clique bounds) prune during generation, the colouring by
 one AND per free class of the parent; so does, at the top level only, a
 clique condition every filter set of the call needs, which also cuts the
-level below to the parents the top level uses.  The other filters are
+level below to the parents the top level uses.  That condition forces a
+set X of the parent's vertices into every neighbourhood, so the top
+levels generate only the neighbourhoods that hold X.  A child stays
+neighbour masks and edges until its canonical form is known, and it is
+built as a Graph only when its class is new.  The other filters are
 applied afterwards.  Nothing is cached between calls.
 
 Every claim the harness checks is one entry of CLAIMS: its name, the filters
@@ -30,7 +34,6 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from .cohen_macaulay import _graph_cm, bipartite_cm_ordering
@@ -46,15 +49,18 @@ from .graphs import (
     MAX_CANONICAL_N,
     Graph,
     _augment,
+    _canonical,
+    _child,
+    _complement_masks,
     _free_classes,
+    _is_perfect,
     _mask_has_clique,
     _mask_to_tuple,
+    _maximal_independent_sets,
     _twin_classes,
     canonical_form,
     is_connected,
-    is_perfect,
     maximal_cliques,
-    maximal_independent_sets,
     r_partition,
 )
 from .homology import FieldSpec
@@ -84,64 +90,75 @@ class GraphEnsemble:
     graphs: tuple[Graph, ...]
 
 
-def _packed_masks(p: Graph) -> list[int]:
-    """The neighbourhoods (bit v for vertex v) to augment p with, ascending:
-    those that contain, within every twin class of p, its lowest members.
+def _packed_masks(p: Graph, forced: int = 0) -> list[int]:
+    """The neighbourhoods (bit v for vertex v) to augment p with that hold
+    the vertex mask forced, ascending: those that contain, within every
+    twin class of p, its lowest members.
 
     Permuting a twin class is an automorphism of p, so any other mask gives
     a child isomorphic to that of its packed image, which is smaller and so
     reached first.  The clique prefilter and the colouring test do not tell
     isomorphic children apart, so skipping it keeps the first child seen.
+    A packed mask holds a member of a twin class iff its prefix of the
+    class reaches that member, so only the prefixes that reach the highest
+    forced member are built.
     """
     classes = _twin_classes(p)
     out = [0]
     for v in set(p.vertices).difference(*classes):
-        out += [m | 1 << v for m in out]
+        b = 1 << v
+        out = [m | b for m in out] if forced & b else out + [m | b for m in out]
     for cls in classes:
         prefixes = [0]
         for v in cls:
             prefixes.append(prefixes[-1] | 1 << v)
-        out = [m | q for m in out for q in prefixes]
+        whole = prefixes[-1]
+        out = [m | q for m in out for q in prefixes if not forced & whole & ~q]
     return sorted(out)
 
 
 def _clique_tests(
     p: Graph, s: int
-) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
-    """For s >= 2, two tests for the children of p whose every vertex and
-    every edge must lie in an s-clique: admits(nbrs), whether
-    _augment(p, nbrs) passes; and fits(B), for a vertex mask B, which
-    admits(nbrs) implies for every B that nbrs misses.
+) -> tuple[int, Callable[[int], bool], Callable[[int], bool]]:
+    """For s >= 2, the tests for the children of p whose every vertex and
+    every edge must lie in an s-clique: X, a vertex mask that every
+    neighbourhood of such a child holds; admits(nbrs), for an nbrs that
+    holds X, whether _augment(p, nbrs) passes; and fits(B), for a vertex
+    mask B, which admits(nbrs) implies for every B that nbrs misses.
 
     The new cliques are the new vertex plus a clique inside nbrs.  So the
     test needs: for each v in nbrs, an (s-2)-clique in nbrs & N(v), which
     covers the edge to v and, with nbrs nonempty, the new vertex; each
     vertex of p in no s-clique of p to be in nbrs; and each edge uv of p in
     no s-clique of p to be in nbrs, with an (s-3)-clique in
-    nbrs & N(u) & N(v).  With X the ends of those vertices and edges,
+    nbrs & N(u) & N(v).  X is the mask of those vertices and edge ends.
     fits(B) asks that B miss X, and for an (s-2)-clique in N(x) - B for
     each x in X and an (s-3)-clique in N(u) & N(v) - B for each of those
     edges.  A B that fails fits makes every superset fail it, and when
     every vertex and edge of p lies in an s-clique, every B passes.
     """
     masks = p._masks
-    bare_vertices = 0
+    ends = 0
     for v in p.vertices:
         if not _mask_has_clique(masks, masks[v], s - 1):
-            bare_vertices |= 1 << v
-    bare_edges = [
-        (1 << u | 1 << v, masks[u] & masks[v])
-        for u, v in p.edges
-        if not _mask_has_clique(masks, masks[u] & masks[v], s - 2)
-    ]
+            ends |= 1 << v
+    commons = []
+    for u, v in p.edges:
+        common = masks[u] & masks[v]
+        if not _mask_has_clique(masks, common, s - 2):
+            ends |= 1 << u | 1 << v
+            # below s = 4 every edge holds the (s-3)-clique
+            if s > 3:
+                commons.append(common)
 
     def admits(nbrs: int) -> bool:
-        if not nbrs or bare_vertices & ~nbrs:
+        if not nbrs:
             return False
-        for pair, common in bare_edges:
-            if pair & ~nbrs or not _mask_has_clique(masks, nbrs & common, s - 3):
+        for common in commons:
+            if not _mask_has_clique(masks, nbrs & common, s - 3):
                 return False
-        rest = nbrs
+        # every mask holds the empty clique s = 2 asks for
+        rest = nbrs if s > 2 else 0
         while rest:
             b = rest & -rest
             rest ^= b
@@ -149,19 +166,14 @@ def _clique_tests(
                 return False
         return True
 
-    ends = bare_vertices
-    for pair, _ in bare_edges:
-        ends |= pair
     xs = _mask_to_tuple(ends)
-    # every edge holds an empty clique
-    commons = [common for _, common in bare_edges] if s > 3 else []
 
     def fits(b: int) -> bool:
         return not ends & b and all(
             _mask_has_clique(masks, masks[x] & ~b, s - 2) for x in xs
         ) and all(_mask_has_clique(masks, common & ~b, s - 3) for common in commons)
 
-    return admits, fits
+    return ends, admits, fits
 
 
 def _check_n(n: int) -> None:
@@ -183,7 +195,9 @@ def _hereditary_family(
     most chi_bound and clique number at most clique_bound, each level
     mapping its graphs, in canonical order, to their canonical forms.  A
     class is represented by its first child seen, with parents in canonical
-    order and the packed neighbourhoods of each parent ascending.
+    order and the packed neighbourhoods of each parent ascending.  A child
+    is canonicalised from its masks and edges (graphs._child), and built
+    as a Graph only when its form is new.
 
     A child passes the colouring bound iff its neighbourhood misses one of
     its parent's free classes (graphs._free_classes), found once per
@@ -195,10 +209,11 @@ def _hereditary_family(
 
     With top_clique = s (at least 2), level n keeps only the graphs whose
     every vertex and every edge lies in an s-clique (_clique_tests).  A
-    neighbourhood that passes misses only free classes that pass fits, so
-    the parents' class lists are cut to those.  A parent left with none
-    has no child at level n; from two vertices up it also fails the
-    condition itself, so level n - 1 drops it.  Level n - 1 needs only
+    neighbourhood that passes holds X, so only the packed neighbourhoods
+    that hold X are generated, and it misses only free classes that pass
+    fits, so the parents' class lists are cut to those.  A parent left
+    with none has no child at level n; from two vertices up it also fails
+    the condition itself, so level n - 1 drops it.  Level n - 1 needs only
     graphs that meet the condition or have a child that does, so for s >= 3
     its every vertex and every edge lies in an (s-1)-clique: that level is
     built with the same tests for s - 1, before any canonical form.  The
@@ -221,12 +236,14 @@ def _hereditary_family(
         seen: dict[bytes, Graph] = {}
         barren: set[Graph] = set()
         for p in levels[-1]:
-            admits, fits = (None, None) if need is None else _clique_tests(p, need)
+            forced, admits, fits = 0, None, None
+            if need is not None:
+                forced, admits, fits = _clique_tests(p, need)
             free = _free_classes(p, chi_bound, fits)
             if not free:
                 barren.add(p)
                 continue
-            for nbrs in _packed_masks(p):
+            for nbrs in _packed_masks(p, forced):
                 if all(nbrs & b for b in free):
                     continue
                 if admits is not None and not admits(nbrs):
@@ -235,10 +252,9 @@ def _hereditary_family(
                     p._masks, nbrs, clique_bound
                 ):
                     continue
-                child = _augment(p, nbrs)
-                key = canonical_form(child)
+                key = _canonical(k, *_child(p, nbrs))
                 if key not in seen:
-                    seen[key] = child
+                    seen[key] = _augment(p, nbrs)
         if barren and k == n > 2:
             levels[-1] = {g: key for g, key in levels[-1].items() if g not in barren}
         levels.append({seen[key]: key for key in sorted(seen)})
@@ -282,14 +298,32 @@ def _top_clique(filter_sets: list[GraphFilters]) -> int | None:
     return min(sizes)
 
 
+class _once:
+    """A property computed on first access and stored in the instance
+    dict, which shadows it from then on: functools.cached_property without
+    the lock that takes on every first access before Python 3.12."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class _Facts:
     """The facts of one graph that post-filters and records read, each
     computed on first use and at most once.
 
     The independence number, unmixedness and the records' Ind(g) all come
     from one list of maximal independent sets, and the alpha cover search
-    reuses the independence number and the maximal cliques.  The canonical
-    form may be handed over by the enumeration that computed it.
+    reuses the independence number and the maximal cliques.  The
+    independent sets, perfection and the records' disconnected-link search
+    read one list of complement masks.  The canonical form may be handed
+    over by the enumeration that computed it.
     """
 
     def __init__(self, g: Graph, key: bytes | None = None):
@@ -297,39 +331,43 @@ class _Facts:
         if key is not None:
             self.key = key
 
-    @cached_property
+    @_once
     def key(self) -> bytes:
         return canonical_form(self.g)
 
-    @cached_property
-    def independent_sets(self) -> list[tuple[int, ...]]:
-        return maximal_independent_sets(self.g)
+    @_once
+    def complement_masks(self) -> list[int]:
+        return _complement_masks(self.g)
 
-    @cached_property
+    @_once
+    def independent_sets(self) -> list[tuple[int, ...]]:
+        return _maximal_independent_sets(self.complement_masks)
+
+    @_once
     def cliques(self) -> list[tuple[int, ...]]:
         return maximal_cliques(self.g)
 
-    @cached_property
+    @_once
     def alpha(self) -> int:
         return max(len(s) for s in self.independent_sets)
 
-    @cached_property
+    @_once
     def unmixed(self) -> bool:
         return len({len(s) for s in self.independent_sets}) == 1
 
-    @cached_property
+    @_once
     def clique_sizes(self) -> list[int]:
         return sorted({len(c) for c in self.cliques})
 
-    @cached_property
+    @_once
     def connected(self) -> bool:
         return is_connected(self.g)
 
-    @cached_property
+    @_once
     def perfect(self) -> bool:
-        return is_perfect(self.g)
+        return _is_perfect(self.g._masks, self.complement_masks)
 
-    @cached_property
+    @_once
     def alpha_cover(self) -> tuple[tuple[int, ...], ...] | None:
         return _alpha_cover(self.g, self.alpha, self.cliques)
 
@@ -409,7 +447,11 @@ def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, d
     canon = facts.key.decode("ascii")
     # the maximal independent sets are an antichain covering every vertex
     cx = SimplicialComplex._antichain(g.n, facts.independent_sets)
-    verdicts = _graph_cm(g, cx, [FieldSpec(c) for c in chars]) if chars else []
+    verdicts = (
+        _graph_cm(g, cx, [FieldSpec(c) for c in chars], facts.complement_masks)
+        if chars
+        else []
+    )
     if r >= 1 and facts.clique_sizes[-1] <= r and g.n % r == 0:
         # no clique outgrows r, so the r-cliques are the maximal cliques of
         # size r, in lexicographic order as the search needs them; any

@@ -7,8 +7,8 @@ package; only the Graph container is reused so results are comparable.
 The slow paths at the end keep earlier forms of the package's own searches
 to compare its fast paths with; the Reisner scan among them calls the
 package's link and reduced_betti, which the oracles above check on their
-own, the Herzog-Hibi search its pair sort key and condition check, and the
-r-partition check the partition list and the part matchings.
+own, the Herzog-Hibi search its pair sort key, and the r-partition check
+the partition list and the part matchings.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from cmgraph.cohen_macaulay import (
     HHOrdering,
     HomologyWitness,
     PurityWitness,
-    hh_conditions_hold,
 )
 from cmgraph.complexes import link
 from cmgraph.covers import pairwise_part_matchings
@@ -923,11 +922,35 @@ def contained_facet_reference(facets) -> str | None:
 # Herzog-Hibi ordering: the every-matching search the package replaced
 
 
+def hh_conditions_hold_reference(g: Graph, pairs) -> bool:
+    """hh_conditions_hold as a verbatim triple loop: (1) v_i ~ w_i;
+    (2) v_i ~ w_j implies i <= j; (3) v_i ~ w_j and v_j ~ w_t imply
+    v_i ~ w_t for i < j < t."""
+    k = len(pairs)
+    for i in range(k):
+        if not g.has_edge(pairs[i][0], pairs[i][1]):
+            return False
+    for i in range(k):
+        for j in range(k):
+            if i > j and g.has_edge(pairs[i][0], pairs[j][1]):
+                return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            for t in range(j + 1, k):
+                if (
+                    g.has_edge(pairs[i][0], pairs[j][1])
+                    and g.has_edge(pairs[j][0], pairs[t][1])
+                    and not g.has_edge(pairs[i][0], pairs[t][1])
+                ):
+                    return False
+    return True
+
+
 def hh_ordering_reference(g: Graph) -> HHOrdering | None:
     """bipartite_cm_ordering as a slow path: every perfect matching between
     the two parts, lexicographic by partner list, each sorted by the
     package's key (the degree of w, then the pair) and checked by
-    hh_conditions_hold; the first that passes gives the ordering.  The
+    hh_conditions_hold_reference; the first that passes gives the ordering.  The
     package tries only the unique perfect matching and must return the
     same ordering."""
     found = partition_search_reference(g, 2, collect_all=False)
@@ -953,7 +976,7 @@ def hh_ordering_reference(g: Graph) -> HHOrdering | None:
 
     for matching in matchings(0):
         ordered = tuple(sorted(matching, key=lambda pair: (g.degree(pair[1]), pair)))
-        if hh_conditions_hold(g, ordered):
+        if hh_conditions_hold_reference(g, ordered):
             return HHOrdering(ordered)
     return None
 

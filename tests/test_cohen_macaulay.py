@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from cmgraph.cohen_macaulay import (
     reisner_cm,
 )
 from cmgraph.complexes import SimplicialComplex, independence_complex, is_shelling_order
-from cmgraph.graphs import Graph, is_connected, r_partition
+from cmgraph.graphs import Graph, _complement_masks, is_connected, r_partition
 from cmgraph.harness import GraphFilters, enumerate_graphs_up_to
 from cmgraph.homology import FieldSpec
 from test_complexes import RP2_FACETS, boundary_sphere
@@ -145,7 +146,8 @@ def assert_graph_path_matches_reference(g: Graph) -> None:
             fields,
         )
         verdicts = [ref[f].is_cm for f in fields]
-        assert cohen_macaulay._graph_cm(g, cx, fields) == verdicts, (g.edges, fields)
+        co = _complement_masks(g)
+        assert cohen_macaulay._graph_cm(g, cx, fields, co) == verdicts, (g.edges, fields)
 
 
 def mod3_moore_family() -> list[SimplicialComplex]:
@@ -175,7 +177,7 @@ def test_disconnected_link_search_matches_the_brute_force_scan_up_to_7():
         cx = independence_complex(g)
         if not cx.is_pure():
             continue
-        found = cohen_macaulay._has_disconnected_link(g, cx.dimension())
+        found = cohen_macaulay._has_disconnected_link(_complement_masks(g), cx.dimension())
         assert found == oracles.disconnected_link_brute(cx.facets), g.edges
         hits += found
     # 237 classes have a pure Ind(G); 51 are not CM, and a disconnected
@@ -437,6 +439,39 @@ def test_pairs_that_are_not_edges_fail_the_conditions():
 def test_no_ordering_for_k10_10_without_enumerating_its_matchings():
     # the every-matching search tries all 10! perfect matchings here
     assert bipartite_cm_ordering(oracles.complete_bipartite(10, 10)) is None
+
+
+def test_hh_conditions_equal_the_verbatim_triple_loop_on_random_pair_orders():
+    # pairs of poset graphs: their orderings, those orderings shuffled, and
+    # random pairings of the two parts, either way round
+    rng = random.Random(26)
+    verdicts = []
+    for g in oracles.poset_graphs(300, 6, seed=26):
+        left, right = r_partition(g, 2)
+        candidates = []
+        order = bipartite_cm_ordering(g)
+        if order is not None:
+            candidates.append(order.pairs)
+            candidates += [tuple(rng.sample(order.pairs, len(order.pairs))) for _ in range(3)]
+        for _ in range(3):
+            vs, ws = rng.sample(left, len(left)), rng.sample(right, len(right))
+            if rng.random() < 0.5:
+                vs, ws = ws, vs
+            candidates.append(tuple(zip(vs, ws)))
+        for pairs in candidates:
+            held = hh_conditions_hold(g, pairs)
+            assert held == oracles.hh_conditions_hold_reference(g, pairs), (g.edges, pairs)
+            verdicts.append(held)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_ordering_of_a_whiskered_path_on_800_vertices_in_quadratic_time():
+    # the conditions test each v_i ~ w_j once, not once per third pair
+    g = whiskered_path(400)
+    start = time.process_time()
+    order = bipartite_cm_ordering(g)
+    assert time.process_time() - start < 0.5
+    assert order is not None and len(order.pairs) == 400
 
 
 @pytest.mark.parametrize("k", [20, 100])

@@ -15,6 +15,7 @@ from cmgraph.graphs import (
     MAX_CANONICAL_N,
     Graph,
     _augment,
+    _complement_masks,
     _free_classes,
     canonical_form,
     is_connected,
@@ -328,6 +329,37 @@ def _needed(level, chi, omega, s):
     return needed
 
 
+def _bare_ends(g, s):
+    """The mask of the vertices and edge ends of g in no s-clique, by
+    subset enumeration."""
+    cliques = [
+        set(c) for c in itertools.combinations(g.vertices, s) if oracles.is_clique(g, c)
+    ]
+    bare = [{v} for v in g.vertices] + [set(e) for e in g.edges]
+    return sum(
+        1 << v for v in set().union(*(b for b in bare if not any(b <= c for c in cliques)))
+    )
+
+
+@pytest.mark.parametrize("args", [(7, 3, 3, 3), (8, 4, 4, 4)])
+def test_packed_masks_holding_x_are_the_packed_masks_admits_can_pass(args):
+    """For every parent of the family and every clique size s from 2 to
+    the top one, X, the vertices and edge ends in no s-clique, equals its
+    subset enumeration, and the packed masks built to hold X are the packed
+    masks that hold it, in the same order."""
+    forced_parents = 0
+    for level in harness._hereditary_family(*args)[:-1]:
+        for p in level:
+            for s in range(2, args[3] + 1):
+                forced = harness._clique_tests(p, s)[0]
+                assert forced == _bare_ends(p, s), (p.edges, s)
+                assert harness._packed_masks(p, forced) == [
+                    m for m in harness._packed_masks(p) if not forced & ~m
+                ], (p.edges, s)
+                forced_parents += forced != 0
+    assert forced_parents > 100
+
+
 _CUT_CASES = [(None, None, 2), (None, None, 3), (2, 2, 2), (3, 3, 3), (4, 4, 4)]
 
 
@@ -548,7 +580,8 @@ def _certified_and_cm(n_max, r):
         q, f2, f3 = cohen_macaulay._reisner_scan(cx, [Q, F2, F3])
         hit = cx.is_pure() and cohen_macaulay._shedding_certified(g)
         assert q.is_cm == f2.is_cm == f3.is_cm == hit, g.edges
-        assert cohen_macaulay._graph_cm(g, cx, [Q, F2, F3]) == [hit] * 3, g.edges
+        co = _complement_masks(g)
+        assert cohen_macaulay._graph_cm(g, cx, [Q, F2, F3], co) == [hit] * 3, g.edges
         certified += hit
     return len(graphs), certified
 
@@ -618,16 +651,18 @@ def test_records_equal_the_pinned_pool_digests():
 
 def _count_searches(monkeypatch):
     """Count calls on every module's binding of the two searches, as the
-    record path may reach them through any module."""
+    record path may reach them through any module.  The independent sets
+    are counted at the mask search that maximal_independent_sets wraps,
+    which the records call on their facts' complement masks."""
     from cmgraph import cohen_macaulay, complexes, covers, graphs
 
-    calls = {"maximal_independent_sets": 0, "maximal_cliques": 0}
+    calls = {"_maximal_independent_sets": 0, "maximal_cliques": 0}
     for name in calls:
         fn = getattr(graphs, name)
 
-        def counted(g, _fn=fn, _name=name):
+        def counted(arg, _fn=fn, _name=name):
             calls[_name] += 1
-            return _fn(g)
+            return _fn(arg)
 
         for mod in (graphs, complexes, covers, cohen_macaulay, harness):
             if getattr(mod, name, None) is fn:
@@ -640,7 +675,7 @@ def test_records_compute_each_graph_fact_once(monkeypatch):
     pool = _pool_graphs(500)
     assert len(pool) == 12
     records = harness.compute_records(tuple(g for g, _ in pool), 3, (0, 2))
-    assert calls == {"maximal_independent_sets": 12, "maximal_cliques": 12}
+    assert calls == {"_maximal_independent_sets": 12, "maximal_cliques": 12}
     assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
 
 
@@ -652,7 +687,7 @@ def test_battery_records_reuse_the_facts_of_the_ensemble_scan(monkeypatch, tmp_p
     report = tmp_path / "report.jsonl"
     summary = run_battery(8, r=3, characteristics=(0, 2), report_path=str(report))
     assert summary["graphs_checked"] == 513
-    assert calls["maximal_independent_sets"] == 513
+    assert calls["_maximal_independent_sets"] == 513
     with open(os.path.join(os.path.dirname(POOL), "sweep-n8-r3.json"), encoding="ascii") as fh:
         pinned = json.load(fh)
     assert [_digest(line) for line in report.read_text().splitlines()] == pinned["lines"]
@@ -662,13 +697,24 @@ def test_battery_records_reuse_the_facts_of_the_ensemble_scan(monkeypatch, tmp_p
 def test_battery_records_reuse_the_canonical_forms_of_the_enumeration(monkeypatch, tmp_path):
     # the family computes the canonical form of each class it keeps, and
     # the records read it from the class's facts: every call of a sweep is
-    # made inside the family, 513 fewer than when each record made its own
-    calls = {"all": 0, "family": 0}
+    # made inside the family, 513 fewer than when each record made its own.
+    # The family canonicalises its 7,380 children from their masks and
+    # builds a Graph only for the 1,141 whose class it has not seen.
+    calls = {"all": 0, "family": 0, "children": 0, "built": 0}
     real_canonical, real_family = harness.canonical_form, harness._hereditary_family
+    real_core, real_augment = harness._canonical, harness._augment
 
     def counted_canonical(g):
         calls["all"] += 1
         return real_canonical(g)
+
+    def counted_core(*args):
+        calls["children"] += 1
+        return real_core(*args)
+
+    def counted_augment(*args):
+        calls["built"] += 1
+        return real_augment(*args)
 
     def counted_family(*args):
         before = calls["all"]
@@ -678,10 +724,13 @@ def test_battery_records_reuse_the_canonical_forms_of_the_enumeration(monkeypatc
 
     monkeypatch.setattr(harness, "canonical_form", counted_canonical)
     monkeypatch.setattr(harness, "_hereditary_family", counted_family)
+    monkeypatch.setattr(harness, "_canonical", counted_core)
+    monkeypatch.setattr(harness, "_augment", counted_augment)
     report = tmp_path / "report.jsonl"
     summary = run_battery(8, r=3, characteristics=(0, 2), report_path=str(report))
     assert summary["graphs_checked"] == 513
     assert calls["family"] > 0 and calls["all"] == calls["family"]
+    assert (calls["children"], calls["built"]) == (7380, 1141)
     with open(os.path.join(os.path.dirname(POOL), "sweep-n8-r3.json"), encoding="ascii") as fh:
         pinned = json.load(fh)
     assert [_digest(line) for line in report.read_text().splitlines()] == pinned["lines"]

@@ -16,8 +16,8 @@ PACKAGE = Path(cmgraph.__file__).resolve().parent
 
 # each allowed self-calling function, with what bounds its depth
 BOUNDED = {
-    "graphs.canonical_form.rec": "one level per vertex placed, and "
-    "canonical_form raises ValueError for n > 9",
+    "graphs._canonical.rec": "one level per vertex placed, and "
+    "_canonical raises ValueError for n > 9",
 }
 
 
