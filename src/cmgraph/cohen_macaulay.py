@@ -14,12 +14,13 @@ characteristic-free.
 
 On a graph the scan is skipped when a characteristic-free certificate
 holds: Ind(G) pure and G vertex decomposable by shedding vertices, which
-makes Ind(G) shellable and so CM over every field.  cm_characteristic_profile
-tries it through _graph_profile; reisner_cm on a bare complex always scans.
-The harness records keep verdicts only, so _graph_cm first looks on G's
-vertex masks for a face with a disconnected link of dimension 1 or more,
-which refutes CM over every field, and then reads _graph_profile's
-verdicts.
+makes Ind(G) shellable and so CM over every field.  _shedding_alpha decides
+both on G's vertex masks, so cm_characteristic_profile builds Ind(G) only
+for graphs it does not certify; reisner_cm on a bare complex always scans.
+The harness records keep verdicts only, so _graph_cm first refutes CM over
+every field when G's maximal independent sets differ in size or a face
+found on G's vertex masks has a disconnected link of dimension 1 or more,
+and then tries the certificate and the scan.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from .homology import FieldSpec, reduced_betti
 
 _F2 = FieldSpec(2)
 
-# The shedding-vertex certificate gives up once this many vertex masks are
-# memoised or on its stack, and the Reisner scan decides the graph instead.
+# The shedding-vertex certificate gives up once this many core masks (vertex
+# masks with their cone points dropped) are memoised or on its stack, and
+# the Reisner scan decides the graph instead.
 SHEDDING_MEMO_CAP = 4096
 
 
@@ -92,46 +94,42 @@ def cm_characteristic_profile(g: Graph, fields: list[FieldSpec]) -> list[CMRepor
     """One report per requested field, from a single scan of Ind(g)'s faces,
     or from none when Ind(g) is certified CM over every field.
 
-    Each report equals reisner_cm(independence_complex(g), field).
+    Each report equals reisner_cm(independence_complex(g), field).  A graph
+    that _shedding_alpha certifies makes Ind(g) pure and vertex
+    decomposable, hence shellable and CM over every field (Provan &
+    Billera, 1980), and the scan of a CM complex reports a pass with no
+    witness for each entry of fields; Ind(g) is built only for the scan.
     """
     if not fields:
         raise ValueError("at least one field is required")
-    return _graph_profile(g, independence_complex(g), fields)
-
-
-def _graph_profile(
-    g: Graph, cx: SimplicialComplex, fields: list[FieldSpec]
-) -> list[CMReport]:
-    """_reisner_scan(cx, fields) for cx = Ind(g), skipping the scan when cx
-    is pure and g is vertex decomposable by shedding vertices.  This is the
-    path of the callers that print witnesses; the harness records, which
-    keep only verdicts, take _graph_cm.
-
-    A pure vertex-decomposable complex is shellable, hence CM over every
-    field (Provan & Billera, 1980), and the scan of a CM complex reports a
-    pass with no witness for each entry of fields.
-    """
-    if cx.is_pure() and _shedding_certified(g):
+    if _shedding_alpha(g) is not None:
         return [CMReport(f, True, None) for f in fields]
-    return _reisner_scan(cx, fields)
+    return _reisner_scan(independence_complex(g), fields)
 
 
 def _graph_cm(
-    g: Graph, cx: SimplicialComplex, fields: list[FieldSpec], co: list[int]
+    g: Graph, sets: list[tuple[int, ...]], fields: list[FieldSpec], co: list[int]
 ) -> list[bool]:
-    """The verdicts of _graph_profile(g, cx, fields), with no witness; co
-    holds g's complement masks (graphs._complement_masks).
+    """The verdicts of cm_characteristic_profile(g, fields), with no
+    witness; sets holds g's maximal independent sets and co its complement
+    masks (graphs._complement_masks).
 
-    A face whose link has dimension 1 or more and is disconnected fails
-    Reisner's criterion in degree 0 over every field, so such a face,
-    looked for by _has_disconnected_link, settles every field as False
-    before _graph_profile's certificate and scan decide the rest.  It need
-    not be the face the canonical scan would name, which is why callers
-    that print witnesses keep _graph_profile.
+    Sets of different sizes make Ind(g) impure, and a face whose link has
+    dimension 1 or more and is disconnected fails Reisner's criterion in
+    degree 0 over every field; either settles every field as False before
+    the certificate and the scan decide the rest.  The face
+    _has_disconnected_link finds need not be the one the canonical scan
+    would name, which is why callers that print witnesses take
+    cm_characteristic_profile.
     """
-    if not cx.is_pure() or _has_disconnected_link(co, cx.dimension()):
+    alpha = len(sets[0])
+    if any(len(s) != alpha for s in sets) or _has_disconnected_link(co, alpha - 1):
         return [False] * len(fields)
-    return [report.is_cm for report in _graph_profile(g, cx, fields)]
+    if _shedding_alpha(g) is not None:
+        return [True] * len(fields)
+    # the maximal independent sets are an antichain covering every vertex
+    cx = SimplicialComplex._antichain(g.n, sets)
+    return [report.is_cm for report in _reisner_scan(cx, fields)]
 
 
 def _has_disconnected_link(co: list[int], dim: int) -> bool:
@@ -165,36 +163,41 @@ def _has_disconnected_link(co: list[int], dim: int) -> bool:
     return False
 
 
-def _shedding_certified(g: Graph) -> bool:
-    """Whether g is vertex decomposable by this search over its vertex masks
-    (bit v for vertex v): an induced subgraph is one mask.
+def _shedding_alpha(g: Graph) -> int | None:
+    """alpha(g) when Ind(g) is pure and g decomposes by this search over its
+    vertex masks (bit v for vertex v), None otherwise: an induced subgraph
+    is one mask.
 
-    Vertices isolated in a mask are cone points and are dropped; an empty
-    mask is decomposable.  A vertex v of a mask is a shedding vertex when
-    N[u] <= N[v] inside the mask for some neighbour u (Woodroofe, 2009), and
-    v decomposes the mask when both mask - v and mask - N[v] are
-    decomposable.  Each shedding vertex is tried in turn, and verdicts are
-    memoised by mask for this call only.  False means no decomposition was
-    found, or the masks memoised or on the stack reached SHEDDING_MEMO_CAP;
-    the caller then scans.  The search keeps its own stack, one frame per
-    mask being decided, so its depth is not bounded by Python's recursion
-    limit.
+    Vertices isolated in a mask are cone points: each is dropped and adds 1
+    to alpha, and an empty core (a mask with its cones dropped) answers 0.
+    A vertex v of a core is a shedding vertex when N[u] <= N[v] inside the
+    core for some neighbour u (Woodroofe, 2009).  The facets of Ind(core)
+    are then those of Ind(core - v) plus v joined to those of
+    Ind(core - N[v]), so v decomposes the core into a pure complex iff both
+    halves answer and alpha(core - v) = alpha(core - N[v]) + 1.  Each
+    shedding vertex is tried in turn, and answers are memoised by core for
+    this call only.  None means no decomposition was found, or the cores
+    memoised or on the stack reached SHEDDING_MEMO_CAP; the caller then
+    scans.  The search keeps its own stack, one frame per core being
+    decided with the number of cones its parent dropped, so its depth is
+    not bounded by Python's recursion limit.
     """
     masks = g._masks
     closed = [m | 1 << v for v, m in enumerate(masks)]
 
-    def without_cones(mask: int) -> int:
-        rest = mask
+    def without_cones(mask: int) -> tuple[int, int]:
+        rest, cones = mask, 0
         while rest:
             low = rest & -rest
             rest ^= low
             if not masks[low.bit_length() - 1] & mask:
                 mask ^= low
-        return mask
+                cones += 1
+        return mask, cones
 
     def decide(mask: int):
         # a generator: it yields the masks it needs decided and is sent
-        # their verdicts
+        # their answers
         rest = mask
         while rest:
             low = rest & -rest
@@ -206,36 +209,37 @@ def _shedding_certified(g: Graph) -> bool:
                 u_bit = others & -others
                 others ^= u_bit
                 if not closed[u_bit.bit_length() - 1] & mask & ~nv:
-                    if (yield mask ^ low) and (yield mask & ~nv):
-                        return True
+                    alpha = yield mask ^ low
+                    if alpha is not None and (yield mask & ~nv) == alpha - 1:
+                        return alpha
                     break
-        return False
+        return None
 
-    memo: dict[int, bool] = {}
-    top = without_cones(_full_mask(g.n))
+    memo: dict[int, int | None] = {}
+    top, cones = without_cones(_full_mask(g.n))
     if not top:
-        return True
-    stack = [(top, decide(top))]
-    verdict = None
+        return cones
+    stack = [(top, decide(top), cones)]
+    answer = None
     while stack:
-        mask, search = stack[-1]
+        mask, search, cones = stack[-1]
         try:
-            sub = search.send(verdict)
+            sub = search.send(answer)
         except StopIteration as done:
             stack.pop()
-            verdict = memo[mask] = done.value
-            continue
-        sub = without_cones(sub)
-        if not sub:
-            verdict = True
-        elif sub in memo:
-            verdict = memo[sub]
-        elif len(memo) + len(stack) >= SHEDDING_MEMO_CAP:
-            return False
+            sub = mask
+            memo[mask] = done.value
         else:
-            stack.append((sub, decide(sub)))
-            verdict = None
-    return verdict
+            sub, cones = without_cones(sub)
+            if sub and sub not in memo:
+                if len(memo) + len(stack) >= SHEDDING_MEMO_CAP:
+                    return None
+                stack.append((sub, decide(sub), cones))
+                answer = None
+                continue
+        alpha = memo[sub] if sub else 0
+        answer = None if alpha is None else alpha + cones
+    return answer
 
 
 def _link_failures(lk: SimplicialComplex, fields: list[FieldSpec]) -> dict[FieldSpec, int | None]:

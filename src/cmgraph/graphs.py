@@ -213,22 +213,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, [(u, v) for u in g.vertices for v in _mask_to_tuple(co[u]) if u < v])
 
 
-def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
-    """Remove v and all its neighbours; relabel the rest to 1..n' preserving order.
-
-    Returns the induced subgraph together with the old -> new label map.
-    """
-    if not 1 <= v <= g.n:
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    removed = g._masks[v] | 1 << v
-    kept = [u for u in g.vertices if not removed >> u & 1]
-    relabel = {u: i for i, u in enumerate(kept, start=1)}
-    edges = [
-        (relabel[a], relabel[b]) for a, b in g.edges if a in relabel and b in relabel
-    ]
-    return Graph(len(kept), edges), relabel
-
-
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -678,16 +662,6 @@ def _refine(
         colours = [rank[k] for k in keys]
         count = len(distinct)
     return colours, count
-
-
-def _wl_groups(g: Graph) -> list[list[int]]:
-    """The stable colour-refinement classes of _refine, in colour order,
-    each ascending."""
-    colours, count = _refine(g.n, g._masks, g.edges)
-    groups: list[list[int]] = [[] for _ in range(count)]
-    for v in g.vertices:
-        groups[colours[v]].append(v)
-    return groups
 
 
 def _twin_classes(g: Graph) -> list[list[int]]:

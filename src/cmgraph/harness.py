@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cohen_macaulay import _graph_cm, bipartite_cm_ordering
-from .complexes import SimplicialComplex
 from .covers import (
     _alpha_cover,
     _perfect_r_matchings,
@@ -438,17 +437,16 @@ def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, d
     Every per-graph fact is read from facts.  The CM verdicts for all
     chars come from _graph_cm: a disconnected link found on g's masks or a
     non-pure Ind(g) refutes every char, the shedding-vertex certificate
-    confirms every char, and one Reisner scan of Ind(g) decides the rest.
-    Records keep no witness.  Ind(g) is built here, so facts held for later
-    keep no faces.  The perfect r-matching search takes its r-cliques from
-    the maximal cliques when no clique has more than r vertices.
+    confirms every char, and one Reisner scan of Ind(g), built only then
+    and not kept, decides the rest.  Records keep no witness.  The perfect
+    r-matching search takes its r-cliques from the maximal cliques when no
+    clique has more than r vertices.
     """
     g = facts.g
     canon = facts.key.decode("ascii")
-    # the maximal independent sets are an antichain covering every vertex
-    cx = SimplicialComplex._antichain(g.n, facts.independent_sets)
+    fields = [FieldSpec(c) for c in chars]
     verdicts = (
-        _graph_cm(g, cx, [FieldSpec(c) for c in chars], facts.complement_masks)
+        _graph_cm(g, facts.independent_sets, fields, facts.complement_masks)
         if chars
         else []
     )

@@ -24,7 +24,7 @@ from cmgraph.complexes import (
     is_shellable,
     is_shelling_order,
 )
-from cmgraph.graphs import Graph, canonical_form, delete_closed_neighborhood, is_unmixed
+from cmgraph.graphs import Graph, canonical_form, is_unmixed
 from cmgraph.harness import enumerate_graphs, enumerate_graphs_up_to, run_battery
 from cmgraph.homology import FieldSpec, boundary_matrices, reduced_betti
 from test_complexes import RP2_FACETS, boundary_sphere
@@ -225,7 +225,7 @@ def _implication_sweep(graphs, shelling_budget):
             if not rep.is_cm:
                 continue
             for v in range(1, g.n + 1):
-                h, _ = delete_closed_neighborhood(g, v)
+                h = oracles.without_closed_neighbourhood(g, (v,))
                 if h.n:
                     assert cm_characteristic_profile(h, [field])[0].is_cm, (g.edges, v, field)
 

@@ -161,6 +161,19 @@ def test_matchings_on_two_odd_cliques_end_at_once(capsys, tmp_path):
     assert json.loads(out) == {"r": 2, "matchings": []}
 
 
+def test_cm_on_a_whiskered_path_at_the_parse_cap_ends_at_once(capsys, tmp_path):
+    # Ind of the whiskered P256 has about 10^53 facets; the certificate
+    # decides it on the graph's vertex masks without listing them
+    path = write_graph(tmp_path, oracles.whiskered_path(256))
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, ["cm", path])
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == {
+        "profile": [{"characteristic": c, "is_cm": True, "witness": None} for c in (0, 2, 3)]
+    }
+
+
 def test_matchings_on_a_bipartite_graph_without_a_perfect_matching_end_at_once(
     capsys, tmp_path
 ):

@@ -146,8 +146,8 @@ def assert_graph_path_matches_reference(g: Graph) -> None:
             fields,
         )
         verdicts = [ref[f].is_cm for f in fields]
-        co = _complement_masks(g)
-        assert cohen_macaulay._graph_cm(g, cx, fields, co) == verdicts, (g.edges, fields)
+        sets, co = list(cx.facets), _complement_masks(g)
+        assert cohen_macaulay._graph_cm(g, sets, fields, co) == verdicts, (g.edges, fields)
 
 
 def mod3_moore_family() -> list[SimplicialComplex]:
@@ -311,26 +311,45 @@ def test_whiskered_p10_is_cm_over_q_f2_and_f3():
 
 
 def test_certificate_agrees_with_the_scan_and_the_oracles_on_graphs_up_to_7():
-    # the certificate searches for exactly the decompositions the oracle
-    # reads as shelling orders, and a pure shelling order is CM over every
-    # field; the profiles themselves are checked against the reference scan
-    # by test_reisner_cm_matches_the_reference_scan_on_graphs_up_to_7
+    # the certificate searches for exactly the decompositions of pure
+    # complexes the oracle reads as shelling orders, and a pure shelling
+    # order is CM over every field; the profiles themselves are checked
+    # against the reference scan by
+    # test_reisner_cm_matches_the_reference_scan_on_graphs_up_to_7
     hits = 0
     for g in enumerate_graphs_up_to(7).graphs:
         cx = independence_complex(g)
         order = oracles.shedding_shelling_order(g)
-        assert cohen_macaulay._shedding_certified(g) == (order is not None), g.edges
-        if cx.is_pure() and order is not None:
+        alpha = cohen_macaulay._shedding_alpha(g)
+        assert (alpha is not None) == (cx.is_pure() and order is not None), g.edges
+        if alpha is not None:
             hits += 1
+            assert alpha == cx.dimension() + 1, g.edges
             assert sorted(order) == sorted(cx.facets), g.edges
             assert is_shelling_order(order), g.edges
     assert hits == 156
 
 
+def test_certificate_on_an_impure_and_on_edgeless_graphs():
+    # P3 decomposes, but Ind(P3) = {2} + {1, 3} is not pure
+    p3 = oracles.path_graph(3)
+    assert cohen_macaulay._shedding_alpha(p3) is None
+    witness = PurityWitness(facet_small=(2,), facet_large=(1, 3))
+    assert cm_characteristic_profile(p3, [Q, F2]) == [
+        CMReport(Q, False, witness),
+        CMReport(F2, False, witness),
+    ]
+    # an empty core answers 0, and each cone point adds 1
+    assert cohen_macaulay._shedding_alpha(Graph(0)) == 0
+    assert cohen_macaulay._shedding_alpha(Graph(3)) == 3
+
+
 def test_certified_profile_keeps_the_order_and_repeats_of_fields(monkeypatch):
+    # and builds no Ind(G): the certificate reads G's vertex masks only
     def refuse(*args):
         raise AssertionError("a certified graph was scanned")
 
+    monkeypatch.setattr(cohen_macaulay, "independence_complex", refuse)
     monkeypatch.setattr(cohen_macaulay, "_reisner_scan", refuse)
     assert cm_characteristic_profile(whiskered_path(7), [Q, F2, Q]) == [
         CMReport(Q, True, None),
@@ -339,10 +358,22 @@ def test_certified_profile_keeps_the_order_and_repeats_of_fields(monkeypatch):
     ]
 
 
+def test_certificate_memoises_core_masks_only(monkeypatch):
+    # the whiskered P64 decomposes through 64 cores, the whiskered paths on
+    # its last 64, 63, ..., 1 path vertices, and the search reaches the
+    # shortest with the 63 others on its stack: 64 is the least cap that
+    # certifies it
+    g = whiskered_path(64)
+    monkeypatch.setattr(cohen_macaulay, "SHEDDING_MEMO_CAP", 64)
+    assert cohen_macaulay._shedding_alpha(g) == 64
+    monkeypatch.setattr(cohen_macaulay, "SHEDDING_MEMO_CAP", 63)
+    assert cohen_macaulay._shedding_alpha(g) is None
+
+
 def test_certificate_at_its_cap_leaves_the_verdict_to_the_scan(monkeypatch, fig1):
     monkeypatch.setattr(cohen_macaulay, "SHEDDING_MEMO_CAP", 1)
     p7 = whiskered_path(7)
-    assert not cohen_macaulay._shedding_certified(p7)
+    assert cohen_macaulay._shedding_alpha(p7) is None
     for g in (p7, fig1):
         cx = independence_complex(g)
         for fields in PROFILE_FIELD_LISTS:

@@ -19,12 +19,10 @@ from cmgraph.graphs import (
     _mask_has_clique,
     _mask_to_tuple,
     _refine,
-    _wl_groups,
     all_r_partitions,
     canonical_form,
     cliques_of_size,
     complement,
-    delete_closed_neighborhood,
     format_graph,
     independence_number,
     is_connected,
@@ -101,10 +99,6 @@ def test_mask_readers_match_the_edge_list():
             # v = -1, 0 and n + 1 are no vertex, so never a neighbour
             adjacent = [v for v in range(-1, g.n + 2) if g.has_edge(u, v)]
             assert adjacent == sorted(nb[u]), (g.edges, u)
-            h, relabel = delete_closed_neighborhood(g, u)
-            assert h == oracles.without_closed_neighbourhood(g, (u,)), (g.edges, u)
-            kept = [v for v in g.vertices if v != u and v not in nb[u]]
-            assert relabel == {v: i for i, v in enumerate(kept, start=1)}
 
 
 def test_vertex_readers_check_the_range():
@@ -129,10 +123,13 @@ def test_vertex_readers_check_the_range():
 
 
 def assert_refinement_classes(g):
-    """_wl_groups equals the reference, and its classes, in order, have one
-    degree each, ascending: the invariant that lets count vectors stand in
-    for sorted tuples."""
-    groups = _wl_groups(g)
+    """_refine's classes, in colour order and each ascending, equal the
+    reference, and have one degree each, ascending: the invariant that lets
+    count vectors stand in for sorted tuples."""
+    colours, count = _refine(g.n, g._masks, g.edges)
+    groups: list[list[int]] = [[] for _ in range(count)]
+    for v in g.vertices:
+        groups[colours[v]].append(v)
     assert groups == oracles._wl_groups_reference(g), g.edges
     degrees = [{g.degree(v) for v in grp} for grp in groups]
     assert all(len(d) == 1 for d in degrees), g.edges
@@ -169,7 +166,7 @@ def test_refinement_splits_no_vertex_transitive_regular_graph():
         wagner,
     ):
         assert_refinement_classes(g)
-        assert _wl_groups(g) == [list(g.vertices)], g.edges
+        assert _refine(g.n, g._masks, g.edges)[1] == 1, g.edges
         assert canonical_form(g) == oracles.canonical_form_twin_pruned(g), g.edges
     for g in (cube, wagner):
         assert canonical_form(g) == oracles.canonical_form_reference(g), g.edges
@@ -233,22 +230,6 @@ def test_complement_of_complete_graph_is_empty():
 def test_c5_is_self_complementary():
     c5 = oracles.cycle_graph(5)
     assert canonical_form(complement(c5)) == canonical_form(c5)
-
-
-def test_delete_closed_neighborhood_on_c5():
-    h, relabel = delete_closed_neighborhood(oracles.cycle_graph(5), 1)
-    assert relabel == {3: 1, 4: 2}
-    assert h == Graph(2, [(1, 2)])
-
-
-def test_delete_closed_neighborhood_can_empty_the_graph():
-    h, relabel = delete_closed_neighborhood(oracles.complete_graph(3), 2)
-    assert h == Graph(0, []) and relabel == {}
-
-
-def test_delete_closed_neighborhood_rejects_bad_vertex():
-    with pytest.raises(ValueError):
-        delete_closed_neighborhood(oracles.path_graph(3), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -578,10 +578,10 @@ def _certified_and_cm(n_max, r):
     for g in graphs:
         cx = independence_complex(g)
         q, f2, f3 = cohen_macaulay._reisner_scan(cx, [Q, F2, F3])
-        hit = cx.is_pure() and cohen_macaulay._shedding_certified(g)
+        hit = cohen_macaulay._shedding_alpha(g) is not None
         assert q.is_cm == f2.is_cm == f3.is_cm == hit, g.edges
-        co = _complement_masks(g)
-        assert cohen_macaulay._graph_cm(g, cx, [Q, F2, F3], co) == [hit] * 3, g.edges
+        sets, co = list(cx.facets), _complement_masks(g)
+        assert cohen_macaulay._graph_cm(g, sets, [Q, F2, F3], co) == [hit] * 3, g.edges
         certified += hit
     return len(graphs), certified
 
