@@ -264,7 +264,8 @@ def _link_failures(lk: SimplicialComplex, fields: list[FieldSpec]) -> dict[Field
     d = lk.dimension()
     if d >= 1:
         nbr = [0] * (lk.n + 1)
-        for facet, m in zip(lk.facets, lk._facet_masks()):
+        for facet in lk.facets:
+            m = sum(1 << v for v in facet)
             for v in facet:
                 nbr[v] |= m
         full = _full_mask(lk.n)
@@ -299,12 +300,13 @@ def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMRepo
     from there on every link is nonempty with nothing to check below degree
     0.  A face F that is not the intersection of the facets containing it
     has a vertex v outside it in all of them, so lk(F) is a cone over v,
-    acyclic over every field, and is skipped.  A link's facets determine it,
-    since every vertex lies in a facet, so verdicts are kept by facets for
-    the rest of the call: distinct faces often have equal links.  The scan
-    calls _link_failures once per distinct link, for the fields active when
-    it first meets the link; fields only drop out, so a later face with the
-    same link asks no field that call left out.
+    acyclic over every field, and is skipped; cx's facet incidence gives
+    the facets containing F and the vertices in all of them.  A link's
+    facets determine it, since every vertex lies in a facet, so verdicts
+    are kept by facets for the rest of the call: distinct faces often have
+    equal links.  The scan calls _link_failures once per distinct link, for
+    the fields active when it first meets the link; fields only drop out,
+    so a later face with the same link asks no field that call left out.
     """
     if not cx.is_pure():
         by_size = sorted(cx.facets, key=len)
@@ -314,16 +316,11 @@ def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMRepo
     failed: dict[FieldSpec, HomologyWitness] = {}
     by_facets: dict[tuple[tuple[int, ...], ...], dict[FieldSpec, int | None]] = {}
     dim = cx.dimension()
-    # incidence[v]: the facets containing vertex v, bit i for the i-th facet
-    masks = cx._facet_masks()
-    incidence = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1) for v in range(cx.n + 1)]
-    every = (1 << len(cx.facets)) - 1
+    incidence = cx._vertex_facets().values()
     for face in cx.all_faces():
         if len(face) >= dim:
             break
-        above = every
-        for v in face:
-            above &= incidence[v]
+        above = cx._above(face)
         if sum(1 for m in incidence if m & above == above) > len(face):
             continue
         lk = link(cx, face)

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, _require_int, maximal_independent_sets, parse_counted_lines
+from .graphs import Graph, _mask_to_tuple, _require_int, maximal_independent_sets, parse_counted_lines
 
 SHELLABLE = "shellable"
 NOT_SHELLABLE = "not_shellable"
@@ -32,7 +32,7 @@ class SimplicialComplex:
     vertex that is not an integer (``bool`` included).
     """
 
-    __slots__ = ("n", "facets", "_faces_by_dim", "_masks")
+    __slots__ = ("n", "facets", "_faces_by_dim", "_incidence")
 
     def __init__(self, n: int, facets: Iterable[Iterable[int]]):
         _require_int(n, "vertex count")
@@ -54,34 +54,24 @@ class SimplicialComplex:
             norm = [()]
         if not norm:
             raise ValueError("a complex on n >= 1 vertices needs at least one facet")
-        norm = sorted(set(norm))
-        # incidence[v]: the facets containing vertex v, bit i for norm[i],
-        # kept for the vertices that occur only, so nothing is sized by n.
-        # The facets containing facet i are the AND over its vertices, so
-        # the lowest other bit there is the first j with norm[i] <= norm[j].
-        incidence: dict[int, int] = {}
-        for i, f in enumerate(norm):
-            for v in f:
-                incidence[v] = incidence.get(v, 0) | 1 << i
-        every = (1 << len(norm)) - 1
-        for i, f in enumerate(norm):
-            above = every ^ 1 << i
-            for v in f:
-                above &= incidence[v]
+        self.n = n
+        self.facets = tuple(sorted(set(norm)))
+        self._faces_by_dim: list[list[tuple[int, ...]]] | None = None
+        self._incidence: dict[int, int] | None = None
+        # the lowest bit other than i among the facets above facet i is the
+        # first j with facets[i] <= facets[j]
+        for i, f in enumerate(self.facets):
+            above = self._above(f) ^ 1 << i
             if above:
                 j = (above & -above).bit_length() - 1
-                raise ValueError(f"facet {norm[i]} is contained in facet {norm[j]}")
+                raise ValueError(f"facet {f} is contained in facet {self.facets[j]}")
         # every vertex occurs in 1..n, so the lowest one missing is the
         # first gap counting up from 1
         missing = 1
-        while missing in incidence:
+        while missing in self._vertex_facets():
             missing += 1
         if missing <= n:
             raise ValueError(f"vertex {missing} lies in no facet")
-        self.n = n
-        self.facets = tuple(norm)
-        self._faces_by_dim: list[list[tuple[int, ...]]] | None = None
-        self._masks: tuple[int, ...] | None = None
 
     @classmethod
     def _antichain(cls, n: int, facets: Iterable[tuple[int, ...]]) -> SimplicialComplex:
@@ -93,7 +83,7 @@ class SimplicialComplex:
         cx.n = n
         cx.facets = tuple(sorted(tuple(sorted(f)) for f in facets)) if n else ((),)
         cx._faces_by_dim = None
-        cx._masks = None
+        cx._incidence = None
         return cx
 
     def dimension(self) -> int:
@@ -129,24 +119,31 @@ class SimplicialComplex:
             yield from level
 
     def contains_face(self, face: Iterable[int]) -> bool:
-        return bool(self._facets_above(face))
+        return bool(self._above(tuple(face)))
 
-    def _facets_above(self, face: Iterable[int]) -> list[tuple[int, ...]]:
-        """The facets containing face, or [] when face has a repeated or
-        out-of-range vertex.  A facet contains the face when its vertex mask
-        covers the face's mask: one AND per facet."""
-        fm = 0
+    def _vertex_facets(self) -> dict[int, int]:
+        """The facet incidence: the facets containing vertex v, bit i for
+        facets[i], kept for the vertices that occur only, so nothing is
+        sized by n.  Built on first use."""
+        if self._incidence is None:
+            incidence: dict[int, int] = {}
+            for i, f in enumerate(self.facets):
+                for v in f:
+                    incidence[v] = incidence.get(v, 0) | 1 << i
+            self._incidence = incidence
+        return self._incidence
+
+    def _above(self, face: tuple[int, ...]) -> int:
+        """The facets containing face, bit i for facets[i]: the AND of its
+        vertices' incidence.  A face with a repeated vertex, or one in no
+        facet (outside 1..n, say), has none."""
+        if len(set(face)) != len(face):
+            return 0
+        incidence = self._vertex_facets()
+        above = (1 << len(self.facets)) - 1
         for v in face:
-            if not 1 <= v <= self.n or fm >> v & 1:
-                return []
-            fm |= 1 << v
-        return [k for k, m in zip(self.facets, self._facet_masks()) if m & fm == fm]
-
-    def _facet_masks(self) -> tuple[int, ...]:
-        """One vertex mask per facet (bit v for vertex v), in facet order."""
-        if self._masks is None:
-            self._masks = tuple(sum(1 << v for v in f) for f in self.facets)
-        return self._masks
+            above &= incidence.get(v, 0)
+        return above
 
     def f_vector(self) -> tuple[int, ...]:
         return (1,) + tuple(len(level) for level in self._faces())
@@ -208,13 +205,14 @@ def link(cx: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
     the K are.  Raises ValueError when the given set is not a face.
     """
     f = tuple(sorted(face))
-    above = cx._facets_above(f)
+    above = cx._above(f)
     if not above:
         raise ValueError(f"{f} is not a face of the complex")
-    rest = sorted({v for k in above for v in k}.difference(f))
+    facets = [cx.facets[i] for i in _mask_to_tuple(above)]
+    rest = sorted({v for k in facets for v in k}.difference(f))
     relabel = {v: i for i, v in enumerate(rest, start=1)}
     return SimplicialComplex._antichain(
-        len(relabel), [tuple(relabel[v] for v in k if v in relabel) for k in above]
+        len(relabel), [tuple(relabel[v] for v in k if v in relabel) for k in facets]
     )
 
 
@@ -287,6 +285,7 @@ def is_shellable(
     """
     if not cx.is_pure():
         raise ValueError("shellability search requires a pure complex")
+    _require_int(budget, "budget")
     if budget < 1:
         raise ValueError("budget must be positive")
     facets = cx.facets

@@ -23,6 +23,7 @@ from .graphs import (
     _full_mask,
     _mask_to_tuple,
     _partition_search,
+    _require_at_least,
     _require_int,
     cliques_of_size,
     independence_number,
@@ -32,11 +33,10 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class RMatching:
-    """A set of pairwise disjoint r-cliques; perfect when they cover 1..n."""
+    """A set of pairwise disjoint r-cliques covering 1..n."""
 
     r: int
     cliques: tuple[tuple[int, ...], ...]
-    perfect: bool
 
 
 def perfect_r_matchings(
@@ -55,10 +55,11 @@ def perfect_r_matchings(
     per chosen clique, so its depth is not bounded by Python's recursion
     limit.
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
+    _require_at_least(r, "r", 1)
+    if limit is not None:
+        _require_int(limit, "limit")
+        if limit < 1:
+            raise ValueError("limit must be positive")
     if g.n % r != 0:
         return []
     return _perfect_r_matchings(g, r, limit, cliques_of_size(g, r))
@@ -85,7 +86,7 @@ def _perfect_r_matchings(
     mask = 0
     while True:
         if mask == full:
-            out.append(RMatching(r, tuple(chosen), True))
+            out.append(RMatching(r, tuple(chosen)))
             if limit is not None and len(out) >= limit:
                 return out
             if chosen:
@@ -261,8 +262,7 @@ def _alpha_cover(
 
 def degree_r_minus_1_vertices(g: Graph, r: int) -> tuple[int, ...]:
     """Vertices of degree exactly r - 1, ascending."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _require_at_least(r, "r", 1)
     return tuple(v for v in g.vertices if g.degree(v) == r - 1)
 
 

@@ -29,6 +29,12 @@ def _require_int(x: object, what: str) -> None:
         raise ValueError(f"{what} {x!r} is not an integer")
 
 
+def _require_at_least(x: object, what: str, least: int) -> None:
+    _require_int(x, what)
+    if x < least:
+        raise ValueError(f"{what} must be at least {least}")
+
+
 class Graph:
     """Undirected simple graph: no loops, no parallel edges.
 
@@ -312,8 +318,7 @@ def is_unmixed(g: Graph) -> bool:
 
 def cliques_of_size(g: Graph, r: int) -> list[tuple[int, ...]]:
     """All cliques with exactly r vertices, in lexicographic order."""
-    if r < 1:
-        raise ValueError("clique size must be at least 1")
+    _require_at_least(r, "clique size", 1)
     return list(_cliques(g._masks, _full_mask(g.n), r))
 
 
@@ -419,6 +424,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
     to add one), so the partition search decides it, visiting vertices by
     decreasing degree.
     """
+    _require_int(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     masks = g._masks
@@ -441,8 +447,7 @@ def _free_classes(g: Graph, k: int, fits: Callable[[int], bool] | None = None) -
     is the partition search on g - B, visiting its vertices by decreasing
     degree.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _require_at_least(k, "k", 1)
     masks = g._masks
     order = sorted(g.vertices, key=lambda v: (-masks[v].bit_count(), v))
     full = _full_mask(g.n)
@@ -527,16 +532,14 @@ def r_partition(g: Graph, r: int) -> tuple[tuple[int, ...], ...] | None:
     Returns the first partition in the deterministic search order, or None
     when the graph admits no such partition.
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _require_at_least(r, "r", 1)
     first = next(_partition_search(g, r, g.vertices), None)
     return None if first is None else tuple(_mask_to_tuple(b) for b in first)
 
 
 def all_r_partitions(g: Graph, r: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every partition into exactly r nonempty independent blocks, each once."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _require_at_least(r, "r", 1)
     return [
         tuple(_mask_to_tuple(b) for b in blocks)
         for blocks in _partition_search(g, r, g.vertices)

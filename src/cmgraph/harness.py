@@ -56,6 +56,7 @@ from .graphs import (
     _mask_has_clique,
     _mask_to_tuple,
     _maximal_independent_sets,
+    _require_at_least,
     _twin_classes,
     canonical_form,
     is_connected,
@@ -176,8 +177,7 @@ def _clique_tests(
 
 
 def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_at_least(n, "n", 1)
     # classes are deduplicated by canonical form, so the enumeration stops
     # where canonical forms do
     if n > MAX_CANONICAL_N:
@@ -620,17 +620,15 @@ def run_battery(
     the summary and the report are deterministic.  A characteristic given
     more than once is swept once, at its first position.  The report is
     opened before any enumeration.  Raises ValueError for n_max outside
-    1..MAX_CANONICAL_N, no or invalid characteristics, r < 1, or a
-    report_path that cannot be written.
+    1..MAX_CANONICAL_N, no or invalid characteristics, r < 1, an n_max, r
+    or characteristic that is not an int (bool included), or a report_path
+    that cannot be written.
     """
-    chars = tuple(dict.fromkeys(characteristics))
+    chars = tuple(dict.fromkeys(FieldSpec(c).characteristic for c in characteristics))
     if not chars:
         raise ValueError("at least one characteristic is required")
-    for c in chars:
-        FieldSpec(c)
     _check_n(n_max)
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _require_at_least(r, "r", 1)
     try:
         opened = (
             open(report_path, "w", encoding="ascii", newline="\n")

@@ -16,6 +16,7 @@ from math import gcd
 from typing import Iterable
 
 from .complexes import SimplicialComplex
+from .graphs import _require_int
 
 _PRIME_LIMIT = 2**31 - 1
 
@@ -41,6 +42,7 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        _require_int(c, "characteristic")
         if c == 0:
             return
         if not (2 <= c <= _PRIME_LIMIT) or not _is_prime(c):

@@ -306,6 +306,19 @@ def test_whiskered_p10_is_cm_over_q_f2_and_f3():
         assert reisner_cm(cx, field) == CMReport(field, True, None)
 
 
+@pytest.mark.parametrize("k", [4, pytest.param(5, marks=pytest.mark.extended)])
+def test_disjoint_c5s_are_decided_by_the_scan_over_q_f2_and_f3(k):
+    # C5 has no dominated pair, so no shedding vertex certifies k disjoint
+    # C5s (5k vertices, CM) and the scan links every face up to size 2k - 2
+    edges = [(5 * i + j, 5 * i + j % 5 + 1) for i in range(k) for j in range(1, 6)]
+    g = Graph(5 * k, edges)
+    assert cohen_macaulay._shedding_alpha(g) is None
+    reports = cm_characteristic_profile(g, [Q, F2, F3])
+    assert reports == [CMReport(field, True, None) for field in (Q, F2, F3)]
+    cx = independence_complex(g)
+    assert reports == [reisner_cm(cx, field) for field in (Q, F2, F3)]
+
+
 # ---------------------------------------------------------------------------
 # the shedding-vertex certificate the graph path tries before the scan
 

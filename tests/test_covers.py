@@ -31,8 +31,8 @@ def bowtie():
 def test_c6_has_exactly_two_perfect_matchings():
     got = perfect_r_matchings(oracles.cycle_graph(6), 2)
     assert got == [
-        RMatching(r=2, cliques=((1, 2), (3, 4), (5, 6)), perfect=True),
-        RMatching(r=2, cliques=((1, 6), (2, 3), (4, 5)), perfect=True),
+        RMatching(r=2, cliques=((1, 2), (3, 4), (5, 6))),
+        RMatching(r=2, cliques=((1, 6), (2, 3), (4, 5))),
     ]
 
 
@@ -53,7 +53,7 @@ def test_k9_triple_matchings_count():
 def test_matchings_misc_edges():
     assert perfect_r_matchings(oracles.path_graph(3), 2) == []
     assert perfect_r_matchings(Graph(0, []), 2) == [
-        RMatching(r=2, cliques=(), perfect=True)
+        RMatching(r=2, cliques=())
     ]
     with pytest.raises(ValueError):
         perfect_r_matchings(oracles.path_graph(2), 0)
@@ -81,7 +81,7 @@ def test_matchings_keep_the_recursive_order():
         for r in (1, 2, 3, 4):
             for limit in (None, 1, 2):
                 got = perfect_r_matchings(g, r, limit)
-                assert all(m.r == r and m.perfect for m in got)
+                assert all(m.r == r for m in got)
                 expected = oracles.perfect_r_matchings_recursive(g, r, limit)
                 assert [m.cliques for m in got] == expected, (g.edges, r, limit)
 
@@ -192,7 +192,7 @@ def test_searches_keep_their_own_stack_on_1200_vertices():
     edgeless = Graph(1200)
     singletons = tuple((v,) for v in range(1, 1201))
     assert perfect_r_matchings(edgeless, 1, limit=1) == [
-        RMatching(r=1, cliques=singletons, perfect=True)
+        RMatching(r=1, cliques=singletons)
     ]
     assert alpha_clique_cover(edgeless) == singletons
 

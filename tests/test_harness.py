@@ -9,15 +9,21 @@ import pytest
 import oracles
 from cmgraph import cohen_macaulay, harness
 from cmgraph.cli import main
-from cmgraph.complexes import independence_complex
-from cmgraph.covers import alpha_clique_cover, perfect_r_matchings
+from cmgraph.complexes import SimplicialComplex, independence_complex, is_shellable
+from cmgraph.covers import (
+    alpha_clique_cover,
+    degree_r_minus_1_vertices,
+    perfect_r_matchings,
+)
 from cmgraph.graphs import (
     MAX_CANONICAL_N,
     Graph,
     _augment,
     _complement_masks,
     _free_classes,
+    all_r_partitions,
     canonical_form,
+    cliques_of_size,
     is_connected,
     is_k_colorable,
     is_perfect,
@@ -941,3 +947,33 @@ def test_r_below_one_is_rejected(capsys, r):
         enumerate_graphs(3, GraphFilters(r_partite=r))
     assert main(["harness", "--n-max", "3", "--r", str(r)]) == 2
     assert capsys.readouterr().err == "cmgraph: error: r must be at least 1\n"
+
+
+P4 = oracles.path_graph(4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cliques_of_size(P4, 2.0), "clique size 2.0"),
+        (lambda: is_k_colorable(P4, 2.0), "k 2.0"),
+        (lambda: r_partition(P4, 2.0), "r 2.0"),
+        (lambda: all_r_partitions(P4, True), "r True"),
+        (lambda: perfect_r_matchings(P4, 2.0), "r 2.0"),
+        (lambda: perfect_r_matchings(P4, 2, limit=1.0), "limit 1.0"),
+        (lambda: degree_r_minus_1_vertices(P4, 2.0), "r 2.0"),
+        (lambda: is_shellable(SimplicialComplex(2, [(1, 2)]), budget=10.0), "budget 10.0"),
+        (lambda: enumerate_graphs(3.0), "n 3.0"),
+        (lambda: run_battery(3.0), "n 3.0"),
+        (lambda: run_battery(4, r=2.0), "r 2.0"),
+        (lambda: run_battery(4, r=True), "r True"),
+        (lambda: run_battery(4, characteristics=(0, 2.0)), "characteristic 2.0"),
+        (lambda: run_battery(4, characteristics=(0, False)), "characteristic False"),
+    ],
+)
+def test_a_count_that_is_not_an_integer_is_rejected(call, message):
+    """r, k, limit, budget, n and characteristics must be ints, bool
+    excluded: a float or a bool raises ValueError, never TypeError or a
+    result that carries it."""
+    with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        call()

@@ -34,7 +34,7 @@ def test_field_spec_accepts_zero_and_primes():
         assert FieldSpec(char).characteristic == char
 
 
-@pytest.mark.parametrize("char", [-1, 1, 4, 6, 9, 2**31, 2147483659])
+@pytest.mark.parametrize("char", [-1, 1, 4, 6, 9, 2**31, 2147483659, False, 2.0, 3.0])
 def test_field_spec_rejects_nonprimes_and_oversize(char):
     with pytest.raises(ValueError):
         FieldSpec(char)
