@@ -6,11 +6,11 @@ empty face) the link of F has vanishing reduced homology in all degrees
 strictly below its dimension.  It, cm_characteristic_profile and the
 harness records share one scan, which links only the faces that are
 intersections of facets and decides each distinct link once with
-_link_failures: the link's 1-skeleton, grown by graphs._component,
-settles disconnected links and links of dimension 1, and the rest are
-reduced, over Q after an F_2 screen.  bipartite_cm_ordering applies the
-Herzog-Hibi combinatorial criterion for bipartite graphs, which is
-characteristic-free.
+_link_failures: a connectivity test on the link's facet masks settles
+disconnected links and links of dimension 1, and the rest are
+strong-collapsed to their cores and reduced, over Q after an F_2 screen.
+bipartite_cm_ordering applies the Herzog-Hibi combinatorial criterion for
+bipartite graphs, which is characteristic-free.
 
 On a graph the scan is skipped when a characteristic-free certificate
 holds: Ind(G) pure and G vertex decomposable by shedding vertices, which
@@ -30,9 +30,7 @@ from dataclasses import dataclass
 from .complexes import SimplicialComplex, independence_complex, link
 from .covers import _bipartite_matching
 from .graphs import Graph, _component, _full_mask, _partition_search
-from .homology import FieldSpec, reduced_betti
-
-_F2 = FieldSpec(2)
+from .homology import FieldSpec, _betti, _strong_core
 
 # The shedding-vertex certificate gives up once this many core masks (vertex
 # masks with their cone points dropped) are memoised or on its stack, and
@@ -250,39 +248,48 @@ def _link_failures(lk: SimplicialComplex, fields: list[FieldSpec]) -> dict[Field
     A link of dimension 1 or more is settled over every field without a
     reduction when it is disconnected (reduced homology first in degree 0,
     one less than the number of components) or has dimension 1 (connected,
-    so nothing below degree 1).  A complex is connected iff its 1-skeleton
-    is, and graphs._component grows the 1-skeleton's component from its
-    neighbour masks: a vertex's mask is the union of the facets holding it,
-    and its own bit there does not change the component.
+    so nothing below degree 1).  Connectivity is a vertex mask grown from
+    the first facet: each pass over the facet masks adds every facet that
+    meets it, until a pass adds none.
 
-    Otherwise the F_2 Betti vector is reduced at most once.  It answers F_2,
-    and it screens Q: no integer matrix has larger rank over F_2 than over
-    Q, so F_2 Betti numbers bound the rational ones from above, and
+    Otherwise the link is strong-collapsed once (homology._strong_core,
+    which keeps every reduced Betti number), and its core is reduced for
+    the fields.  The F_2 Betti vector is reduced at most once.  It answers
+    F_2, and it screens Q: no integer matrix has larger rank over F_2 than
+    over Q, so F_2 Betti numbers bound the rational ones from above, and
     vanishing F_2 homology below the dimension passes the link without
     reducing over Q, which costs more than reducing bitsets over F_2.
     """
     d = lk.dimension()
+    masks = [sum(1 << v for v in facet) for facet in lk.facets]
     if d >= 1:
-        nbr = [0] * (lk.n + 1)
-        for facet in lk.facets:
-            m = sum(1 << v for v in facet)
-            for v in facet:
-                nbr[v] |= m
-        full = _full_mask(lk.n)
-        if _component(nbr, full)[0] != full:
+        reach, left = masks[0], masks[1:]
+        grown = True
+        while grown and left:
+            grown = False
+            apart = []
+            for m in left:
+                if m & reach:
+                    reach |= m
+                    grown = True
+                else:
+                    apart.append(m)
+            left = apart
+        if left:
             return dict.fromkeys(fields, 0)
         if d == 1:
             return dict.fromkeys(fields)
+    core = _strong_core(lk, masks)
     f2 = None
     first: dict[FieldSpec, int | None] = {}
     for field in fields:
         c = field.characteristic
         if c in (0, 2) and f2 is None:
-            f2 = reduced_betti(lk, _F2)
+            f2 = _betti(core, 2, d)
         if c == 2 or c == 0 and not any(f2[: d + 1]):
             betti = f2
         else:
-            betti = reduced_betti(lk, field)
+            betti = _betti(core, c, d)
         first[field] = next((i for i in range(-1, d) if betti[i + 1]), None)
     return first
 
@@ -323,7 +330,7 @@ def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMRepo
         above = cx._above(face)
         if sum(1 for m in incidence if m & above == above) > len(face):
             continue
-        lk = link(cx, face)
+        lk = link(cx, face, above=above)
         first = by_facets.get(lk.facets)
         if first is None:
             first = by_facets[lk.facets] = _link_failures(lk, active)

@@ -75,13 +75,14 @@ class SimplicialComplex:
 
     @classmethod
     def _antichain(cls, n: int, facets: Iterable[tuple[int, ...]]) -> SimplicialComplex:
-        """A complex from facets already known to be valid: no facet inside
-        another, every vertex 1..n in some facet, none repeated or out of
-        range.  The facets are sorted as in __init__, but not checked.
+        """A complex from facets already known to be valid and sorted as in
+        __init__: no facet inside another, every vertex 1..n in some facet,
+        none repeated or out of range, each an increasing tuple and the
+        list in lexicographic order.  Nothing is checked or sorted.
         """
         cx = cls.__new__(cls)
         cx.n = n
-        cx.facets = tuple(sorted(tuple(sorted(f)) for f in facets)) if n else ((),)
+        cx.facets = tuple(facets) if n else ((),)
         cx._faces_by_dim = None
         cx._incidence = None
         return cx
@@ -197,15 +198,29 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex._antichain(g.n, maximal_independent_sets(g))
 
 
-def link(cx: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
+def link(
+    cx: SimplicialComplex, face: Iterable[int], *, above: int | None = None
+) -> SimplicialComplex:
     """The link of a face, relabeled order-preservingly to vertices 1..n'.
 
     lk(F) = { G : G disjoint from F, G union F a face }.  Its facets are
     exactly K \\ F for the facets K containing F, which are an antichain as
-    the K are.  Raises ValueError when the given set is not a face.
+    the K are.  Raises ValueError when the given set is not a face.  A
+    caller that has the facets containing the face as a mask,
+    cx._above(face), may pass it as above; it is not checked.
+
+    The facets come out sorted, since removing F from lex-sorted facets
+    that all hold F keeps their order.  Say K < K' first differ at position
+    j, so K[j] < K'[j].  K[j] is not in F: it would then lie in K', but K'
+    agrees with K before j, where K is below K[j], and K' is above K[j] from
+    j on.  So K - F and K' - F agree up to K[j], where K' - F holds a
+    larger vertex or ends; and it cannot end, since K - F would then
+    contain K' - F, and K would contain K'.  An order-preserving relabelling
+    keeps the order.
     """
     f = tuple(sorted(face))
-    above = cx._above(f)
+    if above is None:
+        above = cx._above(f)
     if not above:
         raise ValueError(f"{f} is not a face of the complex")
     facets = [cx.facets[i] for i in _mask_to_tuple(above)]

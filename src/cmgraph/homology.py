@@ -6,6 +6,14 @@ numbers build no dense matrix: each boundary column is made straight from
 its face, an int bitset over F_2 and a sparse dict of integer entries
 otherwise, and the columns are reduced against a basis keyed by pivot row,
 over the rationals with integer entries alone.  No floating point anywhere.
+
+Before any reduction a complex is strong-collapsed to its core: a vertex v
+is dominated when every facet holding v holds some other vertex w too, and
+deleting it keeps the homotopy type (Barmak & Minian, "Strong homotopy
+types, nerves and collapses", Discrete Comput. Geom. 47, 2012), hence every
+reduced Betti number over every field.  On Ind(H) a dominated vertex is one
+with N(w) <= N(v) for some w, the fold lemma (Engstrom, "Independence
+complexes of claw-free graphs", European J. Combin. 29, 2008).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from math import gcd
 from typing import Iterable
 
 from .complexes import SimplicialComplex
-from .graphs import _require_int
+from .graphs import _full_mask, _mask_to_tuple, _require_int
 
 _PRIME_LIMIT = 2**31 - 1
 
@@ -209,18 +217,75 @@ def rank_over(matrix: BoundaryMatrix, field: FieldSpec) -> int:
     )
 
 
+def _strong_core(cx: SimplicialComplex, masks: list[int]) -> SimplicialComplex:
+    """The core cx collapses to by deleting dominated vertices, relabelled
+    order-preservingly to 1..n'; cx itself when no vertex is dominated.
+    masks holds the vertex mask of each facet (bit v for vertex v).
+
+    A vertex v is dominated when the AND of the facets holding it is more
+    than {v}.  Deleting it turns each facet F holding v into F - v, kept as
+    a facet of K - v unless some facet without v contains it: one AND of
+    the incidence per vertex of F - v, since F - v lies in no other facet
+    holding v.  F - v is never empty, as it holds the vertex w that
+    dominates v.  Only the vertices of the facets that held v can become
+    dominated by the deletion, so they alone are tried again, lowest first,
+    on the incidence and the facet masks updated in place.
+    """
+    masks = list(masks)
+    incidence = dict(cx._vertex_facets())
+    todo = _full_mask(cx.n)
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        held = _mask_to_tuple(incidence[v])
+        common = -1
+        for i in held:
+            common &= masks[i]
+        if common == low:
+            continue
+        outside = ~incidence.pop(v)
+        for i in held:
+            m = masks[i] ^ low
+            todo |= m
+            cover = outside
+            for u in _mask_to_tuple(m):
+                cover &= incidence[u]
+            if cover:
+                masks[i] = 0
+                for u in _mask_to_tuple(m):
+                    incidence[u] ^= 1 << i
+            else:
+                masks[i] = m
+    if len(incidence) == cx.n:
+        return cx
+    label = {v: i for i, v in enumerate(sorted(incidence), start=1)}
+    return SimplicialComplex._antichain(
+        len(label), sorted(tuple(label[v] for v in _mask_to_tuple(m)) for m in masks if m)
+    )
+
+
+def _betti(cx: SimplicialComplex, p: int, dim: int) -> tuple[int, ...]:
+    """Reduced Betti numbers of cx over F_p (Q when p = 0), padded with
+    zeros up to degree dim."""
+    d = cx.dimension()
+    if d == -1:
+        return (1,)
+    ranks = _boundary_ranks(cx, p)
+    fvec = cx.f_vector()
+    out = [1 - ranks[0]]
+    for i in range(d + 1):
+        below = ranks[i + 1] if i < d else 0
+        out.append(fvec[i + 1] - ranks[i] - below)
+    return tuple(out) + (0,) * (dim - d)
+
+
 def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
     """Reduced Betti numbers (b~_{-1}, b~_0, ..., b~_dim) over the field.
 
-    The empty complex {{}} has b~_{-1} = 1 and nothing else.
+    The empty complex {{}} has b~_{-1} = 1 and nothing else.  The numbers
+    are reduced on cx's strong core (_strong_core), which has the same ones,
+    and padded with zeros up to cx's dimension.
     """
-    dim = cx.dimension()
-    if dim == -1:
-        return (1,)
-    ranks = _boundary_ranks(cx, field.characteristic)
-    fvec = cx.f_vector()
-    out = [1 - ranks[0]]
-    for i in range(dim + 1):
-        below = ranks[i + 1] if i < dim else 0
-        out.append(fvec[i + 1] - ranks[i] - below)
-    return tuple(out)
+    masks = [sum(1 << v for v in f) for f in cx.facets]
+    return _betti(_strong_core(cx, masks), field.characteristic, cx.dimension())

@@ -6,9 +6,10 @@ integer Smith diagonalization.  No algorithmic code is shared with the
 package; only the Graph container is reused so results are comparable.
 The slow paths at the end keep earlier forms of the package's own searches
 to compare its fast paths with; the Reisner scan among them calls the
-package's link and reduced_betti, which the oracles above check on their
-own, the Herzog-Hibi search its pair sort key, and the r-partition check
-the partition list and the part matchings.
+package's link and reduces each link whole, with no strong collapse
+(homology._betti, which the oracles above check on their own), the
+Herzog-Hibi search its pair sort key, and the r-partition check the
+partition list and the part matchings.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from cmgraph.cohen_macaulay import (
 from cmgraph.complexes import link
 from cmgraph.covers import pairwise_part_matchings
 from cmgraph.graphs import Graph, all_r_partitions
-from cmgraph.homology import reduced_betti
+from cmgraph.homology import _betti
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,15 @@ def whiskered_path(n: int) -> Graph:
     """The path 1..n with a pendant vertex v + n hung on each v."""
     return graph_from_edges(
         2 * n, [(i, i + 1) for i in range(1, n)] + [(v, v + n) for v in range(1, n + 1)]
+    )
+
+
+def c4_beside_whiskered_path(n: int) -> Graph:
+    """The 4-cycle 1..4 beside the whiskered path P_n on 5..2n + 4: Ind is
+    pure but not CM, and its failing links are mostly dominated vertices."""
+    w = whiskered_path(n)
+    return graph_from_edges(
+        w.n + 4, [(1, 2), (2, 3), (3, 4), (1, 4)] + [(u + 4, v + 4) for u, v in w.edges]
     )
 
 
@@ -88,6 +98,17 @@ def mycielski(g: Graph) -> Graph:
     edges += [e for u, v in g.edges for e in ((u, v + n), (v, u + n))]
     edges += [(v + n, 2 * n + 1) for v in range(1, n + 1)]
     return graph_from_edges(2 * n + 1, edges)
+
+
+def clique_join(h: Graph, parts) -> Graph:
+    """H + K for the parts Q_1, ..., Q_r of an r-partition of h: an r-clique
+    k_i = h.n + i, with k_i joined to every vertex of h outside Q_i."""
+    n = h.n
+    r = len(parts)
+    edges = list(h.edges)
+    edges += itertools.combinations(range(n + 1, n + r + 1), 2)
+    edges += [(v, n + i) for i, q in enumerate(parts, 1) for v in range(1, n + 1) if v not in q]
+    return graph_from_edges(n + r, edges)
 
 
 def relabeled(g: Graph, perm: dict[int, int]) -> Graph:
@@ -880,11 +901,12 @@ def shelling_search_recursive(facets, budget: int):
 
 def reisner_cm_reference(cx, field):
     """The CMReport of the plain Reisner scan: every face in canonical order,
-    every link's Betti numbers over the field itself, nothing remembered
-    between faces, one field at a time.  This is the slow path both entry
-    points of the package's one-scan decider must match, witness face and
-    index included: reisner_cm(cx, field) on any complex, and each report
-    of cm_characteristic_profile(g, fields) when cx = Ind(g)."""
+    every link's Betti numbers over the field itself, each link reduced
+    whole with no strong collapse, nothing remembered between faces, one
+    field at a time.  This is the slow path both entry points of the
+    package's one-scan decider must match, witness face and index
+    included: reisner_cm(cx, field) on any complex, and each report of
+    cm_characteristic_profile(g, fields) when cx = Ind(g)."""
     if not cx.is_pure():
         by_size = sorted(cx.facets, key=len)
         return CMReport(field, False, PurityWitness(by_size[0], by_size[-1]))
@@ -893,7 +915,7 @@ def reisner_cm_reference(cx, field):
         d = lk.dimension()
         if d <= 0:
             continue
-        betti = reduced_betti(lk, field)
+        betti = _betti(lk, field.characteristic, d)
         for i in range(-1, d):
             if betti[i + 1]:
                 return CMReport(field, False, HomologyWitness(face, i))

@@ -209,6 +209,52 @@ def test_criterion_5_pinned_r4_degree_counterexamples_are_genuine():
     _certify_degree_counterexamples(R4_DEGREE_COUNTEREXAMPLES, 8, 4, 2)
 
 
+@pytest.mark.parametrize(
+    "pinned, n, r, alpha",
+    [(R3_DEGREE_COUNTEREXAMPLES, 9, 3, 3), (R4_DEGREE_COUNTEREXAMPLES, 8, 4, 2)],
+)
+def test_criterion_5_pinned_counterexamples_are_clique_joins_of_their_own_g_minus_k(
+    pinned, n, r, alpha
+):
+    """In each pinned class the r vertices of degree n - alpha form a clique
+    K, each k_i misses one part Q_i of an r-partition of H = G - K into
+    parts of alpha - 1 vertices, and H is well-covered with alpha(H) =
+    alpha: G is the clique join H + K."""
+    for canon, edges in pinned:
+        g = Graph(n, edges)
+        nb = oracles.neighbours(g)
+        k = [v for v in g.vertices if len(nb[v]) == n - alpha]
+        assert len(k) == r and oracles.is_clique(g, k), canon
+        rest = [v for v in g.vertices if v not in k]
+        label = {v: i for i, v in enumerate(rest, 1)}
+        h = oracles.graph_from_edges(
+            n - r, [(label[u], label[v]) for u, v in g.edges if u in label and v in label]
+        )
+        parts = [tuple(label[v] for v in rest if v not in nb[ki]) for ki in k]
+        assert sorted(v for q in parts for v in q) == list(h.vertices), canon
+        assert all(len(q) == alpha - 1 and oracles.is_independent(h, q) for q in parts), canon
+        assert oracles.independence_number_brute(h) == alpha, canon
+        assert oracles.is_unmixed_brute(h), canon
+        assert canonical_form(oracles.clique_join(h, parts)) == canon.encode(), canon
+
+
+def test_criterion_5_r4_counterexamples_are_the_clique_joins_of_bipartite_complements():
+    """Joining K_4 to the complement H of each connected bipartite B on 4
+    vertices with maximum degree at most 2 (P4 and C4; Ind(H) = B), over
+    the four singleton parts, gives exactly the pinned r = 4 classes."""
+    joined = set()
+    for b in oracles.labelled_graphs(4):
+        if b.n != 4 or max(len(s) for s in oracles.neighbours(b)[1:]) > 2:
+            continue
+        if len(oracles.component_reference(b, b.vertices)[0]) < 4:
+            continue
+        if not oracles.all_r_partitions_brute(b, 2):
+            continue
+        h = oracles.complement_brute(b)
+        joined.add(canonical_form(oracles.clique_join(h, [(1,), (2,), (3,), (4,)])).decode())
+    assert sorted(joined) == [canon for canon, _ in R4_DEGREE_COUNTEREXAMPLES]
+
+
 def _implication_sweep(graphs, shelling_budget):
     """CM implies unmixed; pure shellable implies CM over char 0 and 2;
     CM is preserved by deleting any closed neighborhood."""

@@ -174,6 +174,22 @@ def test_cm_on_a_whiskered_path_at_the_parse_cap_ends_at_once(capsys, tmp_path):
     }
 
 
+def test_cm_on_c4_beside_a_whiskered_p8_keeps_its_bytes_and_ends_at_once(capsys, tmp_path):
+    # the certificate fails on C4, so the scan reduces links of up to 18
+    # vertices; strong-collapsed first, they take well under the bound
+    path = write_graph(tmp_path, oracles.c4_beside_whiskered_path(8))
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, ["cm", path])
+    assert time.process_time() - start < 0.5
+    assert code == 0
+    witness = '"witness":{"face":[13,15,17,19],"index":4}'
+    assert out == (
+        '{"profile":['
+        + ",".join(f'{{"characteristic":{c},"is_cm":false,{witness}}}' for c in (0, 2, 3))
+        + "]}\n"
+    )
+
+
 def test_matchings_on_a_bipartite_graph_without_a_perfect_matching_end_at_once(
     capsys, tmp_path
 ):

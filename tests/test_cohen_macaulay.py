@@ -225,9 +225,9 @@ def test_scan_links_each_intersection_of_facets_with_a_link_to_check(monkeypatch
 
     calls = []
 
-    def counted(c, face):
+    def counted(c, face, **above):
         calls.append(tuple(face))
-        return link(c, face)
+        return link(c, face, **above)
 
     monkeypatch.setattr(cohen_macaulay, "link", counted)
     for field in (Q, F2, F3):
@@ -304,6 +304,17 @@ def test_whiskered_p10_is_cm_over_q_f2_and_f3():
     cx = independence_complex(g)
     for field in (Q, F2, F3):
         assert reisner_cm(cx, field) == CMReport(field, True, None)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_c4_beside_a_whiskered_path_fails_as_the_reference_scan_does(k):
+    # the certificate fails on C4, so the scan decides; its links are
+    # strong-collapsed before they are reduced, the reference's are not
+    g = oracles.c4_beside_whiskered_path(k)
+    reports = cm_characteristic_profile(g, [Q, F2, F3])
+    cx = independence_complex(g)
+    assert reports == [oracles.reisner_cm_reference(cx, field) for field in (Q, F2, F3)]
+    assert not any(r.is_cm for r in reports)
 
 
 @pytest.mark.parametrize("k", [4, pytest.param(5, marks=pytest.mark.extended)])

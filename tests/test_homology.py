@@ -8,6 +8,7 @@ from cmgraph.complexes import SimplicialComplex, independence_complex, link
 from cmgraph.homology import (
     BoundaryMatrix,
     FieldSpec,
+    _strong_core,
     boundary_matrices,
     rank_over,
     reduced_betti,
@@ -238,3 +239,76 @@ def test_reduced_betti_matches_smith_oracle():
             assert reduced_betti(cx, field) == oracles.betti_brute(
                 cx.facets, field.characteristic
             ), (cx.facets, field)
+
+
+# ---------------------------------------------------------------------------
+# the strong collapse each complex goes through before it is reduced
+
+
+def core_of(cx: SimplicialComplex) -> SimplicialComplex:
+    return _strong_core(cx, [sum(1 << v for v in f) for f in cx.facets])
+
+
+def assert_betti_match_the_oracle(cx: SimplicialComplex):
+    for field in (Q, F2, F3):
+        assert reduced_betti(cx, field) == oracles.betti_brute(
+            cx.facets, field.characteristic
+        ), (cx.facets, field)
+
+
+def test_a_cone_collapses_to_a_point():
+    # every facet holds the apex 7, so each other vertex is dominated by it
+    cone = SimplicialComplex(7, [f + (7,) for f in RP2_FACETS])
+    assert core_of(cone) == SimplicialComplex(1, [(1,)])
+    assert reduced_betti(cone, F2) == (0,) * 5
+    assert_betti_match_the_oracle(cone)
+
+
+def test_a_path_collapses_to_a_point_once_lower_vertices_are_tried_again():
+    # the path 2-1-3-4: 1 is not dominated until the leaf 2 is gone, and
+    # 3 not until 1 or 4 is
+    path = SimplicialComplex(4, [(1, 2), (1, 3), (3, 4)])
+    assert core_of(path) == SimplicialComplex(1, [(1,)])
+    assert_betti_match_the_oracle(path)
+
+
+def test_spheres_the_pentagon_and_rp2_have_no_dominated_vertex():
+    # RP^2 keeps its 2-torsion: (0, 0, 1, 1) over F_2 alone
+    pentagon = SimplicialComplex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    for cx in [boundary_sphere(d) for d in range(1, 4)] + [pentagon, rp2()]:
+        assert core_of(cx) is cx
+        assert_betti_match_the_oracle(cx)
+
+
+def test_of_two_vertices_with_equal_incidence_exactly_one_goes():
+    # 1 and 2 lie in the same two facets, so each dominates the other; once
+    # 1 is gone, 2 is dominated no more, and the hollow triangle on 2, 3, 4
+    # is the core
+    cx = SimplicialComplex(4, [(1, 2, 3), (1, 2, 4), (3, 4)])
+    assert core_of(cx) == SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
+    assert reduced_betti(cx, Q) == (0, 0, 1, 0)
+    assert_betti_match_the_oracle(cx)
+
+
+def test_isolated_points_a_single_vertex_and_the_empty_complex_have_no_dominated_vertex():
+    points = SimplicialComplex(3, [(1,), (2,), (3,)])
+    point = SimplicialComplex(1, [(1,)])
+    empty = SimplicialComplex(0, [])
+    for cx in (points, point, empty):
+        assert core_of(cx) is cx
+        assert_betti_match_the_oracle(cx)
+    assert reduced_betti(points, Q) == (0, 2)
+    assert reduced_betti(empty, F3) == (1,)
+
+
+def test_reduced_betti_matches_the_oracle_on_every_independence_complex_up_to_7():
+    # on Ind(G) a vertex v is dominated when N(w) <= N(v) for some w: the
+    # fold lemma; the collapse sees only the facets
+    from cmgraph.harness import enumerate_graphs_up_to
+
+    folded = 0
+    for g in enumerate_graphs_up_to(7).graphs:
+        cx = independence_complex(g)
+        folded += core_of(cx) is not cx
+        assert_betti_match_the_oracle(cx)
+    assert folded > 0

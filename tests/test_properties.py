@@ -25,7 +25,7 @@ from cmgraph.complexes import (
     stanley_reisner_generators,
 )
 from cmgraph.graphs import Graph, _complement_masks
-from cmgraph.homology import FieldSpec, reduced_betti
+from cmgraph.homology import FieldSpec, _strong_core, reduced_betti
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -123,6 +123,21 @@ def complexes(draw, max_n: int = 7) -> SimplicialComplex:
     n = draw(st.integers(1, max_n))
     subsets = st.sets(st.integers(1, n), min_size=1)
     return _complex_on_used_vertices(draw(st.lists(subsets, min_size=1, max_size=8)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(complexes())
+def test_reduced_betti_of_the_strong_core_equals_the_smith_oracle(cx):
+    # the core is a valid complex, sorted as the validating constructor
+    # sorts it, with no dominated vertex left, and it keeps every Betti number
+    core = _strong_core(cx, [sum(1 << v for v in f) for f in cx.facets])
+    assert SimplicialComplex(core.n, core.facets).facets == core.facets
+    assert core.n <= cx.n
+    for v in range(1, core.n + 1):
+        meet = set.intersection(*[set(k) for k in core.facets if v in k])
+        assert meet == {v}, (core.facets, v)
+    for field in (Q, F2, F3):
+        assert reduced_betti(cx, field) == oracles.betti_brute(cx.facets, field.characteristic)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
