@@ -6,7 +6,7 @@ empty face) the link of F has vanishing reduced homology in all degrees
 strictly below its dimension.  It, cm_characteristic_profile and the
 harness records share one scan, which links only the faces that are
 intersections of facets and decides each distinct link once with
-_link_failures: a connectivity test on the link's facet masks settles
+_link_failures: a connectivity test on the link's 1-skeleton settles
 disconnected links and links of dimension 1, and the rest are
 strong-collapsed to their cores and reduced, over Q after an F_2 screen.
 bipartite_cm_ordering applies the Herzog-Hibi combinatorial criterion for
@@ -248,9 +248,9 @@ def _link_failures(lk: SimplicialComplex, fields: list[FieldSpec]) -> dict[Field
     A link of dimension 1 or more is settled over every field without a
     reduction when it is disconnected (reduced homology first in degree 0,
     one less than the number of components) or has dimension 1 (connected,
-    so nothing below degree 1).  Connectivity is a vertex mask grown from
-    the first facet: each pass over the facet masks adds every facet that
-    meets it, until a pass adds none.
+    so nothing below degree 1).  A complex is connected iff its 1-skeleton
+    is, and graphs._component searches the 1-skeleton on neighbour masks:
+    each facet's mask OR-ed into the masks of its vertices.
 
     Otherwise the link is strong-collapsed once (homology._strong_core,
     which keeps every reduced Betti number), and its core is reduced for
@@ -263,19 +263,12 @@ def _link_failures(lk: SimplicialComplex, fields: list[FieldSpec]) -> dict[Field
     d = lk.dimension()
     masks = [sum(1 << v for v in facet) for facet in lk.facets]
     if d >= 1:
-        reach, left = masks[0], masks[1:]
-        grown = True
-        while grown and left:
-            grown = False
-            apart = []
-            for m in left:
-                if m & reach:
-                    reach |= m
-                    grown = True
-                else:
-                    apart.append(m)
-            left = apart
-        if left:
+        nbr = [0] * (lk.n + 1)
+        for m, facet in zip(masks, lk.facets):
+            for v in facet:
+                nbr[v] |= m
+        full = _full_mask(lk.n)
+        if _component(nbr, full)[0] != full:
             return dict.fromkeys(fields, 0)
         if d == 1:
             return dict.fromkeys(fields)
@@ -330,7 +323,7 @@ def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMRepo
         above = cx._above(face)
         if sum(1 for m in incidence if m & above == above) > len(face):
             continue
-        lk = link(cx, face, above=above)
+        lk = link(cx, face)
         first = by_facets.get(lk.facets)
         if first is None:
             first = by_facets[lk.facets] = _link_failures(lk, active)

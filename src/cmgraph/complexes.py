@@ -119,9 +119,6 @@ class SimplicialComplex:
         for level in self._faces():
             yield from level
 
-    def contains_face(self, face: Iterable[int]) -> bool:
-        return bool(self._above(tuple(face)))
-
     def _vertex_facets(self) -> dict[int, int]:
         """The facet incidence: the facets containing vertex v, bit i for
         facets[i], kept for the vertices that occur only, so nothing is
@@ -198,16 +195,14 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex._antichain(g.n, maximal_independent_sets(g))
 
 
-def link(
-    cx: SimplicialComplex, face: Iterable[int], *, above: int | None = None
-) -> SimplicialComplex:
+def link(cx: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
     """The link of a face, relabeled order-preservingly to vertices 1..n'.
 
     lk(F) = { G : G disjoint from F, G union F a face }.  Its facets are
     exactly K \\ F for the facets K containing F, which are an antichain as
-    the K are.  Raises ValueError when the given set is not a face.  A
-    caller that has the facets containing the face as a mask,
-    cx._above(face), may pass it as above; it is not checked.
+    the K are.  Raises ValueError when a vertex is not an integer (bool
+    included) or the given set is not a face: a repeated vertex, or one in
+    no facet, such as one outside 1..n.
 
     The facets come out sorted, since removing F from lex-sorted facets
     that all hold F keeps their order.  Say K < K' first differ at position
@@ -216,35 +211,22 @@ def link(
     j on.  So K - F and K' - F agree up to K[j], where K' - F holds a
     larger vertex or ends; and it cannot end, since K - F would then
     contain K' - F, and K would contain K'.  An order-preserving relabelling
-    keeps the order.
+    keeps the order; its labels start at 1, so dropping the labels that are
+    missing drops exactly F.
     """
-    f = tuple(sorted(face))
-    if above is None:
-        above = cx._above(f)
+    f = tuple(face)
+    for v in f:
+        _require_int(v, "vertex")
+    f = tuple(sorted(f))
+    above = cx._above(f)
     if not above:
         raise ValueError(f"{f} is not a face of the complex")
     facets = [cx.facets[i] for i in _mask_to_tuple(above)]
     rest = sorted({v for k in facets for v in k}.difference(f))
     relabel = {v: i for i, v in enumerate(rest, start=1)}
     return SimplicialComplex._antichain(
-        len(relabel), [tuple(relabel[v] for v in k if v in relabel) for k in facets]
+        len(relabel), [tuple(filter(None, map(relabel.get, k))) for k in facets]
     )
-
-
-def stanley_reisner_generators(cx: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Minimal non-faces, sorted by size then lexicographically.
-
-    For the independence complex of a graph these are exactly its edges.
-    """
-    face_set = set(cx.all_faces())
-    out: list[tuple[int, ...]] = []
-    for size in range(1, cx.n + 1):
-        for s in itertools.combinations(range(1, cx.n + 1), size):
-            if s in face_set:
-                continue
-            if all(s[:i] + s[i + 1 :] in face_set for i in range(size)):
-                out.append(s)
-    return sorted(out, key=lambda t: (len(t), t))
 
 
 @dataclass(frozen=True)

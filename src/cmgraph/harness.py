@@ -73,6 +73,8 @@ class GraphFilters:
     r_partite and max_clique_size also prune during generation (both induce
     hereditary families); the rest are postconditions.  max_clique_size
     requires every inclusion-maximal clique to have exactly that size.
+    Either bound, when set, is an int (bool excluded) of at least 1, or
+    ValueError names it.
     """
 
     connected: bool = False
@@ -81,6 +83,11 @@ class GraphFilters:
     unmixed: bool = False
     perfect: bool = False
     class_g: bool = False
+
+    def __post_init__(self):
+        for bound, what in ((self.r_partite, "r"), (self.max_clique_size, "max_clique_size")):
+            if bound is not None:
+                _require_at_least(bound, what, 1)
 
 
 @dataclass(frozen=True)
@@ -269,8 +276,6 @@ def _family_bounds(f: GraphFilters) -> tuple[int | None, int | None]:
     no test of its own, since the family's colour test implies it.
     """
     chi, omega = f.r_partite, f.max_clique_size
-    if chi is not None and chi < 1:
-        raise ValueError("r must be at least 1")
     if chi is not None and (omega is None or omega > chi):
         omega = chi
     return chi, omega

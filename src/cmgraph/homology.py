@@ -30,8 +30,7 @@ _PRIME_LIMIT = 2**31 - 1
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+    # p >= 2: FieldSpec checks the range first
     if p % 2 == 0:
         return p == 2
     d = 3

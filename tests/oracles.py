@@ -433,6 +433,19 @@ def link_reference(facets, face) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return len(support), tuple(sorted(tuple(relabel[v] for v in k) for k in raw))
 
 
+def stanley_reisner_generators(cx) -> list[tuple[int, ...]]:
+    """The minimal nonfaces of cx, sorted by size then lexicographically:
+    the subsets of 1..n that are no face while every subset one smaller is.
+    For the independence complex of a graph these are exactly its edges."""
+    faces = set(faces_from_facets(cx.facets))
+    return [
+        s
+        for size in range(1, cx.n + 1)
+        for s in itertools.combinations(range(1, cx.n + 1), size)
+        if s not in faces and all(s[:i] + s[i + 1 :] in faces for i in range(size))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # homology via integer Smith diagonalization
 

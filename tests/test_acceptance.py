@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from cmgraph.cohen_macaulay import (
+    _shedding_alpha,
     bipartite_cm_ordering,
     cm_characteristic_profile,
     reisner_cm,
@@ -24,7 +25,15 @@ from cmgraph.complexes import (
     is_shellable,
     is_shelling_order,
 )
-from cmgraph.graphs import Graph, canonical_form, is_unmixed
+from cmgraph.covers import degree_r_minus_1_vertices, perfect_r_matchings
+from cmgraph.graphs import (
+    Graph,
+    canonical_form,
+    is_connected,
+    is_unmixed,
+    maximal_cliques,
+    r_partition,
+)
 from cmgraph.harness import enumerate_graphs, enumerate_graphs_up_to, run_battery
 from cmgraph.homology import FieldSpec, boundary_matrices, reduced_betti
 from test_complexes import RP2_FACETS, boundary_sphere
@@ -222,20 +231,27 @@ def test_criterion_5_pinned_counterexamples_are_clique_joins_of_their_own_g_minu
     alpha: G is the clique join H + K."""
     for canon, edges in pinned:
         g = Graph(n, edges)
-        nb = oracles.neighbours(g)
-        k = [v for v in g.vertices if len(nb[v]) == n - alpha]
+        k, h, parts = _g_minus_k(g, alpha)
         assert len(k) == r and oracles.is_clique(g, k), canon
-        rest = [v for v in g.vertices if v not in k]
-        label = {v: i for i, v in enumerate(rest, 1)}
-        h = oracles.graph_from_edges(
-            n - r, [(label[u], label[v]) for u, v in g.edges if u in label and v in label]
-        )
-        parts = [tuple(label[v] for v in rest if v not in nb[ki]) for ki in k]
         assert sorted(v for q in parts for v in q) == list(h.vertices), canon
         assert all(len(q) == alpha - 1 and oracles.is_independent(h, q) for q in parts), canon
         assert oracles.independence_number_brute(h) == alpha, canon
         assert oracles.is_unmixed_brute(h), canon
         assert canonical_form(oracles.clique_join(h, parts)) == canon.encode(), canon
+
+
+def _g_minus_k(g, alpha):
+    """The vertices K of degree n - alpha in g, H = G - K relabelled
+    order-preservingly, and the part Q_i of H that the i-th vertex of K
+    misses."""
+    nb = oracles.neighbours(g)
+    k = [v for v in g.vertices if len(nb[v]) == g.n - alpha]
+    rest = [v for v in g.vertices if v not in k]
+    label = {v: i for i, v in enumerate(rest, 1)}
+    h = oracles.graph_from_edges(
+        len(rest), [(label[u], label[v]) for u, v in g.edges if u in label and v in label]
+    )
+    return k, h, [tuple(label[v] for v in rest if v not in nb[ki]) for ki in k]
 
 
 def test_criterion_5_r4_counterexamples_are_the_clique_joins_of_bipartite_complements():
@@ -253,6 +269,71 @@ def test_criterion_5_r4_counterexamples_are_the_clique_joins_of_bipartite_comple
         h = oracles.complement_brute(b)
         joined.add(canonical_form(oracles.clique_join(h, [(1,), (2,), (3,), (4,)])).decode())
     assert sorted(joined) == [canon for canon, _ in R4_DEGREE_COUNTEREXAMPLES]
+
+
+def _beside_cliques(h, parts, t):
+    """h beside t disjoint r-cliques, r = len(parts), the j-th vertex of
+    each joining parts[j]: alpha and every part grow by t."""
+    r, n = len(parts), h.n
+    edges = list(h.edges)
+    parts = [list(q) for q in parts]
+    for first in range(n + 1, n + t * r + 1, r):
+        edges += itertools.combinations(range(first, first + r), 2)
+        for q, v in zip(parts, range(first, first + r)):
+            q.append(v)
+    return oracles.graph_from_edges(n + t * r, edges), parts
+
+
+def _assert_degree_counterexample(g, r):
+    """g is connected and meets every hypothesis of the degree claim at r
+    (r-partite, every maximal clique of r vertices, exactly one perfect
+    r-matching, which is an alpha clique cover as alpha = n / r), Ind(g)
+    is pure and shedding-certified, so Cohen-Macaulay over every field, and
+    no vertex has degree r - 1.  Past n = 12 the brute-force oracles stop
+    scaling, and the package functions they cross-check decide instead."""
+    alpha = g.n // r
+    assert is_connected(g)
+    assert r_partition(g, r) is not None
+    assert {len(c) for c in maximal_cliques(g)} == {r}
+    assert len(perfect_r_matchings(g, r, limit=2)) == 1
+    assert _shedding_alpha(g) == alpha
+    order = oracles.shedding_shelling_order(g)
+    assert order is not None and is_shelling_order(order)
+    assert {len(f) for f in order} == {alpha}
+    assert degree_r_minus_1_vertices(g, r) == ()
+    if g.n <= 12:
+        assert oracles.independence_number_brute(g) == alpha
+        assert oracles.clique_cover_number_brute(g) == alpha
+        assert len(oracles.perfect_r_matchings_brute(g, r)) == 1
+        assert oracles.is_cm_brute(g, 0) and oracles.is_cm_brute(g, 2)
+
+
+@pytest.mark.parametrize(
+    "pinned, n, r, alpha",
+    [(R3_DEGREE_COUNTEREXAMPLES, 9, 3, 3), (R4_DEGREE_COUNTEREXAMPLES, 8, 4, 2)],
+    ids=["r3", "r4"],
+)
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_criterion_5_pinned_g_minus_k_beside_t_cliques_joins_to_a_counterexample(
+    pinned, n, r, alpha, t
+):
+    """Each pinned H = G - K beside t disjoint r-cliques, one vertex per
+    part, joins to a counterexample on r(alpha + t) vertices: up to n = 18
+    at r = 3 and n = 20 at r = 4."""
+    for canon, edges in pinned:
+        _, h, parts = _g_minus_k(Graph(n, edges), alpha)
+        g = oracles.clique_join(*_beside_cliques(h, parts, t))
+        assert g.n == r * (alpha + t), canon
+        _assert_degree_counterexample(g, r)
+
+
+@pytest.mark.parametrize("r", range(4, 11))
+def test_criterion_5_the_complement_of_p_r_joins_to_a_counterexample(r):
+    """H, the complement of the path P_r, has Ind(H) = P_r, which is
+    connected, so CM of dimension 1; over its r singleton parts it joins to
+    a counterexample on 2r vertices."""
+    h = oracles.complement_brute(oracles.path_graph(r))
+    _assert_degree_counterexample(oracles.clique_join(h, [(v,) for v in h.vertices]), r)
 
 
 def _implication_sweep(graphs, shelling_budget):

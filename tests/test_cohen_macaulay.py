@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -225,9 +226,9 @@ def test_scan_links_each_intersection_of_facets_with_a_link_to_check(monkeypatch
 
     calls = []
 
-    def counted(c, face, **above):
+    def counted(c, face):
         calls.append(tuple(face))
-        return link(c, face, **above)
+        return link(c, face)
 
     monkeypatch.setattr(cohen_macaulay, "link", counted)
     for field in (Q, F2, F3):
@@ -255,10 +256,14 @@ def test_scan_links_each_intersection_of_facets_with_a_link_to_check(monkeypatch
 def test_link_verdicts_by_connectivity_equal_reduced_betti_on_every_link():
     # every distinct link of Ind(G) for every class up to n = 7 and for the
     # named graphs: the verdict and the failing degree, the witness index,
-    # over Q, F_2 and F_3 equal those read off reduced_betti
+    # over Q, F_2 and F_3 equal those read off reduced_betti, and a link of
+    # dimension 1 or more fails in degree 0 iff a breadth-first search over
+    # vertex sets finds its 1-skeleton disconnected
     from cmgraph.complexes import link
     from cmgraph.fixtures import fig1_graph
     from cmgraph.homology import reduced_betti
+
+    start = time.process_time()
 
     spider = Graph(12, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6)] + [(v, v + 6) for v in range(1, 7)])
     graphs = list(enumerate_graphs_up_to(7).graphs)
@@ -280,9 +285,16 @@ def test_link_verdicts_by_connectivity_equal_reduced_betti_on_every_link():
             if field == Q and d >= 1:
                 # connected iff the reduced Betti number in degree 0 vanishes
                 kinds.add((min(d, 2), betti[1] == 0))
+        if d >= 1:
+            skeleton = oracles.graph_from_edges(
+                lk.n, {e for k in lk.facets for e in itertools.combinations(k, 2)}
+            )
+            reached = oracles.component_reference(skeleton, skeleton.vertices)[0]
+            assert (first[Q] == 0) == (len(reached) < lk.n), lk.facets
     # disconnected links of dimension 1 and 2 or more, connected ones of
     # dimension 1 (settled) and 2 or more (reduced)
     assert {(1, False), (1, True), (2, False), (2, True)} <= kinds
+    assert time.process_time() - start < 3.0
 
 
 def test_whiskered_p8_is_cm_over_the_rationals():

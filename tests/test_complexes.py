@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import random
 import re
+import signal
 import time
 import tracemalloc
 
@@ -19,7 +21,6 @@ from cmgraph.complexes import (
     is_shelling_order,
     link,
     parse_complex,
-    stanley_reisner_generators,
 )
 from cmgraph.fixtures import FIG1_EDGES, fig1_graph
 from cmgraph.graphs import Graph, GraphFormatError, parse_graph
@@ -160,30 +161,39 @@ def test_dimension_purity_f_vector():
     assert simplex.f_vector() == (1, 3, 3, 1)
 
 
+def _links(cx, face) -> bool:
+    """Whether link accepts face, which it does exactly for a face."""
+    try:
+        link(cx, face)
+    except ValueError:
+        return False
+    return True
+
+
 def test_all_faces_ordering_and_membership():
     cx = hollow_triangle()
     assert list(cx.all_faces()) == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
-    assert cx.contains_face(())
-    assert cx.contains_face((3, 1))
-    assert not cx.contains_face((1, 2, 3))
+    assert _links(cx, ())
+    assert _links(cx, (3, 1))
+    assert not _links(cx, (1, 2, 3))
     assert cx.faces_of_dim(1) == [(1, 2), (1, 3), (2, 3)]
     # a repeated or out-of-range vertex makes no face
     for bad in ((1, 1), (2, 1, 2), (0,), (4,), (1, 4), (-1,)):
-        assert not cx.contains_face(bad)
-    assert SimplicialComplex(0, []).contains_face(())
-    assert not SimplicialComplex(0, []).contains_face((1,))
+        assert not _links(cx, bad)
+    assert _links(SimplicialComplex(0, []), ())
+    assert not _links(SimplicialComplex(0, []), (1,))
     for bad in ((3, 2, 1), (1, 1), (4,)):
         message = f"{tuple(sorted(bad))} is not a face of the complex"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             link(cx, bad)
-    # membership on facet masks agrees with the list of all faces
+    # link accepts exactly the sets in the list of all faces
     others = [boundary_sphere(2), SimplicialComplex(6, RP2_FACETS)]
     others.append(SimplicialComplex(5, [(1, 2, 4), (2, 3, 4), (1, 5), (3, 5)]))
     for other in others:
         faces = set(other.all_faces())
         for size in range(other.n + 1):
             for s in itertools.combinations(range(1, other.n + 1), size):
-                assert other.contains_face(s) == (s in faces)
+                assert _links(other, s) == (s in faces)
 
 
 def test_parse_format_round_trip():
@@ -248,20 +258,21 @@ def test_independence_complex_facets_are_the_maximal_independent_sets():
 
 
 def test_stanley_reisner_generators_of_independence_complex_are_the_edges(fig1):
-    assert stanley_reisner_generators(independence_complex(fig1)) == list(FIG1_EDGES)
+    # the oracle that filters flag complexes out of the property tests
+    assert oracles.stanley_reisner_generators(independence_complex(fig1)) == list(FIG1_EDGES)
     c5 = oracles.cycle_graph(5)
-    assert stanley_reisner_generators(independence_complex(c5)) == list(c5.edges)
+    assert oracles.stanley_reisner_generators(independence_complex(c5)) == list(c5.edges)
 
 
 def test_stanley_reisner_generators_generic():
-    assert stanley_reisner_generators(hollow_triangle()) == [(1, 2, 3)]
-    assert stanley_reisner_generators(SimplicialComplex(3, [(1, 2, 3)])) == []
+    assert oracles.stanley_reisner_generators(hollow_triangle()) == [(1, 2, 3)]
+    assert oracles.stanley_reisner_generators(SimplicialComplex(3, [(1, 2, 3)])) == []
     # minimality: every generator is a nonface whose proper subsets are faces
     cx = independence_complex(oracles.random_graphs(1, 7, seed=9)[0])
-    for gen in stanley_reisner_generators(cx):
-        assert not cx.contains_face(gen)
+    for gen in oracles.stanley_reisner_generators(cx):
+        assert not _links(cx, gen)
         for sub in itertools.combinations(gen, len(gen) - 1):
-            assert cx.contains_face(sub)
+            assert _links(cx, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +315,56 @@ def test_link_matches_the_set_reference_on_every_face():
 def test_link_rejects_nonface():
     with pytest.raises(ValueError):
         link(hollow_triangle(), (1, 2, 3))
+
+
+@contextlib.contextmanager
+def cpu_bound(seconds):
+    """Raise TimeoutError, rather than hang, once the block has spent
+    seconds of user CPU time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s of CPU time")
+
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+
+
+def test_link_takes_no_facet_mask():
+    # a mask of the facets above the face handed in by the caller could
+    # disagree with the face (0b10 gave ((1, 2),)) or never end (-1)
+    cx = independence_complex(oracles.path_graph(3))
+    with cpu_bound(0.5):
+        assert link(cx, (1,)).facets == ((1,),)
+        for above in (0b10, -1):
+            with pytest.raises(TypeError):
+                link(cx, (1,), above=above)
+
+
+@pytest.mark.parametrize(
+    "face, message",
+    [
+        ((True,), "vertex True is not an integer"),
+        ((1, False), "vertex False is not an integer"),
+        ((1.0,), "vertex 1.0 is not an integer"),
+        (("1",), "vertex '1' is not an integer"),
+        ((-1,), "(-1,) is not a face of the complex"),
+        ((1, -2), "(-2, 1) is not a face of the complex"),
+        ((4,), "(4,) is not a face of the complex"),
+        ((0,), "(0,) is not a face of the complex"),
+        ((1, 2**70), f"(1, {2**70}) is not a face of the complex"),
+    ],
+)
+def test_link_rejects_a_vertex_that_is_no_vertex_of_a_face(face, message):
+    # True and 1.0 once read as vertex 1
+    cx = independence_complex(oracles.path_graph(3))
+    with cpu_bound(0.5):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            link(cx, face)
 
 
 def test_links_and_independence_complexes_pass_the_validating_constructor():

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -940,13 +941,31 @@ def test_battery_builds_each_family_once(monkeypatch):
 
 @pytest.mark.parametrize("r", [0, -1])
 def test_r_below_one_is_rejected(capsys, r):
-    """The family bounds reject r < 1 before any graph is built."""
+    """GraphFilters and run_battery reject r < 1 before any graph is built."""
     with pytest.raises(ValueError, match="r must be at least 1"):
         run_battery(3, r=r)
     with pytest.raises(ValueError, match="^r must be at least 1$"):
         enumerate_graphs(3, GraphFilters(r_partite=r))
     assert main(["harness", "--n-max", "3", "--r", str(r)]) == 2
     assert capsys.readouterr().err == "cmgraph: error: r must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"r_partite": 2.0}, "r 2.0 is not an integer"),
+        ({"r_partite": True}, "r True is not an integer"),
+        ({"max_clique_size": 2.0}, "max_clique_size 2.0 is not an integer"),
+        ({"max_clique_size": True}, "max_clique_size True is not an integer"),
+        ({"max_clique_size": 0}, "max_clique_size must be at least 1"),
+        ({"r_partite": 3, "max_clique_size": -1}, "max_clique_size must be at least 1"),
+    ],
+)
+def test_graph_filters_reject_a_bound_that_is_not_a_positive_integer(bounds, message):
+    """A float or bool bound once read as the int it equals (True as 1), or
+    failed deep in the enumeration; 0 or less selects no graph."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GraphFilters(**bounds)
 
 
 P4 = oracles.path_graph(4)
