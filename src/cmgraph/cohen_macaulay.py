@@ -258,7 +258,10 @@ def _link_failures(lk: SimplicialComplex, fields: list[FieldSpec]) -> dict[Field
     F_2, and it screens Q: no integer matrix has larger rank over F_2 than
     over Q, so F_2 Betti numbers bound the rational ones from above, and
     vanishing F_2 homology below the dimension passes the link without
-    reducing over Q, which costs more than reducing bitsets over F_2.
+    reducing over Q.  Both go through the same reducer, but mod 2 every
+    entry stays -1, 0 or 1, where over Q entries grow and every column
+    joining the basis costs a gcd, so the screen costs less than the
+    reduction it saves.
     """
     d = lk.dimension()
     masks = [sum(1 << v for v in facet) for facet in lk.facets]

@@ -73,8 +73,8 @@ class GraphFilters:
     r_partite and max_clique_size also prune during generation (both induce
     hereditary families); the rest are postconditions.  max_clique_size
     requires every inclusion-maximal clique to have exactly that size.
-    Either bound, when set, is an int (bool excluded) of at least 1, or
-    ValueError names it.
+    Either bound, when set, is an int (bool excluded) of at least 1, and
+    each flag is a bool, or ValueError names it.
     """
 
     connected: bool = False
@@ -88,6 +88,10 @@ class GraphFilters:
         for bound, what in ((self.r_partite, "r"), (self.max_clique_size, "max_clique_size")):
             if bound is not None:
                 _require_at_least(bound, what, 1)
+        for flag in ("connected", "unmixed", "perfect", "class_g"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                raise ValueError(f"{flag} {value!r} is not a bool")
 
 
 @dataclass(frozen=True)

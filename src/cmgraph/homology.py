@@ -3,9 +3,10 @@
 Boundary maps use the augmented chain complex: the boundary of a vertex is
 the empty face, so the degree-0 matrix is a single row of ones.  Betti
 numbers build no dense matrix: each boundary column is made straight from
-its face, an int bitset over F_2 and a sparse dict of integer entries
-otherwise, and the columns are reduced against a basis keyed by pivot row,
-over the rationals with integer entries alone.  No floating point anywhere.
+its face as a sparse dict of integer entries, and one reducer, for the
+rationals and every prime alike, reduces the columns against a basis keyed
+by pivot row, over the rationals with integer entries alone.  No floating
+point anywhere.
 
 Before any reduction a complex is strong-collapsed to its core: a vertex v
 is dominated when every facet holding v holds some other vertex w too, and
@@ -19,7 +20,7 @@ complexes of claw-free graphs", European J. Combin. 29, 2008).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, count
+from itertools import combinations
 from math import gcd
 from typing import Iterable
 
@@ -91,36 +92,19 @@ def boundary_matrices(cx: SimplicialComplex) -> list[BoundaryMatrix]:
     return out
 
 
-def _f2_basis(vectors: Iterable[int]) -> dict[int, int]:
-    """Reduce vectors over F_2, given as int bitsets; return the basis.
-
-    Each vector is reduced by XOR against a basis keyed by the highest set
-    bit of its members, and joins the basis when a bit survives.  The rank
-    is the size of the basis.
-    """
-    basis: dict[int, int] = {}
-    for bits in vectors:
-        while bits:
-            top = bits.bit_length() - 1
-            b = basis.get(top)
-            if b is None:
-                basis[top] = bits
-                break
-            bits ^= b
-    return basis
-
-
 def _sparse_basis(columns: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    """Reduce sparse columns over F_p, p odd, or over Q when p = 0; return the basis.
+    """Reduce sparse columns over F_p, p any prime, or over Q when p = 0; return the basis.
 
     A column maps row indices to its entries, integers that p does not
-    divide (nonzero ones when p = 0), and is consumed.  It is reduced against a basis keyed by the
-    highest row index of its members, and joins the basis when an entry
-    survives.  Over F_p a basis column's entry at its key is 1, so a
-    multiple of it is subtracted mod p.  Over Q entries stay integers: the
-    column is first multiplied by the basis column's entry at its key, and
-    a column joining the basis is divided by the gcd of its entries.  The
-    rank is the size of the basis.
+    divide (nonzero ones when p = 0), and is consumed.  It is reduced
+    against a basis keyed by the highest row index of its members, and joins
+    the basis when an entry survives.  Over F_p a basis column's entry at
+    its key is 1, the column being scaled by the inverse pow(x, p - 2, p) of
+    that entry x (1 at p = 2, where every entry is odd), so a multiple of it
+    is subtracted mod p.  Over Q entries stay integers: the column is first
+    multiplied by the basis column's entry at its key, and a column joining
+    the basis is divided by the gcd of its entries.  The rank is the size of
+    the basis.
     """
     basis: dict[int, dict[int, int]] = {}
     for col in columns:
@@ -161,13 +145,14 @@ def _sparse_basis(columns: Iterable[dict[int, int]], p: int) -> dict[int, dict[i
 def _boundary_ranks(cx: SimplicialComplex, p: int) -> list[int]:
     """Ranks of the augmented boundary maps in degrees 0..dim(cx), over F_p or Q if p = 0.
 
-    Each column is built straight from its face f: the (d-1)-face left by
-    removing the t-th vertex of f gets (-1)^t, a bitset over the row indices
-    when p = 2 and a dict of entries otherwise.  The maps are reduced from
-    the top degree down, with clearing (Chen & Kerber, "Persistent homology
-    computation with a twist", 2011): when a column of the degree-(d+1) map
-    keeps pivot row i, column i of the degree-d map is a combination of the
-    columns before it, so it is skipped without changing the rank.
+    Each column is built straight from its face f as a dict from row index
+    to entry: the (d-1)-face left by removing the t-th vertex of f gets
+    (-1)^t.  _sparse_basis reduces the columns for every p.  The maps are
+    reduced from the top degree down, with clearing (Chen & Kerber,
+    "Persistent homology computation with a twist", 2011): when a column of
+    the degree-(d+1) map keeps pivot row i, column i of the degree-d map is
+    a combination of the columns before it, so it is skipped without
+    changing the rank.
     """
     dim = cx.dimension()
     ranks = [0] * (dim + 1)
@@ -178,15 +163,11 @@ def _boundary_ranks(cx: SimplicialComplex, p: int) -> list[int]:
         cols = [f for j, f in enumerate(cols) if j not in pivots]
         # combinations(f, d) removes the vertices of f from the last to the
         # first, so its k-th face is f minus its (d-k)-th vertex
-        if p == 2:
-            bit = {f: 1 << i for i, f in enumerate(rows)}
-            pivots = _f2_basis(sum(map(bit.__getitem__, combinations(f, d))) for f in cols)
-        else:
-            index = {f: i for i, f in enumerate(rows)}
-            signs = tuple((-1) ** (d - k) for k in range(d + 1))
-            pivots = _sparse_basis(
-                (dict(zip(map(index.__getitem__, combinations(f, d)), signs)) for f in cols), p
-            )
+        index = {f: i for i, f in enumerate(rows)}
+        signs = tuple((-1) ** (d - k) for k in range(d + 1))
+        pivots = _sparse_basis(
+            (dict(zip(map(index.__getitem__, combinations(f, d)), signs)) for f in cols), p
+        )
         ranks[d] = len(pivots)
         cols = rows
     return ranks
@@ -195,19 +176,10 @@ def _boundary_ranks(cx: SimplicialComplex, p: int) -> list[int]:
 def rank_over(matrix: BoundaryMatrix, field: FieldSpec) -> int:
     """Exact rank of a boundary matrix over the given field.
 
-    Over F_2 each row becomes an int with bit j set when entry j is odd;
-    otherwise each column becomes a dict of its nonzero entries, taken mod
-    p over F_p.
+    Each column becomes a dict of its nonzero entries, taken mod p over
+    F_p, and _sparse_basis reduces the columns.
     """
     p = field.characteristic
-    if p == 2:
-        # compress skips the zero entries at C speed
-        return len(
-            _f2_basis(
-                sum(1 << j for j in compress(count(), row) if row[j] & 1)
-                for row in matrix.entries
-            )
-        )
     return len(
         _sparse_basis(
             ({i: y for i, x in enumerate(col) if (y := x % p if p else x)} for col in zip(*matrix.entries)),
@@ -270,12 +242,10 @@ def _betti(cx: SimplicialComplex, p: int, dim: int) -> tuple[int, ...]:
     d = cx.dimension()
     if d == -1:
         return (1,)
-    ranks = _boundary_ranks(cx, p)
+    # no boundary map comes into the top degree
+    ranks = _boundary_ranks(cx, p) + [0]
     fvec = cx.f_vector()
-    out = [1 - ranks[0]]
-    for i in range(d + 1):
-        below = ranks[i + 1] if i < d else 0
-        out.append(fvec[i + 1] - ranks[i] - below)
+    out = [1 - ranks[0]] + [fvec[i + 1] - ranks[i] - ranks[i + 1] for i in range(d + 1)]
     return tuple(out) + (0,) * (dim - d)
 
 

@@ -1,0 +1,70 @@
+"""Count the code lines of the Python files under a directory.
+
+    python3 tests/code_lines.py src/cmgraph
+
+A code line holds a token that is not a comment, a docstring or layout
+(newlines, indentation).  A docstring is a string literal standing alone as
+the first statement of a module, class or function body.  A token spanning
+several lines, such as a multi-line string that is not a docstring, counts
+on each of them.  The script prints one number: the sum over every *.py
+file under the directory, searched recursively.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_LAYOUT = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+    tokenize.ENCODING,
+}
+
+
+def _docstring_lines(tree: ast.AST) -> set[int]:
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in one file's source."""
+    skip = _docstring_lines(ast.parse(source))
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - skip)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: code_lines.py DIRECTORY", file=sys.stderr)
+        return 2
+    root = Path(argv[0])
+    if not root.is_dir():
+        print(f"code_lines.py: {root} is not a directory", file=sys.stderr)
+        return 2
+    print(sum(code_lines(p.read_text(encoding="utf-8")) for p in sorted(root.rglob("*.py"))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -968,6 +968,15 @@ def test_graph_filters_reject_a_bound_that_is_not_a_positive_integer(bounds, mes
         GraphFilters(**bounds)
 
 
+@pytest.mark.parametrize("flag", ["connected", "unmixed", "perfect", "class_g"])
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_graph_filters_reject_a_flag_that_is_not_a_bool(flag, value):
+    """A flag was once read as a truth value: connected="no" kept only the
+    connected graphs, as connected=True does."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{flag} {value!r} is not a bool')}$"):
+        GraphFilters(**{flag: value})
+
+
 P4 = oracles.path_graph(4)
 
 

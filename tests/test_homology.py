@@ -8,6 +8,7 @@ from cmgraph.complexes import SimplicialComplex, independence_complex, link
 from cmgraph.homology import (
     BoundaryMatrix,
     FieldSpec,
+    _sparse_basis,
     _strong_core,
     boundary_matrices,
     rank_over,
@@ -164,6 +165,30 @@ def test_projective_plane_boundary_ranks():
     d2 = boundary_matrices(rp2())[2]
     assert rank_over(d2, Q) == 10
     assert rank_over(d2, F2) == 9
+
+
+# the boundary of the triangle's three edges, with the signs of
+# _boundary_ranks, and the same columns unsigned
+SIGNED_TRIANGLE = ({0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1})
+UNSIGNED_TRIANGLE = ({0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1})
+
+
+@pytest.mark.parametrize(
+    "columns, p, rank",
+    [(SIGNED_TRIANGLE, p, 2) for p in (0, 2, 3)]
+    + [(UNSIGNED_TRIANGLE, 0, 3), (UNSIGNED_TRIANGLE, 2, 2), (UNSIGNED_TRIANGLE, 3, 3)],
+)
+def test_sparse_basis_rank_of_the_triangle_columns(columns, p, rank):
+    """The signed third edge is a signed sum of the other two over every
+    field, the -1 entries reduced at p = 2 with no separate F_2 path; the
+    unsigned columns sum to twice each row, so are dependent over F_2 alone."""
+    assert len(_sparse_basis([dict(c) for c in columns], p)) == rank
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sparse_basis_scales_a_minus_one_pivot_to_one(p):
+    """pow(-1, p - 2, p) is the inverse of -1 mod p, and is 1 at p = 2."""
+    assert _sparse_basis([{0: 1, 1: -1}], p) == {1: {0: p - 1, 1: 1}}
 
 
 # ---------------------------------------------------------------------------
