@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, _mask_to_tuple, _require_int, maximal_independent_sets, parse_counted_lines
+from .graphs import Graph, _as_tuple, _mask_to_tuple, _require_int, maximal_independent_sets, parse_counted_lines
 
 SHELLABLE = "shellable"
 NOT_SHELLABLE = "not_shellable"
@@ -39,8 +39,8 @@ class SimplicialComplex:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm: list[tuple[int, ...]] = []
-        for f in facets:
-            vs = tuple(f)
+        for f in _as_tuple(facets, "facet list"):
+            vs = _as_tuple(f, "facet")
             for v in vs:
                 _require_int(v, "vertex")
             t = tuple(sorted(vs))

@@ -5,11 +5,15 @@ cover is derived from an arbitrary clique cover by making the cliques
 disjoint in order.  alpha_clique_cover decides whether the vertices can be
 covered by as few cliques as the independence number allows, which is the
 minimum conceivable number since a clique meets an independent set at most
-once.  The matching search skips a node whose uncovered vertices have a
-connected component that no matching fits, and graphs._component grows each
-component.  One augmenting-path matching decides whether two vertex sets
-are perfectly matched, for pairwise_part_matchings, the records' check of
-every r-partition, that pruning at r = 2 and the Herzog-Hibi search.
+once.  One stack search, _clique_covers, finds both kinds of cover, in
+two modes: by disjoint r-cliques for matchings, skipping a node whose
+uncovered vertices have a connected component that no matching fits
+(graphs._component grows each component), and by overlapping cliques for
+alpha covers, skipping a node with more uncovered vertices than the cliques
+still allowed can hold.  One augmenting-path matching decides whether two
+vertex sets are perfectly matched, for pairwise_part_matchings, the
+records' check of every r-partition, that pruning at r = 2 and the
+Herzog-Hibi search.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
+    _as_tuple,
     _component,
     _full_mask,
     _mask_to_tuple,
@@ -51,9 +56,8 @@ def perfect_r_matchings(
     connected component with a size not divisible by r is not expanded:
     each r-clique lies inside one component, so no matching lies below it.
     At r = 2 neither is a node with a bipartite component whose two sides
-    are not perfectly matched.  The search keeps its own stack, one frame
-    per chosen clique, so its depth is not bounded by Python's recursion
-    limit.
+    are not perfectly matched.  The search is _clique_covers in its
+    disjoint mode, so its depth is not bounded by Python's recursion limit.
     """
     _require_at_least(r, "r", 1)
     if limit is not None:
@@ -62,43 +66,67 @@ def perfect_r_matchings(
             raise ValueError("limit must be positive")
     if g.n % r != 0:
         return []
-    return _perfect_r_matchings(g, r, limit, cliques_of_size(g, r))
+    return [
+        RMatching(r, c)
+        for c in _clique_covers(g, cliques_of_size(g, r), g.n // r, r, limit)
+    ]
 
 
-def _perfect_r_matchings(
-    g: Graph, r: int, limit: int | None, candidates: list[tuple[int, ...]]
-) -> list[RMatching]:
-    """perfect_r_matchings(g, r, limit), given r dividing g.n and the
-    r-cliques of g in lexicographic order."""
+def _clique_covers(
+    g: Graph, cliques: list[tuple[int, ...]], most: int, r: int, limit: int | None
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The covers of the vertices by at most most of the given cliques, in
+    search order, up to limit of them.
+
+    The search branches on the lowest uncovered vertex, trying the cliques
+    through it in their given order, and keeps its own stack, one frame per
+    chosen clique, so its depth is not bounded by Python's recursion limit.
+    r selects the mode and with it the one prune a node runs:
+    - r > 0, disjoint: the cliques are r-cliques, indexed by their lowest
+      vertex only, a clique meeting the covered vertices is skipped, and a
+      node is expanded only when _components_fit holds on the uncovered
+      vertices.  Every such cover has n / r cliques, so most is not read.
+    - r = 0, overlapping: the cliques are indexed by every member, and a
+      node is expanded only when at most left * omega vertices are
+      uncovered, with left cliques still allowed and omega the largest
+      clique size.
+    """
     n = g.n
     by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
-    for c in candidates:
+    for c in cliques:
         m = 0
         for v in c:
             m |= 1 << v
-        by_vertex[c[0]].append((m, c))
+        for v in c[:1] if r else c:
+            by_vertex[v].append((m, c))
+    omega = 0 if r else max(map(len, cliques), default=0)
     full = _full_mask(n)
-    out: list[RMatching] = []
+    out: list[tuple[tuple[int, ...], ...]] = []
     chosen: list[tuple[int, ...]] = []
     # one frame per node with cliques to try: the mask it covers and the
-    # cliques through its lowest uncovered vertex that avoid the mask
+    # cliques through its lowest uncovered vertex, in the disjoint mode only
+    # those that avoid the mask
     stack: list[tuple[int, Iterator[tuple[int, tuple[int, ...]]]]] = []
     mask = 0
     while True:
-        if mask == full:
-            out.append(RMatching(r, tuple(chosen)))
-            if limit is not None and len(out) >= limit:
+        rest = full & ~mask
+        if not rest:
+            out.append(tuple(chosen))
+            if len(out) == limit:
                 return out
-            if chosen:
-                chosen.pop()
+            expand = False
+        elif r:
+            expand = _components_fit(g, rest, r)
         else:
-            rest = full & ~mask
-            if _components_fit(g, rest, r):
-                v = (rest & -rest).bit_length() - 1
-                options = iter([(m, c) for m, c in by_vertex[v] if not m & mask])
-                stack.append((mask, options))
-            elif chosen:
-                chosen.pop()
+            left = most - len(chosen)
+            expand = left > 0 and rest.bit_count() <= left * omega
+        if expand:
+            options = by_vertex[(rest & -rest).bit_length() - 1]
+            if r:
+                options = [(m, c) for m, c in options if not m & mask]
+            stack.append((mask, iter(options)))
+        elif chosen:
+            chosen.pop()
         while stack:
             base, options = stack[-1]
             step = next(options, None)
@@ -155,6 +183,7 @@ class BasicCliqueCover:
 
 
 def _check_clique(g: Graph, vs: Sequence[int]) -> tuple[int, ...]:
+    vs = _as_tuple(vs, "cover member")
     for v in vs:
         _require_int(v, "cover member vertex")
     t = tuple(sorted(vs))
@@ -182,7 +211,7 @@ def basic_clique_cover(
     raises ValueError.  Residuals of cliques are cliques, so the result is
     again a cover, now by pairwise disjoint cliques.
     """
-    members = [_check_clique(g, c) for c in cover]
+    members = [_check_clique(g, c) for c in _as_tuple(cover, "cover")]
     union = set().union(*map(set, members)) if members else set()
     if union != set(g.vertices):
         missing = sorted(set(g.vertices) - union)
@@ -205,59 +234,11 @@ def alpha_clique_cover(g: Graph) -> tuple[tuple[int, ...], ...] | None:
 
     Only maximal cliques are tried: any cover clique extends to a maximal
     one, so this loses no instances.  Branches on the lowest uncovered
-    vertex; the first cover in the deterministic search order is returned.
+    vertex, as _clique_covers does in its overlapping mode; the first cover
+    in the deterministic search order is returned.
     """
-    return _alpha_cover(g, independence_number(g), maximal_cliques(g))
-
-
-def _alpha_cover(
-    g: Graph, alpha: int, cliques: list[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...] | None:
-    """alpha_clique_cover(g), given g's independence number and its maximal
-    cliques in lexicographic order.  The search keeps its own stack, one
-    frame per chosen clique."""
-    n = g.n
-    if n == 0:
-        return ()
-    omega = max(len(c) for c in cliques)
-    masks = []
-    for c in cliques:
-        m = 0
-        for v in c:
-            m |= 1 << v
-        masks.append(m)
-    by_vertex: list[list[int]] = [[] for _ in range(n + 1)]
-    for idx, c in enumerate(cliques):
-        for v in c:
-            by_vertex[v].append(idx)
-    full = _full_mask(n)
-    chosen: list[int] = []
-    # one frame per node with cliques to try: the mask it covers and the
-    # cliques through its lowest uncovered vertex
-    stack: list[tuple[int, Iterator[int]]] = []
-    mask = 0
-    while True:
-        uncovered = full & ~mask
-        if not uncovered:
-            return tuple(cliques[i] for i in chosen)
-        left = alpha - len(chosen)
-        if left and uncovered.bit_count() <= left * omega:
-            v = (uncovered & -uncovered).bit_length() - 1
-            stack.append((mask, iter(by_vertex[v])))
-        elif chosen:
-            chosen.pop()
-        while stack:
-            base, options = stack[-1]
-            idx = next(options, None)
-            if idx is not None:
-                break
-            stack.pop()
-            if chosen:
-                chosen.pop()
-        else:
-            return None
-        chosen.append(idx)
-        mask = base | masks[idx]
+    covers = _clique_covers(g, maximal_cliques(g), independence_number(g), 0, 1)
+    return covers[0] if covers else None
 
 
 def degree_r_minus_1_vertices(g: Graph, r: int) -> tuple[int, ...]:

@@ -29,6 +29,13 @@ def _require_int(x: object, what: str) -> None:
         raise ValueError(f"{what} {x!r} is not an integer")
 
 
+def _as_tuple(x: object, what: str) -> tuple:
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not iterable") from None
+
+
 def _require_at_least(x: object, what: str, least: int) -> None:
     _require_int(x, what)
     if x < least:

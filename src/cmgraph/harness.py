@@ -38,8 +38,7 @@ from typing import Callable
 
 from .cohen_macaulay import _graph_cm, bipartite_cm_ordering
 from .covers import (
-    _alpha_cover,
-    _perfect_r_matchings,
+    _clique_covers,
     _r_partitions_matched,
     degree_r_minus_1_vertices,
     perfect_r_matchings,
@@ -376,8 +375,8 @@ class _Facts:
         return _is_perfect(self.g._masks, self.complement_masks)
 
     @_once
-    def alpha_cover(self) -> tuple[tuple[int, ...], ...] | None:
-        return _alpha_cover(self.g, self.alpha, self.cliques)
+    def has_alpha_cover(self) -> bool:
+        return bool(_clique_covers(self.g, self.cliques, self.alpha, 0, 1))
 
 
 def _passes(facts: _Facts, f: GraphFilters) -> bool:
@@ -394,7 +393,7 @@ def _passes(facts: _Facts, f: GraphFilters) -> bool:
         and (f.max_clique_size is None or facts.clique_sizes == [f.max_clique_size])
         and (not f.unmixed or facts.unmixed)
         and (not f.perfect or facts.perfect)
-        and (not f.class_g or facts.alpha_cover is not None)
+        and (not f.class_g or facts.has_alpha_cover)
     )
 
 
@@ -464,9 +463,9 @@ def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, d
         # size r, in lexicographic order as the search needs them; any
         # other r, invalid ones included, goes to the public search
         r_cliques = [c for c in facts.cliques if len(c) == r]
-        matchings = _perfect_r_matchings(g, r, 2, r_cliques)
+        n_matchings = len(_clique_covers(g, r_cliques, g.n // r, r, 2))
     else:
-        matchings = perfect_r_matchings(g, r, limit=2)
+        n_matchings = len(perfect_r_matchings(g, r, limit=2))
     hh_exists: bool | None = None
     if r == 2 and r_partition(g, 2) is not None:
         hh_exists = bipartite_cm_ordering(g) is not None
@@ -481,11 +480,11 @@ def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, d
         "independence_number": facts.alpha,
         "maximal_clique_sizes": facts.clique_sizes,
         "degree_r_minus_1": list(degree_r_minus_1_vertices(g, r)),
-        "has_alpha_clique_cover": facts.alpha_cover is not None,
-        "perfect_r_matching_exists": bool(matchings),
-        "unique_perfect_r_matching": len(matchings) == 1,
+        "has_alpha_clique_cover": facts.has_alpha_cover,
+        "perfect_r_matching_exists": n_matchings > 0,
+        "unique_perfect_r_matching": n_matchings == 1,
         # a perfect r-matching matches the blocks of every r-partition
-        "all_r_partitions_equal_and_matched": bool(matchings)
+        "all_r_partitions_equal_and_matched": n_matchings > 0
         or _r_partitions_matched(g, r),
         "hh_exists": hh_exists,
         "cm": {str(c): cm for c, cm in zip(chars, verdicts)},

@@ -1,13 +1,14 @@
-"""Count the code lines of the Python files under a directory.
+"""Count the code lines of Python files and of the files under directories.
 
-    python3 tests/code_lines.py src/cmgraph
+    python3 tests/code_lines.py PATH [PATH ...]
 
 A code line holds a token that is not a comment, a docstring or layout
 (newlines, indentation).  A docstring is a string literal standing alone as
 the first statement of a module, class or function body.  A token spanning
 several lines, such as a multi-line string that is not a docstring, counts
-on each of them.  The script prints one number: the sum over every *.py
-file under the directory, searched recursively.
+on each of them.  The script prints one number: the sum over the given
+files and over every *.py file under the given directories, searched
+recursively.  A path that is neither a file nor a directory exits 2.
 """
 
 from __future__ import annotations
@@ -55,14 +56,16 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: code_lines.py DIRECTORY", file=sys.stderr)
+    if not argv:
+        print("usage: code_lines.py PATH [PATH ...]", file=sys.stderr)
         return 2
-    root = Path(argv[0])
-    if not root.is_dir():
-        print(f"code_lines.py: {root} is not a directory", file=sys.stderr)
-        return 2
-    print(sum(code_lines(p.read_text(encoding="utf-8")) for p in sorted(root.rglob("*.py"))))
+    paths = [Path(a) for a in argv]
+    for p in paths:
+        if not p.is_file() and not p.is_dir():
+            print(f"code_lines.py: {p} is neither a file nor a directory", file=sys.stderr)
+            return 2
+    files = [f for p in paths for f in (sorted(p.rglob("*.py")) if p.is_dir() else [p])]
+    print(sum(code_lines(f.read_text(encoding="utf-8")) for f in files))
     return 0
 
 

@@ -87,6 +87,20 @@ def test_complex_rejects_a_negative_count_or_no_facets(n, facets, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        ([[1, 2], 3], "facet 3 is not iterable"),
+        (5, "facet list 5 is not iterable"),
+    ],
+)
+def test_complex_rejects_a_facet_list_that_is_not_iterable(facets, message):
+    # both once escaped as TypeError: 'int' object is not iterable
+    with pytest.raises(ValueError) as err:
+        SimplicialComplex(3, facets)
+    assert str(err.value) == message
+
+
 def test_faces_of_dim_outside_the_dimensions_is_empty():
     cx = hollow_triangle()
     assert cx.faces_of_dim(-1) == [()]

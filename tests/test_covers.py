@@ -165,6 +165,9 @@ def test_basic_cover_rejects_non_int_vertices():
         ([[1, 2], [], [3]], "cover members must be nonempty"),
         ([[1, 2, 1], [3]], "cover member (1, 1, 2) has a repeated vertex"),
         ([[1, 2], [3, 4]], "vertex 4 out of range 1..3"),
+        # these two once escaped as TypeError: 'int' object is not iterable
+        ([[1, 2], 3], "cover member 3 is not iterable"),
+        (5, "cover 5 is not iterable"),
     ],
 )
 def test_basic_cover_rejects_bad_members(cover, message):

@@ -877,6 +877,10 @@ def test_record_matchings_equal_the_public_search():
             found = perfect_r_matchings(g, r, limit=2)
             assert rec["perfect_r_matching_exists"] == bool(found), (g.edges, r)
             assert rec["unique_perfect_r_matching"] == (len(found) == 1), (g.edges, r)
+            # records reach the alpha search through _Facts, which hands in
+            # alpha and the maximal cliques
+            has_cover = alpha_clique_cover(g) is not None
+            assert rec["has_alpha_clique_cover"] == has_cover, (g.edges, r)
 
 
 def _sha(data: bytes) -> str:
