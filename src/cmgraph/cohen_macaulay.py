@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, independence_complex, link
 from .covers import _bipartite_matching
-from .graphs import Graph, _component, _full_mask, _partition_search
+from .graphs import Graph, _cliques, _component, _full_mask, _partition_search
 from .homology import FieldSpec, _betti, _strong_core
 
 # The shedding-vertex certificate gives up once this many core masks (vertex
@@ -140,24 +140,21 @@ def _has_disconnected_link(co: list[int], dim: int) -> bool:
     lk(F) = Ind(g - N[F]), whose 1-skeleton is the complement of g on the
     mask V - N[F] (bit v for vertex v), and a complex is connected iff its
     1-skeleton is: the link is connected iff graphs._component, run on co,
-    reaches all of V - N[F].  The search grows F one vertex at a time,
-    higher vertices only, on its own stack of (V - N[F], vertices that may
-    extend F, |F|) frames, and stops at the first disconnected link.
+    reaches all of V - N[F].  The independent k-sets of g are the k-cliques
+    of its complement, so F is the empty set and then, size by size, each
+    clique of graphs._cliques on co; V - N[F] is the AND of co[v] over F.
+    The search stops at the first disconnected link.
     """
     if dim < 1:
         return False
     full = _full_mask(len(co) - 1)
-    stack = [(full, full, 0)]
-    while stack:
-        rest, extend, size = stack.pop()
-        if _component(co, rest)[0] != rest:
-            return True
-        if size < dim - 1:
-            while extend:
-                low = extend & -extend
-                extend ^= low
-                sub = rest & co[low.bit_length() - 1]
-                stack.append((sub, sub & extend, size + 1))
+    for size in range(dim):
+        for face in _cliques(co, full, size) if size else [()]:
+            rest = full
+            for v in face:
+                rest &= co[v]
+            if _component(co, rest)[0] != rest:
+                return True
     return False
 
 

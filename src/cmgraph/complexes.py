@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, _as_tuple, _mask_to_tuple, _require_int, maximal_independent_sets, parse_counted_lines
+from .graphs import Graph, _as_tuple, _mask_to_tuple, _require_int, _vertex_set, maximal_independent_sets, parse_counted_lines
 
 SHELLABLE = "shellable"
 NOT_SHELLABLE = "not_shellable"
@@ -38,18 +38,7 @@ class SimplicialComplex:
         _require_int(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm: list[tuple[int, ...]] = []
-        for f in _as_tuple(facets, "facet list"):
-            vs = _as_tuple(f, "facet")
-            for v in vs:
-                _require_int(v, "vertex")
-            t = tuple(sorted(vs))
-            if len(set(t)) != len(t):
-                raise ValueError(f"facet {t} has a repeated vertex")
-            for v in t:
-                if not 1 <= v <= n:
-                    raise ValueError(f"vertex {v} out of range 1..{n}")
-            norm.append(t)
+        norm = [_vertex_set(f, n, "facet") for f in _as_tuple(facets, "facet list")]
         if n == 0:
             norm = [()]
         if not norm:
@@ -214,7 +203,7 @@ def link(cx: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
     keeps the order; its labels start at 1, so dropping the labels that are
     missing drops exactly F.
     """
-    f = tuple(face)
+    f = _as_tuple(face, "face")
     for v in f:
         _require_int(v, "vertex")
     f = tuple(sorted(f))

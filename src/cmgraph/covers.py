@@ -30,6 +30,7 @@ from .graphs import (
     _partition_search,
     _require_at_least,
     _require_int,
+    _vertex_set,
     cliques_of_size,
     independence_number,
     maximal_cliques,
@@ -183,17 +184,9 @@ class BasicCliqueCover:
 
 
 def _check_clique(g: Graph, vs: Sequence[int]) -> tuple[int, ...]:
-    vs = _as_tuple(vs, "cover member")
-    for v in vs:
-        _require_int(v, "cover member vertex")
-    t = tuple(sorted(vs))
+    t = _vertex_set(vs, g.n, "cover member")
     if not t:
         raise ValueError("cover members must be nonempty")
-    if len(set(t)) != len(t):
-        raise ValueError(f"cover member {t} has a repeated vertex")
-    for v in t:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
     for i, u in enumerate(t):
         for v in t[i + 1 :]:
             if not g.has_edge(u, v):
@@ -244,7 +237,7 @@ def alpha_clique_cover(g: Graph) -> tuple[tuple[int, ...], ...] | None:
 def degree_r_minus_1_vertices(g: Graph, r: int) -> tuple[int, ...]:
     """Vertices of degree exactly r - 1, ascending."""
     _require_at_least(r, "r", 1)
-    return tuple(v for v in g.vertices if g.degree(v) == r - 1)
+    return tuple(v for v in g.vertices if g._masks[v].bit_count() == r - 1)
 
 
 def _bipartite_matching(
@@ -298,15 +291,19 @@ def pairwise_part_matchings(
     """Whether every two blocks of the partition are perfectly matched in g.
 
     The blocks must partition 1..n into independent sets; invalid partitions
-    raise ValueError.  A block is independent when no member's neighbour
-    mask meets the block's mask.  Returns False as soon as two blocks lack
-    a perfect matching between them, which blocks of different sizes always
-    do.
+    raise ValueError, as do parts or a block that is not iterable and a
+    vertex that is not an integer (bool included).  A block is independent
+    when no member's neighbour mask meets the block's mask.  Returns False
+    as soon as two blocks lack a perfect matching between them, which blocks
+    of different sizes always do.
     """
-    blocks = [tuple(sorted(p)) for p in parts]
+    blocks = [_as_tuple(p, "block") for p in _as_tuple(parts, "parts")]
     flat = [v for b in blocks for v in b]
+    for v in flat:
+        _require_int(v, "vertex")
     if len(flat) != len(set(flat)) or set(flat) != set(g.vertices):
         raise ValueError("blocks must partition the vertex set")
+    blocks = [tuple(sorted(b)) for b in blocks]
     masks = g._masks
     block_masks = []
     for b in blocks:

@@ -36,6 +36,22 @@ def _as_tuple(x: object, what: str) -> tuple:
         raise ValueError(f"{what} {x!r} is not iterable") from None
 
 
+def _vertex_set(x: object, n: int, what: str) -> tuple[int, ...]:
+    """x as an ascending tuple of distinct vertices of 1..n; ValueError when
+    x is not iterable or holds a vertex that is not an integer (bool
+    included), a repeated vertex or one outside 1..n."""
+    vs = _as_tuple(x, what)
+    for v in vs:
+        _require_int(v, "vertex")
+    t = tuple(sorted(vs))
+    if len(set(t)) != len(t):
+        raise ValueError(f"{what} {t} has a repeated vertex")
+    for v in t:
+        if not 1 <= v <= n:
+            raise ValueError(f"vertex {v} out of range 1..{n}")
+    return t
+
+
 def _require_at_least(x: object, what: str, least: int) -> None:
     _require_int(x, what)
     if x < least:
@@ -49,8 +65,10 @@ class Graph:
     adjacency is kept once, as neighbour masks: bit u of ``_masks[v]`` is
     set when u and v are adjacent (index 0 unused).  ``has_edge`` and
     ``degree`` read the masks: ``has_edge`` is False when either end is
-    outside 1..n, and ``degree`` raises ValueError there.  A non-integer
-    vertex count or edge end (``bool`` included) raises ValueError.
+    outside 1..n, and ``degree`` raises ValueError there.  A vertex count,
+    edge end or vertex asked about that is not an integer (``bool``
+    included), an edge list that is not iterable and an edge that is not a
+    pair raise ValueError.
     """
 
     __slots__ = ("n", "edges", "_masks")
@@ -61,7 +79,11 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
-        for u, v in edges:
+        for e in _as_tuple(edges, "edge list"):
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair") from None
             _require_int(u, "vertex")
             _require_int(v, "vertex")
             if u == v:
@@ -87,11 +109,14 @@ class Graph:
         return range(1, self.n + 1)
 
     def degree(self, v: int) -> int:
+        _require_int(v, "vertex")
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
         return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
+        _require_int(u, "vertex")
+        _require_int(v, "vertex")
         # a negative shift raises, and no mask has a bit above n
         return 1 <= u <= self.n and v > 0 and self._masks[u] >> v & 1 == 1
 

@@ -186,6 +186,25 @@ def test_disconnected_link_search_matches_the_brute_force_scan_up_to_7():
     assert hits == 50
 
 
+def test_disconnected_link_search_matches_the_brute_force_scan_on_labelled_graphs_at_8_and_9():
+    # labelled graphs, not class representatives, so the walk meets vertex
+    # orders the test above does not; sparse ones give pure complexes up to
+    # dimension 5, so faces of up to 4 vertices are walked
+    hits = 0
+    dims = set()
+    for n in (8, 9):
+        for i, p in enumerate((0.3, 0.5, 0.7)):
+            graphs = oracles.random_graphs(600, n, seed=3400 + 10 * n + i, p=p)
+            pure = [(g, cx) for g in graphs if (cx := independence_complex(g)).is_pure()]
+            for g, cx in pure[:12]:
+                found = cohen_macaulay._has_disconnected_link(_complement_masks(g), cx.dimension())
+                assert found == oracles.disconnected_link_brute(cx.facets), g.edges
+                hits += found
+                dims.add(cx.dimension())
+    # 72 graphs, 12 per (n, p); a disconnected link refutes 14 of them
+    assert hits == 14 and dims == {1, 2, 3, 4, 5}
+
+
 def c4_plus_whiskered_p5() -> Graph:
     """Pure but not CM: the 4-cycle beside the whiskered path on 5 vertices."""
     p5 = whiskered_path(5)

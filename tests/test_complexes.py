@@ -371,6 +371,9 @@ def test_link_takes_no_facet_mask():
         ((4,), "(4,) is not a face of the complex"),
         ((0,), "(0,) is not a face of the complex"),
         ((1, 2**70), f"(1, {2**70}) is not a face of the complex"),
+        # these two once escaped as TypeError: 'int' object is not iterable
+        (1, "face 1 is not iterable"),
+        (None, "face None is not iterable"),
     ],
 )
 def test_link_rejects_a_vertex_that_is_no_vertex_of_a_face(face, message):

@@ -165,6 +165,7 @@ def test_basic_cover_rejects_non_int_vertices():
         ([[1, 2], [], [3]], "cover members must be nonempty"),
         ([[1, 2, 1], [3]], "cover member (1, 1, 2) has a repeated vertex"),
         ([[1, 2], [3, 4]], "vertex 4 out of range 1..3"),
+        ([[1.5, 2], [3]], "vertex 1.5 is not an integer"),
         # these two once escaped as TypeError: 'int' object is not iterable
         ([[1, 2], 3], "cover member 3 is not iterable"),
         (5, "cover 5 is not iterable"),
@@ -255,6 +256,24 @@ def test_pairwise_part_matchings_rejects_a_repeated_vertex():
         pairwise_part_matchings(oracles.path_graph(3), [(1, 3), (2, 3)])
     with pytest.raises(ValueError, match="^blocks must partition the vertex set$"):
         pairwise_part_matchings(oracles.path_graph(3), [(1, 1, 3), (2,)])
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        # True once read as vertex 1 and the 4-cycle passed; the others
+        # escaped as TypeError
+        ([[True, 3], [2, 4]], "vertex True is not an integer"),
+        ([[1.0, 3], [2, 4]], "vertex 1.0 is not an integer"),
+        ([[1, "a"], [2, 4]], "vertex 'a' is not an integer"),
+        (5, "parts 5 is not iterable"),
+        ([1, [2, 3, 4]], "block 1 is not iterable"),
+    ],
+)
+def test_pairwise_part_matchings_rejects_parts_that_are_no_vertex_blocks(parts, message):
+    with pytest.raises(ValueError) as err:
+        pairwise_part_matchings(oracles.cycle_graph(4), parts)
+    assert str(err.value) == message
 
 
 def test_pairwise_part_matchings_rejects_a_missing_vertex():

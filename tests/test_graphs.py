@@ -80,6 +80,43 @@ def test_graph_rejects_non_integer_vertices(n, edges, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # the first two once escaped as TypeError, the third as "too many
+        # values to unpack (expected 2)"
+        ([1], "edge 1 is not a pair"),
+        (5, "edge list 5 is not iterable"),
+        ([(1, 2, 3)], "edge (1, 2, 3) is not a pair"),
+        ([(1, 2), (3,)], "edge (3,) is not a pair"),
+        ([None], "edge None is not a pair"),
+    ],
+)
+def test_graph_rejects_an_edge_list_or_an_edge_of_the_wrong_shape(edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(3, edges)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "reader, args, message",
+    [
+        # True once answered for vertex 1, and the others escaped as TypeError
+        ("degree", (True,), "vertex True is not an integer"),
+        ("degree", (1.5,), "vertex 1.5 is not an integer"),
+        ("degree", ("1",), "vertex '1' is not an integer"),
+        ("has_edge", (True, 2), "vertex True is not an integer"),
+        ("has_edge", (1.5, 2), "vertex 1.5 is not an integer"),
+        ("has_edge", (1, 2.0), "vertex 2.0 is not an integer"),
+    ],
+)
+def test_vertex_readers_reject_a_vertex_that_is_not_an_integer(reader, args, message):
+    g = Graph(3, [(1, 2)])
+    with pytest.raises(ValueError) as err:
+        getattr(g, reader)(*args)
+    assert str(err.value) == message
+
+
 def mask_reader_corpus() -> list[Graph]:
     """Every class up to n = 7 and seeded random graphs up to n = 9."""
     corpus = list(enumerate_graphs_up_to(7).graphs)
