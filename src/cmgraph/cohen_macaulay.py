@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, independence_complex, link
 from .covers import _bipartite_matching
-from .graphs import Graph, _cliques, _component, _full_mask, _partition_search
+from .graphs import Graph, _cliques, _component, _full_mask, _mask_to_tuple, _partition_search, _require_int
 from .homology import FieldSpec, _betti, _strong_core
 
 # The shedding-vertex certificate gives up once this many core masks (vertex
@@ -359,13 +359,11 @@ def hh_conditions_hold(g: Graph, pairs: tuple[tuple[int, int], ...]) -> bool:
     for i < j < k.
 
     Each v_i ~ w_j is tested once, into row i, a mask with bit j set when
-    it holds.  Under (1) and (2) row j holds j and nothing below it, so (3)
-    asks, for each j > i in row i, that row i hold row j's bits above j.
+    it holds (_pair_rows).  Under (1) and (2) row j holds j and nothing
+    below it, so (3) asks, for each j > i in row i, that row i hold row j's
+    bits above j.
     """
-    rows = [
-        sum(1 << j for j, (_, w) in enumerate(pairs) if g.has_edge(v, w))
-        for v, _ in pairs
-    ]
+    rows = _pair_rows(g, pairs)
     for i, row in enumerate(rows):
         if not row >> i & 1 or row & (1 << i) - 1:
             return False
@@ -376,6 +374,29 @@ def hh_conditions_hold(g: Graph, pairs: tuple[tuple[int, int], ...]) -> bool:
             if rows[low.bit_length() - 1] & ~row & ~((low << 1) - 1):
                 return False
     return True
+
+
+def _pair_rows(g: Graph, pairs: tuple[tuple[int, int], ...]) -> list[int]:
+    """Row i per pair (v_i, w_i): bit j set when v_i ~ w_j in g.
+
+    Each vertex is checked once, and one that is not an integer (bool
+    included) raises ValueError, as in Graph.has_edge; a vertex outside
+    1..n is adjacent to nothing.  Row i ORs, over the neighbours w of v_i,
+    the bits j with w_j = w.
+    """
+    columns: dict[int, int] = {}
+    for j, (v, w) in enumerate(pairs):
+        _require_int(v, "vertex")
+        _require_int(w, "vertex")
+        columns[w] = columns.get(w, 0) | 1 << j
+    rows = []
+    for v, _ in pairs:
+        row = 0
+        if 1 <= v <= g.n:
+            for w in _mask_to_tuple(g._masks[v]):
+                row |= columns.get(w, 0)
+        rows.append(row)
+    return rows
 
 
 def bipartite_cm_ordering(g: Graph) -> HHOrdering | None:

@@ -45,7 +45,7 @@ class SimplicialComplex:
             raise ValueError("a complex on n >= 1 vertices needs at least one facet")
         self.n = n
         self.facets = tuple(sorted(set(norm)))
-        self._faces_by_dim: list[list[tuple[int, ...]]] | None = None
+        self._faces_by_dim: dict[int, list[tuple[int, ...]]] = {}
         self._incidence: dict[int, int] | None = None
         # the lowest bit other than i among the facets above facet i is the
         # first j with facets[i] <= facets[j]
@@ -72,7 +72,7 @@ class SimplicialComplex:
         cx = cls.__new__(cls)
         cx.n = n
         cx.facets = tuple(facets) if n else ((),)
-        cx._faces_by_dim = None
+        cx._faces_by_dim = {}
         cx._incidence = None
         return cx
 
@@ -82,31 +82,33 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) == 1
 
-    def _faces(self) -> list[list[tuple[int, ...]]]:
-        if self._faces_by_dim is None:
-            dim = self.dimension()
-            by_dim: list[set[tuple[int, ...]]] = [set() for _ in range(dim + 1)]
+    def _level(self, d: int) -> list[tuple[int, ...]]:
+        """The faces of dimension d, for 0 <= d <= dimension, in lexicographic
+        order.  Each level is built on first use, so a scan that stops early
+        builds no level above the faces it reached."""
+        level = self._faces_by_dim.get(d)
+        if level is None:
+            faces: set[tuple[int, ...]] = set()
             for f in self.facets:
-                for size in range(1, len(f) + 1):
-                    by_dim[size - 1].update(itertools.combinations(f, size))
-            self._faces_by_dim = [sorted(s) for s in by_dim]
-        return self._faces_by_dim
+                if len(f) > d:
+                    faces.update(itertools.combinations(f, d + 1))
+            level = self._faces_by_dim[d] = sorted(faces)
+        return level
 
     def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
         """Faces of dimension d in lexicographic order; d = -1 gives [()],
         and a d outside the complex's dimensions gives []."""
         if d == -1:
             return [()]
-        faces = self._faces()
-        if 0 <= d < len(faces):
-            return list(faces[d])
+        if 0 <= d <= self.dimension():
+            return list(self._level(d))
         return []
 
     def all_faces(self) -> Iterator[tuple[int, ...]]:
         """Every face including the empty one, by dimension then lex order."""
         yield ()
-        for level in self._faces():
-            yield from level
+        for d in range(self.dimension() + 1):
+            yield from self._level(d)
 
     def _vertex_facets(self) -> dict[int, int]:
         """The facet incidence: the facets containing vertex v, bit i for
@@ -133,7 +135,7 @@ class SimplicialComplex:
         return above
 
     def f_vector(self) -> tuple[int, ...]:
-        return (1,) + tuple(len(level) for level in self._faces())
+        return (1,) + tuple(len(self._level(d)) for d in range(self.dimension() + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -263,11 +265,18 @@ def is_shellable(
 
     Facet sets are bitsets, numbered by search order.  A facet F extends the
     placed set P when every placed facet misses some vertex v whose ridge
-    F - v lies in a placed facet: one OR per ridge of F and one AND against
-    P, with no loop over the placed facets.  Candidates come from P's
-    frontier, the unplaced facets sharing a ridge with a placed one, since
-    no other facet can extend P.  Every witness is checked again by
-    is_shelling_order.
+    F - v lies in a placed facet.  The search keeps, for every facet, the
+    placed facets that no such v covers yet, and F extends P iff none is
+    left: one AND against P, with no loop over F's ridges or over P.  These
+    sets change only when a push puts a ridge on a placed facet for the
+    first time; every facet F' = ridge + v on that ridge then drops the
+    facets holding v.  The push logs each value it overwrites and the pop
+    restores them, so one uncovered set per facet serves the whole stack,
+    and the logs on the stack hold at most one entry per pair of a facet
+    and a ridge it shares: memory is linear in the facet-ridge incidences.
+    Candidates come from P's frontier, the unplaced facets sharing a ridge
+    with a placed one, since no other facet can extend P.  Every witness is
+    checked again by is_shelling_order.
     """
     if not cx.is_pure():
         raise ValueError("shellability search requires a pure complex")
@@ -297,8 +306,7 @@ def is_shellable(
     # From here on bit p of a facet set is facet order[p], so taking the set
     # bits of a candidate set lowest first follows the search order.  One
     # pass over the facets' vertices gives the facets on each ridge and the
-    # facets with each vertex; lacks[v], the facets without v, is kept only
-    # for the vertices that lie in a facet.
+    # facets with each vertex.
     full = (1 << m) - 1
     owners: dict[int, int] = {}
     has: dict[int, int] = {}
@@ -307,66 +315,76 @@ def is_shellable(
         for v, r in zip(facets[i], ridge_masks[i]):
             owners[r] = owners.get(r, 0) | bit
             has[v] = has.get(v, 0) | bit
-    lacks = {v: full ^ bits for v, bits in has.items()}
-    # Per facet F, one pair per ridge F - v shared with another facet: the
-    # other facets on that ridge, and lacks[v].  adj[p] is F's neighbours.
-    ridges: list[list[tuple[int, int]]] = []
+    # Per ridge, one pair (p + 1, has[v]) per facet order[p] = ridge + v on
+    # it.  Per facet, its ridges shared with another facet as (owners, pairs),
+    # the pair list stored once per ridge, and adj[p], its neighbours.
+    on_ridge: dict[int, list[tuple[int, int]]] = {}
+    shared: list[list[tuple[int, list[tuple[int, int]]]]] = []
     adj: list[int] = []
     for p, i in enumerate(order):
         bit = 1 << p
-        pairs = [
-            (owners[r] ^ bit, lacks[v])
-            for v, r in zip(facets[i], ridge_masks[i])
-            if owners[r] != bit
-        ]
+        rs = []
         near = 0
-        for others, _ in pairs:
-            near |= others
-        ridges.append(pairs)
-        adj.append(near)
+        for v, r in zip(facets[i], ridge_masks[i]):
+            pairs = on_ridge.setdefault(r, [])
+            pairs.append((p + 1, has[v]))
+            if owners[r] != bit:
+                rs.append((owners[r], pairs))
+                near |= owners[r]
+        shared.append(rs)
+        adj.append(near & ~bit)
 
+    # uncovered[p + 1]: the facets holding every v whose ridge F_p - v lies
+    # on a placed facet, the AND of has[v] over those v; F_p extends P iff
+    # no facet of P is left in it.  It is indexed by b.bit_length() for
+    # facet p's bit b.
+    uncovered = [full] * (m + 1)
     dead: set[int] = set()
     steps = 0
     prefix: list[int] = []
     # Depth-first search with an explicit stack, one frame per facet placed:
-    # [the set P of facets placed, its frontier, the candidates left to try].
+    # [the set P of facets placed, its frontier, the candidates left to try,
+    # the (index, old value) log of the uncovered sets its push changed].
     # The root frame has nothing placed, an empty frontier and every facet
     # as a candidate; below it the candidates are the frontier.
-    stack = [[0, 0, full]]
+    stack = [[0, 0, full, []]]
     while stack:
         frame = stack[-1]
-        placed, frontier, cand = frame
+        placed, frontier, cand, _ = frame
         while cand:
             b = cand & -cand
             cand ^= b
-            p = b.bit_length() - 1
-            if placed:
-                # cover: the facets missing some v with F_p - v on a placed
-                # facet; F_p extends P iff cover holds all of P
-                cover = 0
-                for others, lack in ridges[p]:
-                    if others & placed:
-                        cover |= lack
-                if placed & ~cover:
-                    continue
+            if placed & uncovered[b.bit_length()]:
+                continue
             steps += 1
             if steps > budget:
                 return ShellingResult(BUDGET_EXHAUSTED, None, steps)
             child = placed | b
             if child == full:
-                witness = tuple(facets[order[k]] for k in prefix + [p])
+                prefix.append(b.bit_length() - 1)
+                witness = tuple(facets[order[k]] for k in prefix)
                 if not is_shelling_order(witness):
                     raise RuntimeError("internal error: search produced an invalid shelling")
                 return ShellingResult(SHELLABLE, witness, steps)
             if child not in dead:
+                p = b.bit_length() - 1
                 frame[2] = cand
                 prefix.append(p)
+                log = []
+                for own, pairs in shared[p]:
+                    if not own & placed:
+                        for k, holds in pairs:
+                            log.append((k, uncovered[k]))
+                            uncovered[k] &= holds
                 below = (frontier | adj[p]) & ~child
-                stack.append([child, below, below])
+                stack.append([child, below, below, log])
                 break
         else:
             dead.add(placed)
-            stack.pop()
+            # reversed: F_p itself lies on each of its ridges, so its own
+            # entry can be logged more than once in one push
+            for k, old in reversed(stack.pop()[3]):
+                uncovered[k] = old
             if prefix:
                 prefix.pop()
     return ShellingResult(NOT_SHELLABLE, None, steps)

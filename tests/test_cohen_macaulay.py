@@ -444,6 +444,16 @@ def test_certificate_on_k512_keeps_its_own_stack():
     assert reports == [CMReport(f, True, None) for f in (Q, F2, F3)]
 
 
+def test_reisner_scan_builds_no_face_level_above_its_witness():
+    # Ind(C4 + whiskered P5) has 1,147 faces up to dimension 6; the scan
+    # over Q stops at a face of 2 vertices
+    cx = independence_complex(oracles.c4_beside_whiskered_path(5))
+    report = reisner_cm(cx, Q)
+    assert report.witness == HomologyWitness((11, 13), 3)
+    assert cx.dimension() == 6
+    assert sorted(cx._faces_by_dim) == [0, 1]
+
+
 def test_reports_are_deterministic(fig1):
     cx = independence_complex(fig1)
     assert reisner_cm(cx, F2) == reisner_cm(cx, F2)
@@ -549,6 +559,31 @@ def test_hh_conditions_equal_the_verbatim_triple_loop_on_random_pair_orders():
             assert held == oracles.hh_conditions_hold_reference(g, pairs), (g.edges, pairs)
             verdicts.append(held)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_pair_rows_equal_the_rows_built_with_has_edge():
+    # seeded random pairs on random graphs, with vertices 0, -1 and n + 1
+    # to 2 * n among them: a vertex outside 1..n is adjacent to nothing
+    rng = random.Random(35)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4])
+        pairs = tuple(
+            (rng.randint(-1, 2 * n), rng.randint(-1, 2 * n)) for _ in range(rng.randint(0, 8))
+        )
+        rows = [
+            sum(1 << j for j, (_, w) in enumerate(pairs) if g.has_edge(v, w)) for v, _ in pairs
+        ]
+        assert cohen_macaulay._pair_rows(g, pairs) == rows, (g.edges, pairs)
+        assert hh_conditions_hold(g, pairs) == oracles.hh_conditions_hold_reference(g, pairs)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+def test_pair_rows_reject_a_vertex_that_is_not_an_integer(bad):
+    p4 = oracles.path_graph(4)
+    for pairs in (((1, 2), (3, bad)), ((bad, 2),), ((3, 4), (bad, 9))):
+        with pytest.raises(ValueError, match="is not an integer"):
+            hh_conditions_hold(p4, pairs)
 
 
 def test_ordering_of_a_whiskered_path_on_800_vertices_in_quadratic_time():

@@ -488,6 +488,42 @@ def test_shelling_search_start_up_is_not_quadratic_in_memory():
     assert peak < 2 * 2**20
 
 
+def test_shelling_search_on_a_star_keeps_no_copy_per_frame():
+    # 400 triangles on the edge {1, 2}: the first push puts that ridge on a
+    # placed facet and logs one entry per triangle; a copy of every facet's
+    # uncovered set per frame would hold 400 sets per frame, 400 frames deep
+    # (61 MB on 600 triangles)
+    cx = SimplicialComplex(402, [(1, 2, k) for k in range(3, 403)])
+    tracemalloc.start()
+    try:
+        res = is_shellable(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.steps) == (SHELLABLE, 400)
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("budget", [10**8, 17, 3])
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [(1, 2, k) for k in range(3, 203)],
+        [(i, i + 1, i + 2) for i in range(1, 201)],
+    ],
+    ids=["star-200", "strip-200"],
+)
+def test_shelling_search_on_a_star_and_a_strip_matches_the_recursive_reference(
+    facets, budget
+):
+    # one ridge on all 200 facets, and 199 ridges on two facets each
+    cx = SimplicialComplex(202, facets)
+    res = is_shellable(cx, budget)
+    assert (res.status, res.order, res.steps) == oracles.shelling_search_recursive(
+        cx.facets, budget
+    )
+
+
 @pytest.mark.parametrize("budget", [10**8, 17, 3])
 def test_shelling_search_matches_the_recursive_reference(budget):
     checked = 0

@@ -163,6 +163,22 @@ def test_a_face_that_is_not_an_intersection_of_facets_has_an_acyclic_link(cx):
                 assert not any(reduced_betti(lk, field)), (face, field)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(complexes(), pure_complexes()))
+def test_face_levels_built_on_first_use_equal_every_subset_of_every_facet(cx):
+    # each level is built when first asked for, so each entry point goes
+    # first on a fresh complex, and the levels are asked for top down
+    subsets = {s for f in cx.facets for k in range(len(f) + 1) for s in itertools.combinations(f, k)}
+    faces = sorted(subsets, key=lambda s: (len(s), s))
+    dim = cx.dimension()
+    sizes = tuple(sum(1 for s in faces if len(s) == k) for k in range(dim + 2))
+    assert SimplicialComplex(cx.n, cx.facets).f_vector() == sizes
+    assert list(SimplicialComplex(cx.n, cx.facets).all_faces()) == faces
+    for d in range(dim + 2, -3, -1):
+        assert cx.faces_of_dim(d) == [s for s in faces if len(s) == d + 1], d
+    assert list(cx.all_faces()) == faces and cx.f_vector() == sizes
+
+
 @st.composite
 def small_pure_complexes(draw) -> SimplicialComplex:
     """Pure complexes on at most 9 vertices, of dimension 1 to 3, with at
