@@ -20,9 +20,11 @@ Every claim the harness checks is one entry of CLAIMS: its name, the filters
 of the ensemble it reads, whether it runs once per characteristic, and a
 check that reduces a per-graph property record to a counterexample reason.
 Post-filters and records read one facts object per graph (_Facts), which
-computes each fact the first time it is asked for, at most once per graph;
-run_battery's records read the facts its ensemble scan already filled,
-canonical forms from the enumeration included.  A record keeps only CM
+computes each fact the first time it is asked for, at most once per graph.
+run_battery builds each graph's record as soon as its ensemble scan keeps
+the graph, from the facts the filters already filled, canonical forms from
+the enumeration included, and lets those facts go before the next graph, so
+a sweep holds one graph's facts at a time.  A record keeps only CM
 verdicts, never a witness face, so it asks cohen_macaulay._graph_cm, which
 refutes most non-CM graphs by a disconnected link before any scan.
 run_battery runs the whole table.  Reports are line-delimited JSON, one
@@ -34,7 +36,7 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cohen_macaulay import _graph_cm, bipartite_cm_ordering
 from .covers import (
@@ -330,7 +332,9 @@ class _Facts:
     reuses the independence number and the maximal cliques.  The
     independent sets, perfection and the records' disconnected-link search
     read one list of complement masks.  The canonical form may be handed
-    over by the enumeration that computed it.
+    over by the enumeration that computed it.  The scan hands each graph's
+    facts to its caller and keeps none, and run_battery drops them once the
+    graph's record is built.
     """
 
     def __init__(self, g: Graph, key: bytes | None = None):
@@ -397,27 +401,36 @@ def _passes(facts: _Facts, f: GraphFilters) -> bool:
     )
 
 
-def _ensembles(
+def _scan(
     n_max: int, filter_sets: list[GraphFilters], n_min: int = 1
-) -> tuple[list[GraphEnsemble], dict[Graph, _Facts]]:
-    """One ensemble per filter set over n_min..n_max vertices, ordered by
-    (n, canonical form), and the facts of every graph they hold.  The filter
-    sets share one hereditary family, which is built once, with its top
-    level cut to the graphs that meet the clique condition the sets share,
-    and scanned once, evaluating every post-filter predicate at most once
-    per graph."""
+) -> Iterator[tuple[_Facts, list[int]]]:
+    """The graphs on n_min..n_max vertices that pass any of filter_sets, in
+    (n, canonical form) order, each as its facts and the indices of the
+    sets it passes.  The filter sets share one hereditary family, which is
+    built once, with its top level cut to the graphs that meet the clique
+    condition the sets share, and walked once, evaluating every post-filter
+    predicate at most once per graph.  The scan keeps no facts, so a
+    graph's facts live only as long as the caller holds them."""
     ((chi, omega),) = {_family_bounds(f) for f in filter_sets}
-    picked: list[list[Graph]] = [[] for _ in filter_sets]
-    kept: dict[Graph, _Facts] = {}
     levels = _hereditary_family(n_max, chi, omega, _top_clique(filter_sets))
     for level in levels[n_min - 1 :]:
         for g, key in level.items():
             facts = _Facts(g, key)
-            for f, out in zip(filter_sets, picked):
-                if _passes(facts, f):
-                    out.append(g)
-                    kept[g] = facts
-    return [GraphEnsemble(n_max, f, tuple(p)) for f, p in zip(filter_sets, picked)], kept
+            passed = [i for i, f in enumerate(filter_sets) if _passes(facts, f)]
+            if passed:
+                yield facts, passed
+
+
+def _ensembles(
+    n_max: int, filter_sets: list[GraphFilters], n_min: int = 1
+) -> list[GraphEnsemble]:
+    """One ensemble per filter set over n_min..n_max vertices, ordered by
+    (n, canonical form), from one _scan."""
+    picked: list[list[Graph]] = [[] for _ in filter_sets]
+    for facts, passed in _scan(n_max, filter_sets, n_min):
+        for i in passed:
+            picked[i].append(facts.g)
+    return [GraphEnsemble(n_max, f, tuple(p)) for f, p in zip(filter_sets, picked)]
 
 
 def enumerate_graphs(n: int, filters: GraphFilters | None = None) -> GraphEnsemble:
@@ -425,7 +438,7 @@ def enumerate_graphs(n: int, filters: GraphFilters | None = None) -> GraphEnsemb
 
     Raises ValueError for n outside 1..MAX_CANONICAL_N.
     """
-    return _ensembles(n, [filters or GraphFilters()], n_min=n)[0][0]
+    return _ensembles(n, [filters or GraphFilters()], n_min=n)[0]
 
 
 def enumerate_graphs_up_to(
@@ -435,7 +448,7 @@ def enumerate_graphs_up_to(
 
     Raises ValueError for n_max outside 1..MAX_CANONICAL_N.
     """
-    return _ensembles(n_max, [filters or GraphFilters()])[0][0]
+    return _ensembles(n_max, [filters or GraphFilters()])[0]
 
 
 def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
@@ -472,14 +485,14 @@ def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, d
     record = {
         "n": g.n,
         "m": len(g.edges),
-        "edges": [list(e) for e in g.edges],
+        "edges": g.edges,
         "r": r,
         "connected": facts.connected,
         "unmixed": facts.unmixed,
         "perfect": facts.perfect,
         "independence_number": facts.alpha,
         "maximal_clique_sizes": facts.clique_sizes,
-        "degree_r_minus_1": list(degree_r_minus_1_vertices(g, r)),
+        "degree_r_minus_1": degree_r_minus_1_vertices(g, r),
         "has_alpha_clique_cover": facts.has_alpha_cover,
         "perfect_r_matching_exists": n_matchings > 0,
         "unique_perfect_r_matching": n_matchings == 1,
@@ -493,20 +506,15 @@ def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, d
 
 
 def compute_records(
-    graphs: tuple[Graph | _Facts, ...], r: int, chars: tuple[int, ...]
+    graphs: tuple[Graph, ...], r: int, chars: tuple[int, ...]
 ) -> dict[Graph, tuple[str, dict]]:
     """Per-graph records, keyed by graph, computed once per distinct graph.
 
-    An entry of graphs may be a graph's _Facts, whose facts found so far are
-    reused; a bare graph gets a _Facts of its own.  Each record is computed
-    before the next graph's facts are built, so no facts outlive their
-    record here.  With no chars the records carry an empty "cm" map.
+    Each graph gets a _Facts of its own, and its record is computed before
+    the next graph's facts are built, so no facts outlive their record.
+    With no chars the records carry an empty "cm" map.
     """
-    out: dict[Graph, tuple[str, dict]] = {}
-    for g in dict.fromkeys(graphs):
-        facts = g if isinstance(g, _Facts) else _Facts(g)
-        out[facts.g] = _graph_record(facts, r, chars)
-    return out
+    return {g: _graph_record(_Facts(g), r, chars) for g in dict.fromkeys(graphs)}
 
 
 @dataclass(frozen=True)
@@ -623,14 +631,17 @@ def run_battery(
     A claim runs when it applies at r and characteristics holds every
     characteristic its check reads (needs_chars); any other claim is left
     out, and so is its ensemble unless a running claim reads it too.
-    Every ensemble comes from one pass over one hereditary family.  Records
-    are computed once per distinct graph and shared by all verdicts, and
-    the summary and the report are deterministic.  A characteristic given
-    more than once is swept once, at its first position.  The report is
-    opened before any enumeration.  Raises ValueError for n_max outside
-    1..MAX_CANONICAL_N, no or invalid characteristics, r < 1, an n_max, r
-    or characteristic that is not an int (bool included), or a report_path
-    that cannot be written.
+    Every ensemble comes from one pass over one hereditary family (_scan).
+    Each graph's record is built as soon as that pass keeps the graph, from
+    the facts its filters filled, which are freed before the next graph;
+    a record is computed once per distinct graph and shared by all
+    verdicts.  Records hold the graph's own edge tuple.  The summary and
+    the report are deterministic.  A characteristic given more than once
+    is swept once, at its first position.  The report is opened before any
+    enumeration.  Raises ValueError for n_max outside 1..MAX_CANONICAL_N,
+    no or invalid characteristics, r < 1, an n_max, r or characteristic
+    that is not an int (bool included), or a report_path that cannot be
+    written.
     """
     chars = tuple(dict.fromkeys(FieldSpec(c).characteristic for c in characteristics))
     if not chars:
@@ -652,9 +663,13 @@ def run_battery(
             if cl.filters(r) is not None and set(cl.needs_chars) <= set(chars)
         ]
         filters = {cl.ensemble: cl.filters(r) for cl in claims}
-        picked, facts = _ensembles(n_max, list(filters.values()))
+        picked: list[list[Graph]] = [[] for _ in filters]
+        records: dict[Graph, tuple[str, dict]] = {}
+        for facts, passed in _scan(n_max, list(filters.values())):
+            for i in passed:
+                picked[i].append(facts.g)
+            records[facts.g] = _graph_record(facts, r, chars)
         ensembles = dict(zip(filters, picked))
-        records = compute_records(tuple(facts.values()), r, chars)
 
         runs = [(cl, c) for c in chars for cl in claims if cl.per_char]
         runs += [(cl, None) for cl in claims if not cl.per_char]
@@ -662,7 +677,7 @@ def run_battery(
         verdicts: list[dict] = []
         converse: dict[str, list[str]] = {}
         for cl, c in runs:
-            graphs = ensembles[cl.ensemble].graphs
+            graphs = ensembles[cl.ensemble]
             ces = []
             for g in graphs:
                 canon, rec = records[g]
@@ -692,7 +707,7 @@ def run_battery(
         "r": r,
         "characteristics": list(chars),
         "graphs_checked": len({canon for canon, _ in records.values()}),
-        "ensemble_sizes": {name: len(ens.graphs) for name, ens in ensembles.items()},
+        "ensemble_sizes": {name: len(graphs) for name, graphs in ensembles.items()},
         "verdicts": verdicts,
         "converse_candidates": converse,
         "violations_total": sum(len(v) for v in violations.values()),

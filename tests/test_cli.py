@@ -371,7 +371,7 @@ def test_harness_unwritable_report_exits_2_before_enumerating(capsys, tmp_path, 
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before the report was opened")
 
-    monkeypatch.setattr(harness, "_ensembles", no_sweep)
+    monkeypatch.setattr(harness, "_scan", no_sweep)
     target = tmp_path / "missing" / "report.jsonl"
     code, out, err = run_cli(capsys, ["harness", "--n-max", "3", "-o", str(target)])
     assert code == 2 and out == ""

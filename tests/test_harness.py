@@ -4,6 +4,8 @@ import json
 import os
 import random
 import re
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -264,18 +266,22 @@ def test_top_level_cut_keeps_every_ensemble_and_report_byte(tmp_path, monkeypatc
     """The battery's ensembles up to n = 8, and its report and summary
     bytes, equal those of the slow path that builds the top level in full."""
     filter_sets = _battery_filter_sets(r)
-    got, _ = harness._ensembles(8, filter_sets)
+    got = harness._ensembles(8, filter_sets)
     expected = _reference_ensembles(8, filter_sets)
     assert [_fields(e.graphs) for e in got] == [_fields(e.graphs) for e in expected]
     assert got == expected
 
     def reference(n_max, sets, n_min=1):
+        # the slow path's graphs in (n, canonical form) order, each with
+        # the indices of the ensembles that hold it
         assert (n_max, sets, n_min) == (8, filter_sets, 1)
-        return expected, {g: harness._Facts(g) for e in expected for g in e.graphs}
+        kept = {g for e in expected for g in e.graphs}
+        for g in sorted(kept, key=lambda g: (g.n, canonical_form(g))):
+            yield harness._Facts(g), [i for i, e in enumerate(expected) if g in e.graphs]
 
     fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
     fast_summary = run_battery(8, r=r, report_path=str(fast))
-    monkeypatch.setattr(harness, "_ensembles", reference)
+    monkeypatch.setattr(harness, "_scan", reference)
     slow_summary = run_battery(8, r=r, report_path=str(slow))
     assert fast.read_bytes() == slow.read_bytes()
     assert json.dumps(dict(fast_summary, report_path=None)) == json.dumps(
@@ -461,7 +467,7 @@ def test_free_classes_are_the_minimal_sets_leaving_k_minus_1_colours():
 ])
 def test_top_level_cut_keeps_mixed_filter_sets(filter_sets, top):
     assert harness._top_clique(filter_sets) == top
-    got, _ = harness._ensembles(7, filter_sets)
+    got = harness._ensembles(7, filter_sets)
     expected = _reference_ensembles(7, filter_sets)
     assert [_fields(e.graphs) for e in got] == [_fields(e.graphs) for e in expected]
     assert any(e.graphs for e in got)
@@ -699,6 +705,54 @@ def test_battery_records_reuse_the_facts_of_the_ensemble_scan(monkeypatch, tmp_p
         pinned = json.load(fh)
     assert [_digest(line) for line in report.read_text().splitlines()] == pinned["lines"]
     assert _digest(dict(summary, report_path=None)) == pinned["summary"]
+
+
+def test_battery_builds_each_record_while_only_its_graphs_facts_live(monkeypatch):
+    # the sweep frees a graph's facts once its record is built, so it never
+    # holds the facts of two kept graphs at once; records keep the graph's
+    # own edge tuple instead of a copy
+    live = weakref.WeakSet()
+    alive_at_record = []
+    built = []
+    real_record = harness._graph_record
+
+    class Tracked(harness._Facts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+
+    def tracked_record(facts, r, chars):
+        alive_at_record.append(len(live))
+        canon, rec = real_record(facts, r, chars)
+        built.append((facts.g, rec))
+        return canon, rec
+
+    monkeypatch.setattr(harness, "_Facts", Tracked)
+    monkeypatch.setattr(harness, "_graph_record", tracked_record)
+    summary = run_battery(8, r=3)
+    assert len(built) == summary["graphs_checked"] == 513
+    assert max(alive_at_record) == 1
+    assert all(rec["edges"] is g.edges for g, rec in built)
+    assert all(type(rec["degree_r_minus_1"]) is tuple for _, rec in built)
+    assert not live
+    pool = tuple(g for g, _ in _pool_graphs(500))
+    records = harness.compute_records(pool, 3, (0, 2))
+    assert max(alive_at_record[513:]) == 1
+    assert all(records[g][1]["edges"] is g.edges for g in pool)
+
+
+@pytest.mark.extended
+def test_battery_n9_r3_python_heap_peak_stays_small():
+    # the facts of every kept graph held to the end of the sweep, and a
+    # list copy of every edge tuple, put the peak at 27.95 MB
+    tracemalloc.start()
+    try:
+        summary = run_battery(9, r=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["graphs_checked"] > 0
+    assert peak < 16 * 2**20
 
 
 def test_battery_records_reuse_the_canonical_forms_of_the_enumeration(monkeypatch, tmp_path):
