@@ -35,10 +35,12 @@ DEFAULT_HARNESS_CHARS = (0, 2)
 
 
 def _read_text(path: str) -> str:
+    """The file's text; ValueError naming the path when it cannot be read or
+    is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 

@@ -25,11 +25,9 @@ and then tries the certificate and the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import SimplicialComplex, independence_complex, link
 from .covers import _bipartite_matching
-from .graphs import Graph, _cliques, _component, _full_mask, _mask_to_tuple, _partition_search, _require_int
+from .graphs import Graph, _Value, _cliques, _component, _full_mask, _mask_to_tuple, _partition_search, _require_int
 from .homology import FieldSpec, _betti, _strong_core
 
 # The shedding-vertex certificate gives up once this many core masks (vertex
@@ -38,24 +36,24 @@ from .homology import FieldSpec, _betti, _strong_core
 SHEDDING_MEMO_CAP = 4096
 
 
-@dataclass(frozen=True)
-class HomologyWitness:
+class HomologyWitness(_Value):
     """A face whose link has nonvanishing reduced homology in degree index."""
 
+    __slots__ = ("face", "index")
     face: tuple[int, ...]
     index: int
 
 
-@dataclass(frozen=True)
-class PurityWitness:
+class PurityWitness(_Value):
     """Two facets of different cardinality, disproving purity."""
 
+    __slots__ = ("facet_small", "facet_large")
     facet_small: tuple[int, ...]
     facet_large: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CMReport:
+class CMReport(_Value):
+    __slots__ = ("field", "is_cm", "witness")
     field: FieldSpec
     is_cm: bool
     witness: HomologyWitness | PurityWitness | None
@@ -340,14 +338,14 @@ def _reisner_scan(cx: SimplicialComplex, fields: list[FieldSpec]) -> list[CMRepo
     return [CMReport(f, f not in failed, failed.get(f)) for f in fields]
 
 
-@dataclass(frozen=True)
-class HHOrdering:
+class HHOrdering(_Value):
     """A certificate ordering for the Herzog-Hibi bipartite criterion.
 
     pairs[i] = (v_{i+1}, w_{i+1}): matched vertices listed in an order under
     which every cross edge points forward and forwarding composes.
     """
 
+    __slots__ = ("pairs",)
     pairs: tuple[tuple[int, int], ...]
 
 

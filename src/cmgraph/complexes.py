@@ -9,10 +9,9 @@ order: increasing dimension, then lexicographic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, _as_tuple, _mask_to_tuple, _require_int, _vertex_set, maximal_independent_sets, parse_counted_lines
+from .graphs import Graph, _Value, _as_tuple, _mask_to_tuple, _require_int, _vertex_set, maximal_independent_sets, parse_counted_lines
 
 SHELLABLE = "shellable"
 NOT_SHELLABLE = "not_shellable"
@@ -220,8 +219,7 @@ def link(cx: SimplicialComplex, face: Iterable[int]) -> SimplicialComplex:
     )
 
 
-@dataclass(frozen=True)
-class ShellingResult:
+class ShellingResult(_Value):
     """Outcome of a shelling search.
 
     status is one of "shellable", "not_shellable", "budget_exhausted";
@@ -229,6 +227,7 @@ class ShellingResult:
     the prefix extensions the search performed.
     """
 
+    __slots__ = ("status", "order", "steps")
     status: str
     order: tuple[tuple[int, ...], ...] | None
     steps: int

@@ -18,11 +18,11 @@ Herzog-Hibi search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
+    _Value,
     _as_tuple,
     _component,
     _full_mask,
@@ -37,10 +37,10 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class RMatching:
+class RMatching(_Value):
     """A set of pairwise disjoint r-cliques covering 1..n."""
 
+    __slots__ = ("r", "cliques")
     r: int
     cliques: tuple[tuple[int, ...], ...]
 
@@ -171,14 +171,14 @@ def _components_fit(g: Graph, rest: int, r: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BasicCliqueCover:
+class BasicCliqueCover(_Value):
     """Disjoint residual cliques Q'_i = Q_i \\ (Q_1 u ... u Q_{i-1}).
 
     dropped lists the 0-based input positions whose residual came out empty
     and was removed.
     """
 
+    __slots__ = ("cliques", "dropped")
     cliques: tuple[tuple[int, ...], ...]
     dropped: tuple[int, ...]
 

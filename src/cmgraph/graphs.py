@@ -7,6 +7,7 @@ pure and every returned collection is in a deterministic canonical order
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 # canonical_form does a labelled search; past this size it is not a sensible
@@ -56,6 +57,64 @@ def _require_at_least(x: object, what: str, least: int) -> None:
     _require_int(x, what)
     if x < least:
         raise ValueError(f"{what} must be at least {least}")
+
+
+class _Value:
+    """An immutable value whose fields are its class's __slots__, in order.
+
+    It is built from its fields positionally or by keyword; a field left out
+    takes its value from the class's _defaults, and a missing, unknown or
+    repeated field raises TypeError.  _check, called once the fields are
+    set, is the one validation hook: a class whose fields need checking
+    overrides it and raises ValueError.  A value equals only a value of its
+    own class with equal fields, hashes and pickles by its fields and reprs
+    as Name(field=value, ...).  Setting or deleting a field raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        # one attrgetter per class: hash and == read every field in one call
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            # the fields after the positional ones come from kwargs, the
+            # rest of them from _defaults
+            rest = names[len(args) :]
+            given = {**self._defaults, **kwargs}
+            if len(args) > len(names) or not set(kwargs) <= set(rest) <= given.keys():
+                raise TypeError(f"{type(self).__name__} takes the fields {names}")
+            args += tuple(given[n] for n in rest)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, n) for n in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 class Graph:

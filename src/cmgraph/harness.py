@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .cohen_macaulay import _graph_cm, bipartite_cm_ordering
@@ -48,6 +47,7 @@ from .covers import (
 from .graphs import (
     MAX_CANONICAL_N,
     Graph,
+    _Value,
     _augment,
     _canonical,
     _child,
@@ -67,8 +67,7 @@ from .graphs import (
 from .homology import FieldSpec
 
 
-@dataclass(frozen=True)
-class GraphFilters:
+class GraphFilters(_Value):
     """Restrictions applied to an enumeration.
 
     r_partite and max_clique_size also prune during generation (both induce
@@ -78,14 +77,18 @@ class GraphFilters:
     each flag is a bool, or ValueError names it.
     """
 
-    connected: bool = False
-    r_partite: int | None = None
-    max_clique_size: int | None = None
-    unmixed: bool = False
-    perfect: bool = False
-    class_g: bool = False
+    __slots__ = ("connected", "r_partite", "max_clique_size", "unmixed", "perfect", "class_g")
+    connected: bool
+    r_partite: int | None
+    max_clique_size: int | None
+    unmixed: bool
+    perfect: bool
+    class_g: bool
+    _defaults = dict(
+        connected=False, r_partite=None, max_clique_size=None, unmixed=False, perfect=False, class_g=False
+    )
 
-    def __post_init__(self):
+    def _check(self) -> None:
         for bound, what in ((self.r_partite, "r"), (self.max_clique_size, "max_clique_size")):
             if bound is not None:
                 _require_at_least(bound, what, 1)
@@ -95,8 +98,8 @@ class GraphFilters:
                 raise ValueError(f"{flag} {value!r} is not a bool")
 
 
-@dataclass(frozen=True)
-class GraphEnsemble:
+class GraphEnsemble(_Value):
+    __slots__ = ("n_max", "filters", "graphs")
     n_max: int
     filters: GraphFilters
     graphs: tuple[Graph, ...]
@@ -451,24 +454,25 @@ def enumerate_graphs_up_to(
     return _ensembles(n_max, [filters or GraphFilters()])[0]
 
 
-def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, dict]:
+def _graph_record(facts: _Facts, r: int, fields: list[FieldSpec]) -> tuple[str, dict]:
     """Everything the sweeps need to know about the graph of facts,
     JSON-ready.
 
     Every per-graph fact is read from facts.  The CM verdicts for all
-    chars come from _graph_cm: a disconnected link found on g's masks or a
-    non-pure Ind(g) refutes every char, the shedding-vertex certificate
-    confirms every char, and one Reisner scan of Ind(g), built only then
-    and not kept, decides the rest.  Records keep no witness.  The perfect
-    r-matching search takes its r-cliques from the maximal cliques when no
-    clique has more than r vertices.
+    fields, which the caller builds once for all its graphs, come from
+    _graph_cm: a disconnected link found on g's masks or a non-pure Ind(g)
+    refutes every field, the shedding-vertex certificate confirms every
+    field, and one Reisner scan of Ind(g), built only then and not kept,
+    decides the rest; the "cm" map keys each verdict by str of its
+    characteristic.  Records keep no witness.  The perfect r-matching
+    search takes its r-cliques from the maximal cliques when no clique has
+    more than r vertices.
     """
     g = facts.g
     canon = facts.key.decode("ascii")
-    fields = [FieldSpec(c) for c in chars]
     verdicts = (
         _graph_cm(g, facts.independent_sets, fields, facts.complement_masks)
-        if chars
+        if fields
         else []
     )
     if r >= 1 and facts.clique_sizes[-1] <= r and g.n % r == 0:
@@ -500,7 +504,7 @@ def _graph_record(facts: _Facts, r: int, chars: tuple[int, ...]) -> tuple[str, d
         "all_r_partitions_equal_and_matched": n_matchings > 0
         or _r_partitions_matched(g, r),
         "hh_exists": hh_exists,
-        "cm": {str(c): cm for c, cm in zip(chars, verdicts)},
+        "cm": {str(f.characteristic): cm for f, cm in zip(fields, verdicts)},
     }
     return canon, record
 
@@ -512,13 +516,15 @@ def compute_records(
 
     Each graph gets a _Facts of its own, and its record is computed before
     the next graph's facts are built, so no facts outlive their record.
-    With no chars the records carry an empty "cm" map.
+    The FieldSpec of each char is built once, before any record, so an
+    invalid char raises ValueError even with no graphs.  With no chars the
+    records carry an empty "cm" map.
     """
-    return {g: _graph_record(_Facts(g), r, chars) for g in dict.fromkeys(graphs)}
+    fields = [FieldSpec(c) for c in chars]
+    return {g: _graph_record(_Facts(g), r, fields) for g in dict.fromkeys(graphs)}
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Value):
     """One entry of the claim table.
 
     name is formatted with r, char and the ensemble's n_max.  filters(r) is
@@ -529,13 +535,15 @@ class Claim:
     Hits of a claim that is not a violation are converse candidates.
     """
 
+    __slots__ = ("name", "ensemble", "filters", "per_char", "check", "needs_chars", "violation")
     name: str
     ensemble: str
     filters: Callable[[int], GraphFilters | None]
     per_char: bool
     check: Callable[[dict, int | None], str | None]
-    needs_chars: tuple[int, ...] = ()
-    violation: bool = True
+    needs_chars: tuple[int, ...]
+    violation: bool
+    _defaults = dict(needs_chars=(), violation=True)
 
 
 def _main_filters(r: int) -> GraphFilters:
@@ -636,14 +644,15 @@ def run_battery(
     the facts its filters filled, which are freed before the next graph;
     a record is computed once per distinct graph and shared by all
     verdicts.  Records hold the graph's own edge tuple.  The summary and
-    the report are deterministic.  A characteristic given more than once
-    is swept once, at its first position.  The report is opened before any
-    enumeration.  Raises ValueError for n_max outside 1..MAX_CANONICAL_N,
-    no or invalid characteristics, r < 1, an n_max, r or characteristic
-    that is not an int (bool included), or a report_path that cannot be
-    written.
+    the report are deterministic.  Each characteristic's FieldSpec is
+    built once for the sweep; one given more than once is swept once, at
+    its first position.  The report is opened before any enumeration.
+    Raises ValueError for n_max outside 1..MAX_CANONICAL_N, no or invalid
+    characteristics, r < 1, an n_max, r or characteristic that is not an
+    int (bool included), or a report_path that cannot be written.
     """
-    chars = tuple(dict.fromkeys(FieldSpec(c).characteristic for c in characteristics))
+    fields = list(dict.fromkeys(FieldSpec(c) for c in characteristics))
+    chars = tuple(f.characteristic for f in fields)
     if not chars:
         raise ValueError("at least one characteristic is required")
     _check_n(n_max)
@@ -668,7 +677,7 @@ def run_battery(
         for facts, passed in _scan(n_max, list(filters.values())):
             for i in passed:
                 picked[i].append(facts.g)
-            records[facts.g] = _graph_record(facts, r, chars)
+            records[facts.g] = _graph_record(facts, r, fields)
         ensembles = dict(zip(filters, picked))
 
         runs = [(cl, c) for c in chars for cl in claims if cl.per_char]

@@ -19,13 +19,12 @@ complexes of claw-free graphs", European J. Combin. 29, 2008).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from typing import Iterable
 
 from .complexes import SimplicialComplex
-from .graphs import _full_mask, _mask_to_tuple, _require_int
+from .graphs import _Value, _full_mask, _mask_to_tuple, _require_int
 
 _PRIME_LIMIT = 2**31 - 1
 
@@ -42,13 +41,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(_Value):
     """A coefficient field: characteristic 0 (rationals) or a prime p (F_p)."""
 
+    __slots__ = ("characteristic",)
     characteristic: int
 
-    def __post_init__(self):
+    def _check(self) -> None:
         c = self.characteristic
         _require_int(c, "characteristic")
         if c == 0:
@@ -57,14 +56,14 @@ class FieldSpec:
             raise ValueError(f"characteristic must be 0 or a prime <= 2^31 - 1, got {c}")
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(_Value):
     """The degree-d boundary map, rows indexed by (d-1)-faces, columns by d-faces.
 
     Row and column labels are faces in lexicographic order; entries[i][j] is
     the signed incidence of row face i in column face j.
     """
 
+    __slots__ = ("rows", "cols", "entries")
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[int, ...], ...]
     entries: tuple[tuple[int, ...], ...]

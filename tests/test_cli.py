@@ -285,6 +285,17 @@ def test_missing_file_is_a_usage_error(capsys):
     assert err.startswith("cmgraph: error:")
 
 
+@pytest.mark.parametrize("which", ["graph", "cover"])
+def test_non_utf8_input_file_exits_2_naming_the_file(capsys, tmp_path, which):
+    p3 = write_graph(tmp_path, oracles.path_graph(3))
+    bad = tmp_path / f"bad-{which}.txt"
+    bad.write_bytes(b"\xff3 2\n1 2\n2 3\n")
+    args = ["cm", str(bad)] if which == "graph" else ["cover", p3, str(bad)]
+    code, out, err = run_cli(capsys, args)
+    assert code == 2 and out == ""
+    assert err.startswith(f"cmgraph: error: cannot read {bad}: ") and "utf-8" in err
+
+
 def test_malformed_graph_reports_line(capsys, tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("3 1\n1 9\n")

@@ -1,11 +1,14 @@
-"""The package keeps zero runtime dependencies.
+"""The package keeps zero runtime dependencies, and its import stays light.
 
 networkx, numpy and sympy may be installed next to it as test oracles, so an
 accidental import of one would pass every other test; this one reads the
-imports themselves.
+imports themselves.  Every CLI call is a fresh interpreter, so the standard
+modules the package loads are part of each call's start-up.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +42,25 @@ def test_pyproject_lists_no_dependencies():
     text = PYPROJECT.read_text(encoding="utf-8")
     project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert "\ndependencies = []\n" in project
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """The names in sys.modules after code runs in a fresh interpreter that
+    imports cmgraph from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # pytest itself imports both, so only a fresh interpreter shows what
+    # the package adds to a bare start-up
+    added = _fresh_modules("import cmgraph.cli") - _fresh_modules("pass")
+    assert "cmgraph.cli" in added
+    assert not {"dataclasses", "inspect"} & added, sorted(added)
