@@ -27,7 +27,6 @@ from .covers import (
 )
 from .fixtures import fixture_names, fixture_text
 from .graphs import GraphFormatError, is_perfect, is_unmixed, parse_graph
-from .harness import run_battery
 from .homology import FieldSpec, reduced_betti
 
 DEFAULT_CM_CHARS = (0, 2, 3)
@@ -156,6 +155,9 @@ def _cmd_classg(args) -> int:
 
 
 def _cmd_harness(args) -> int:
+    # imported here, so the other subcommands skip the enumeration module
+    from .harness import run_battery
+
     chars = tuple(f.characteristic for f in _fields(args.char, DEFAULT_HARNESS_CHARS))
     summary = run_battery(
         n_max=args.n_max,

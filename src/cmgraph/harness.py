@@ -21,14 +21,17 @@ of the ensemble it reads, whether it runs once per characteristic, and a
 check that reduces a per-graph property record to a counterexample reason.
 Post-filters and records read one facts object per graph (_Facts), which
 computes each fact the first time it is asked for, at most once per graph.
-run_battery builds each graph's record as soon as its ensemble scan keeps
-the graph, from the facts the filters already filled, canonical forms from
-the enumeration included, and lets those facts go before the next graph, so
-a sweep holds one graph's facts at a time.  A record keeps only CM
-verdicts, never a witness face, so it asks cohen_macaulay._graph_cm, which
-refutes most non-CM graphs by a disconnected link before any scan.
-run_battery runs the whole table.  Reports are line-delimited JSON, one
-graph per line, sorted by canonical form, byte-identical across runs.
+run_battery runs the whole table in one pass over its ensemble scan: it
+builds each graph's record as soon as the scan keeps the graph, from the
+facts the filters already filled, canonical forms from the enumeration
+included, checks every claim whose ensemble holds the graph on that record,
+and renders the graph's report line, then lets the facts and the record go
+before the next graph.  No table of records is kept, so a sweep holds one
+graph's facts and record at a time.  A record keeps only CM verdicts, never
+a witness face, so it asks cohen_macaulay._graph_cm, which refutes most
+non-CM graphs by a disconnected link before any scan.  Reports are
+line-delimited JSON, one graph per line, sorted by canonical form once
+before they are written, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .graphs import (
     MAX_CANONICAL_N,
     Graph,
     _Value,
+    _as_tuple,
     _augment,
     _canonical,
     _child,
@@ -475,10 +479,10 @@ def _graph_record(facts: _Facts, r: int, fields: list[FieldSpec]) -> tuple[str, 
         if fields
         else []
     )
-    if r >= 1 and facts.clique_sizes[-1] <= r and g.n % r == 0:
+    if facts.clique_sizes[-1] <= r and g.n % r == 0:
         # no clique outgrows r, so the r-cliques are the maximal cliques of
         # size r, in lexicographic order as the search needs them; any
-        # other r, invalid ones included, goes to the public search
+        # other r goes to the public search
         r_cliques = [c for c in facts.cliques if len(c) == r]
         n_matchings = len(_clique_covers(g, r_cliques, g.n // r, r, 2))
     else:
@@ -516,11 +520,14 @@ def compute_records(
 
     Each graph gets a _Facts of its own, and its record is computed before
     the next graph's facts are built, so no facts outlive their record.
-    The FieldSpec of each char is built once, before any record, so an
-    invalid char raises ValueError even with no graphs.  With no chars the
+    r and the FieldSpec of each char are checked once, before any record,
+    so an r below 1, an invalid char, or graphs or chars that are not
+    iterable raise ValueError even with no graphs.  With no chars the
     records carry an empty "cm" map.
     """
-    fields = [FieldSpec(c) for c in chars]
+    _require_at_least(r, "r", 1)
+    fields = [FieldSpec(c) for c in _as_tuple(chars, "characteristics")]
+    graphs = _as_tuple(graphs, "graphs")
     return {g: _graph_record(_Facts(g), r, fields) for g in dict.fromkeys(graphs)}
 
 
@@ -611,23 +618,6 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
-def report_lines(
-    records: dict[Graph, tuple[str, dict]],
-    violations: dict[str, list[str]],
-) -> list[str]:
-    """One compact JSON document per graph, sorted by canonical form."""
-    by_canon = {canon: rec for canon, rec in records.values()}
-    lines = []
-    for canon in sorted(by_canon):
-        obj = {
-            "canon": canon,
-            "properties": by_canon[canon],
-            "violations": sorted(set(violations.get(canon, []))),
-        }
-        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    return lines
-
-
 def run_battery(
     n_max: int,
     r: int = 2,
@@ -639,24 +629,32 @@ def run_battery(
     A claim runs when it applies at r and characteristics holds every
     characteristic its check reads (needs_chars); any other claim is left
     out, and so is its ensemble unless a running claim reads it too.
-    Every ensemble comes from one pass over one hereditary family (_scan).
-    Each graph's record is built as soon as that pass keeps the graph, from
-    the facts its filters filled, which are freed before the next graph;
-    a record is computed once per distinct graph and shared by all
-    verdicts.  Records hold the graph's own edge tuple.  The summary and
-    the report are deterministic.  Each characteristic's FieldSpec is
-    built once for the sweep; one given more than once is swept once, at
-    its first position.  The report is opened before any enumeration.
-    Raises ValueError for n_max outside 1..MAX_CANONICAL_N, no or invalid
+    The sweep is one pass over one hereditary family (_scan).  Each graph's
+    record is built as soon as that pass keeps the graph, from the facts
+    its filters filled, and every claim whose ensemble holds the graph is
+    checked on it there; the graph's report line is rendered then too, so
+    neither the facts nor the record outlive the graph's turn.  Records
+    hold the graph's own edge tuple.  Counterexamples keep the scan's
+    (n, canonical form) order, and report lines are sorted by canonical
+    form once, before they are written.  The summary and the report are
+    deterministic.  Each characteristic's FieldSpec is built once for the
+    sweep; one given more than once is swept once, at its first position.
+    The report is opened before any enumeration.  Raises ValueError for
+    n_max outside 1..MAX_CANONICAL_N, no, invalid or non-iterable
     characteristics, r < 1, an n_max, r or characteristic that is not an
-    int (bool included), or a report_path that cannot be written.
+    int (bool included), or a report_path that is not None or a str or
+    cannot be written.
     """
+    characteristics = _as_tuple(characteristics, "characteristics")
     fields = list(dict.fromkeys(FieldSpec(c) for c in characteristics))
     chars = tuple(f.characteristic for f in fields)
     if not chars:
         raise ValueError("at least one characteristic is required")
     _check_n(n_max)
     _require_at_least(r, "r", 1)
+    if report_path is not None and not isinstance(report_path, str):
+        # open() would take an int or a bool as a file descriptor
+        raise ValueError(f"report_path {report_path!r} is not a str")
     try:
         opened = (
             open(report_path, "w", encoding="ascii", newline="\n")
@@ -672,53 +670,55 @@ def run_battery(
             if cl.filters(r) is not None and set(cl.needs_chars) <= set(chars)
         ]
         filters = {cl.ensemble: cl.filters(r) for cl in claims}
-        picked: list[list[Graph]] = [[] for _ in filters]
-        records: dict[Graph, tuple[str, dict]] = {}
+        pairs = [(cl, c) for c in chars for cl in claims if cl.per_char]
+        pairs += [(cl, None) for cl in claims if not cl.per_char]
+        # each run: its claim, char, ensemble index, summary name and hits
+        keys = list(filters)
+        runs = [
+            (cl, c, keys.index(cl.ensemble), cl.name.format(r=r, char=c, n_max=n_max), [])
+            for cl, c in pairs
+        ]
+        sizes = [0] * len(filters)
+        checked = 0
+        lines = []
         for facts, passed in _scan(n_max, list(filters.values())):
+            canon, rec = _graph_record(facts, r, fields)
+            checked += 1
             for i in passed:
-                picked[i].append(facts.g)
-            records[facts.g] = _graph_record(facts, r, fields)
-        ensembles = dict(zip(filters, picked))
-
-        runs = [(cl, c) for c in chars for cl in claims if cl.per_char]
-        runs += [(cl, None) for cl in claims if not cl.per_char]
-        violations: dict[str, list[str]] = {}
-        verdicts: list[dict] = []
-        converse: dict[str, list[str]] = {}
-        for cl, c in runs:
-            graphs = ensembles[cl.ensemble]
-            ces = []
-            for g in graphs:
-                canon, rec = records[g]
-                reason = cl.check(rec, c)
+                sizes[i] += 1
+            violated, converse_chars = [], []
+            for cl, c, i, name, ces in runs:
+                reason = cl.check(rec, c) if i in passed else None
                 if reason:
                     ces.append([canon, reason])
-            if not cl.violation:
-                converse[str(c)] = sorted(canon for canon, _ in ces)
-                continue
-            name = cl.name.format(r=r, char=c, n_max=n_max)
-            verdicts.append(
-                {"claim": name, "graphs_checked": len(graphs), "counterexamples": ces}
-            )
-            for canon, _ in ces:
-                violations.setdefault(canon, []).append(name)
-
-        for canon, rec in records.values():
-            rec["converse_candidate_chars"] = sorted(
-                int(c) for c in converse if canon in converse[c]
-            )
-
+                    if cl.violation:
+                        violated.append(name)
+                    else:
+                        converse_chars.append(c)
+            rec["converse_candidate_chars"] = sorted(converse_chars)
+            if report is not None:
+                obj = {"canon": canon, "properties": rec, "violations": sorted(violated)}
+                lines.append((canon, json.dumps(obj, sort_keys=True, separators=(",", ":"))))
         if report is not None:
-            report.writelines(line + "\n" for line in report_lines(records, violations))
+            report.writelines(line + "\n" for _, line in sorted(lines))
 
+    verdicts = [
+        {"claim": name, "graphs_checked": sizes[i], "counterexamples": ces}
+        for cl, _, i, name, ces in runs
+        if cl.violation
+    ]
     return {
         "n_max": n_max,
         "r": r,
         "characteristics": list(chars),
-        "graphs_checked": len({canon for canon, _ in records.values()}),
-        "ensemble_sizes": {name: len(graphs) for name, graphs in ensembles.items()},
+        "graphs_checked": checked,
+        "ensemble_sizes": dict(zip(filters, sizes)),
         "verdicts": verdicts,
-        "converse_candidates": converse,
-        "violations_total": sum(len(v) for v in violations.values()),
+        "converse_candidates": {
+            str(c): sorted(canon for canon, _ in ces)
+            for cl, c, _, _, ces in runs
+            if not cl.violation
+        },
+        "violations_total": sum(len(v["counterexamples"]) for v in verdicts),
         "report_path": report_path,
     }

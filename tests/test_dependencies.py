@@ -64,3 +64,5 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = _fresh_modules("import cmgraph.cli") - _fresh_modules("pass")
     assert "cmgraph.cli" in added
     assert not {"dataclasses", "inspect"} & added, sorted(added)
+    # only the harness subcommand reads the enumeration module
+    assert "cmgraph.harness" not in added

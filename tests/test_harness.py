@@ -709,10 +709,15 @@ def test_battery_records_reuse_the_facts_of_the_ensemble_scan(monkeypatch, tmp_p
 
 def test_battery_builds_each_record_while_only_its_graphs_facts_live(monkeypatch):
     # the sweep frees a graph's facts once its record is built, so it never
-    # holds the facts of two kept graphs at once; records keep the graph's
-    # own edge tuple instead of a copy
+    # holds the facts of two kept graphs at once, and it checks the claims
+    # on a record as soon as it is built, so it keeps no table of records:
+    # when the next record is built, at most the last one is alive.  Records
+    # keep the graph's own edge tuple instead of a copy.  The test holds
+    # records by weak reference only.
     live = weakref.WeakSet()
     alive_at_record = []
+    records_at_record = []
+    record_refs = []
     built = []
     real_record = harness._graph_record
 
@@ -721,10 +726,16 @@ def test_battery_builds_each_record_while_only_its_graphs_facts_live(monkeypatch
             super().__init__(*args)
             live.add(self)
 
+    class Record(dict):
+        pass
+
     def tracked_record(facts, r, chars):
         alive_at_record.append(len(live))
+        records_at_record.append(sum(ref() is not None for ref in record_refs))
         canon, rec = real_record(facts, r, chars)
-        built.append((facts.g, rec))
+        rec = Record(rec)
+        record_refs.append(weakref.ref(rec))
+        built.append((rec["edges"] is facts.g.edges, type(rec["degree_r_minus_1"]) is tuple))
         return canon, rec
 
     monkeypatch.setattr(harness, "_Facts", Tracked)
@@ -732,8 +743,9 @@ def test_battery_builds_each_record_while_only_its_graphs_facts_live(monkeypatch
     summary = run_battery(8, r=3)
     assert len(built) == summary["graphs_checked"] == 513
     assert max(alive_at_record) == 1
-    assert all(rec["edges"] is g.edges for g, rec in built)
-    assert all(type(rec["degree_r_minus_1"]) is tuple for _, rec in built)
+    assert max(records_at_record) == 1
+    assert all(same for same, _ in built)
+    assert all(is_tuple for _, is_tuple in built)
     assert not live
     pool = tuple(g for g, _ in _pool_graphs(500))
     records = harness.compute_records(pool, 3, (0, 2))
@@ -1055,6 +1067,9 @@ P4 = oracles.path_graph(4)
         (lambda: run_battery(4, r=True), "r True"),
         (lambda: run_battery(4, characteristics=(0, 2.0)), "characteristic 2.0"),
         (lambda: run_battery(4, characteristics=(0, False)), "characteristic False"),
+        (lambda: harness.compute_records((P4,), None, ()), "r None"),
+        (lambda: harness.compute_records((P4,), "3", ()), "r '3'"),
+        (lambda: harness.compute_records((), 2.0, ()), "r 2.0"),
     ],
 )
 def test_a_count_that_is_not_an_integer_is_rejected(call, message):
@@ -1063,3 +1078,33 @@ def test_a_count_that_is_not_an_integer_is_rejected(call, message):
     result that carries it."""
     with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: run_battery(4, characteristics=5), "characteristics 5"),
+        (lambda: run_battery(4, characteristics=None), "characteristics None"),
+        (lambda: harness.compute_records((P4,), 2, 0), "characteristics 0"),
+        (lambda: harness.compute_records(5, 2, ()), "graphs 5"),
+    ],
+)
+def test_an_argument_that_is_not_iterable_is_rejected(call, message):
+    """These once escaped as TypeError: 'int' object is not iterable."""
+    with pytest.raises(ValueError, match=f"^{message} is not iterable$"):
+        call()
+
+
+def test_a_report_path_that_is_not_a_str_is_rejected():
+    # an int, True included, was once opened as that file descriptor,
+    # written to and closed
+    r, w = os.pipe()
+    try:
+        with pytest.raises(ValueError, match=f"^report_path {w} is not a str$"):
+            run_battery(3, report_path=w)
+        os.fstat(w)
+    finally:
+        os.close(r)
+        os.close(w)
+    with pytest.raises(ValueError, match="^report_path 5.0 is not a str$"):
+        run_battery(3, report_path=5.0)
