@@ -25,10 +25,12 @@ and then tries the certificate and the scan.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .complexes import SimplicialComplex, independence_complex, link
 from .covers import _bipartite_matching
-from .graphs import Graph, _Value, _cliques, _component, _full_mask, _mask_to_tuple, _partition_search, _require_int
-from .homology import FieldSpec, _betti, _strong_core
+from .graphs import Graph, _Value, _as_tuple, _cliques, _component, _full_mask, _mask_to_tuple, _partition_search, _require_int
+from .homology import FieldSpec, _betti, _require_field, _strong_core
 
 # The shedding-vertex certificate gives up once this many core masks (vertex
 # masks with their cone points dropped) are memoised or on its stack, and
@@ -83,10 +85,11 @@ def reisner_cm(cx: SimplicialComplex, field: FieldSpec) -> CMReport:
     canonical order (dimension, then lex) and the first face whose link has
     homology below its dimension is returned.  See _reisner_scan.
     """
+    _require_field(field)
     return _reisner_scan(cx, [field])[0]
 
 
-def cm_characteristic_profile(g: Graph, fields: list[FieldSpec]) -> list[CMReport]:
+def cm_characteristic_profile(g: Graph, fields: Iterable[FieldSpec]) -> list[CMReport]:
     """One report per requested field, from a single scan of Ind(g)'s faces,
     or from none when Ind(g) is certified CM over every field.
 
@@ -95,7 +98,11 @@ def cm_characteristic_profile(g: Graph, fields: list[FieldSpec]) -> list[CMRepor
     decomposable, hence shellable and CM over every field (Provan &
     Billera, 1980), and the scan of a CM complex reports a pass with no
     witness for each entry of fields; Ind(g) is built only for the scan.
+    fields is read once, so any iterable of FieldSpecs will do.
     """
+    fields = _as_tuple(fields, "fields")
+    for f in fields:
+        _require_field(f)
     if not fields:
         raise ValueError("at least one field is required")
     if _shedding_alpha(g) is not None:
@@ -349,7 +356,7 @@ class HHOrdering(_Value):
     pairs: tuple[tuple[int, int], ...]
 
 
-def hh_conditions_hold(g: Graph, pairs: tuple[tuple[int, int], ...]) -> bool:
+def hh_conditions_hold(g: Graph, pairs: Iterable[tuple[int, int]]) -> bool:
     """Check the three ordering conditions against the graph.
 
     With pairs (v_1, w_1), ..., (v_k, w_k): (1) v_i ~ w_i for all i;
@@ -374,21 +381,28 @@ def hh_conditions_hold(g: Graph, pairs: tuple[tuple[int, int], ...]) -> bool:
     return True
 
 
-def _pair_rows(g: Graph, pairs: tuple[tuple[int, int], ...]) -> list[int]:
+def _pair_rows(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Row i per pair (v_i, w_i): bit j set when v_i ~ w_j in g.
 
-    Each vertex is checked once, and one that is not an integer (bool
-    included) raises ValueError, as in Graph.has_edge; a vertex outside
-    1..n is adjacent to nothing.  Row i ORs, over the neighbours w of v_i,
-    the bits j with w_j = w.
+    pairs is read once.  Each vertex is checked once, and one that is not
+    an integer (bool included) raises ValueError, as in Graph.has_edge, as
+    do pairs that are not iterable and a pair that is not two vertices; a
+    vertex outside 1..n is adjacent to nothing.  Row i ORs, over the
+    neighbours w of v_i, the bits j with w_j = w.
     """
     columns: dict[int, int] = {}
-    for j, (v, w) in enumerate(pairs):
+    heads = []
+    for j, pair in enumerate(_as_tuple(pairs, "pairs")):
+        try:
+            v, w = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"pair {pair!r} is not a pair") from None
         _require_int(v, "vertex")
         _require_int(w, "vertex")
         columns[w] = columns.get(w, 0) | 1 << j
+        heads.append(v)
     rows = []
-    for v, _ in pairs:
+    for v in heads:
         row = 0
         if 1 <= v <= g.n:
             for w in _mask_to_tuple(g._masks[v]):

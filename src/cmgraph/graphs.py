@@ -395,16 +395,35 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     return sorted(_mask_to_tuple(m) for m in _bron_kerbosch(g._masks, full))
 
 
+def _component_set_sizes(g: Graph) -> Iterator[set[int]]:
+    """The sizes of the maximal independent sets of each connected component
+    of g, a component at a time.
+
+    A maximal independent set of g is one of each component, so only the
+    components' sets are listed: Bron-Kerbosch on g's complement masks,
+    restricted to the component's vertex mask.
+    """
+    co = _complement_masks(g)
+    rest = _full_mask(g.n)
+    while rest:
+        comp = _component(g._masks, rest)[0]
+        rest ^= comp
+        yield {m.bit_count() for m in _bron_kerbosch(co, comp)}
+
+
 def independence_number(g: Graph) -> int:
-    return max(len(s) for s in maximal_independent_sets(g))
+    """The largest size of an independent set: the sum, over the connected
+    components, of each one's largest maximal independent set."""
+    return sum(max(sizes) for sizes in _component_set_sizes(g))
 
 
 def is_unmixed(g: Graph) -> bool:
-    """True when all maximal independent sets have one common cardinality.
+    """True when all maximal independent sets have one common cardinality,
+    that is, when each connected component's do.
 
     Equivalently, all minimal vertex covers have the same size.
     """
-    return len({len(s) for s in maximal_independent_sets(g)}) == 1
+    return all(len(sizes) == 1 for sizes in _component_set_sizes(g))
 
 
 def cliques_of_size(g: Graph, r: int) -> list[tuple[int, ...]]:

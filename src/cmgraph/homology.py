@@ -56,6 +56,11 @@ class FieldSpec(_Value):
             raise ValueError(f"characteristic must be 0 or a prime <= 2^31 - 1, got {c}")
 
 
+def _require_field(field: object) -> None:
+    if not isinstance(field, FieldSpec):
+        raise ValueError(f"field {field!r} is not a FieldSpec")
+
+
 class BoundaryMatrix(_Value):
     """The degree-d boundary map, rows indexed by (d-1)-faces, columns by d-faces.
 
@@ -178,6 +183,7 @@ def rank_over(matrix: BoundaryMatrix, field: FieldSpec) -> int:
     Each column becomes a dict of its nonzero entries, taken mod p over
     F_p, and _sparse_basis reduces the columns.
     """
+    _require_field(field)
     p = field.characteristic
     return len(
         _sparse_basis(
@@ -255,5 +261,6 @@ def reduced_betti(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
     are reduced on cx's strong core (_strong_core), which has the same ones,
     and padded with zeros up to cx's dimension.
     """
+    _require_field(field)
     masks = [sum(1 << v for v in f) for f in cx.facets]
     return _betti(_strong_core(cx, masks), field.characteristic, cx.dimension())

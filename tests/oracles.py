@@ -63,6 +63,12 @@ def cycle_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
+def disjoint_triangles(k: int) -> Graph:
+    """k disjoint triangles: 3^k maximal independent sets, three per component."""
+    triangle = ((1, 2), (1, 3), (2, 3))
+    return Graph(3 * k, [(3 * i + a, 3 * i + b) for i in range(k) for a, b in triangle])
+
+
 def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, itertools.combinations(range(1, n + 1), 2))
 

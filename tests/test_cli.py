@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -232,6 +233,25 @@ def test_classg_exit_codes(capsys, tmp_path):
     assert code == 1 and json.loads(out) == {"in_class": False, "cover": None}
 
 
+TWELVE_TRIANGLES = [[3 * i + 1, 3 * i + 2, 3 * i + 3] for i in range(12)]
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("unmixed", {"unmixed": True}), ("classg", {"in_class": True, "cover": TWELVE_TRIANGLES})],
+)
+def test_unmixed_and_classg_on_twelve_disjoint_triangles_end_at_once(
+    capsys, tmp_path, command, expected
+):
+    # each component is searched alone: the whole graph has 3^12 maximal
+    # independent sets
+    path = write_graph(tmp_path, oracles.disjoint_triangles(12))
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, [command, path])
+    assert time.process_time() - start < 0.25
+    assert code == 0 and json.loads(out) == expected
+
+
 def test_harness_subcommand(capsys, tmp_path):
     report = tmp_path / "report.jsonl"
     code, out, _ = run_cli(
@@ -411,3 +431,90 @@ def test_module_entry_point(fig1_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"unmixed": True}
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes: every subcommand's stdout (by sha256) and exit code, and the
+# stderr of malformed inputs, compact and --pretty
+
+_PINNED_INPUTS = {
+    "fig1.edges": fixture_text("fig1"),
+    "c6.edges": "6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n",
+    "tri.cx": "3 3\n1 2\n1 3\n2 3\n",
+    "cover.json": "[[1, 4, 8], [2, 5, 10], [5, 9, 11], [3, 6], [7, 11]]",
+    "bad.edges": "3 1\n1 9\n",
+    "bad.cx": "3 2\n1 2\n",
+    "bad.json": "[[1, 4], [3]",
+}
+
+_PINNED_STDOUT = [
+    (["cm", "fig1.edges"], 0,
+     "91cfed23e3ba8ca3b48045700b07f795c57d594e60a02a37262ba41b666efd3c",
+     "d65d9833352bc988ed0f57628afe9c63f0bf6201ba8fbc21e50bb42d5ebc7bd8"),
+    (["unmixed", "fig1.edges"], 0,
+     "b821bc6f24f01c629a0ca514298ba4853d41df0e8746bff165af579a9c24a895",
+     "2e6a08b4411a0cf431fa12d4e65894465604345dc488e62abf9e4226b00d7832"),
+    (["perfect", "fig1.edges"], 1,
+     "850bc512ce58f4492650f242039efa3d359506ef41a309b750b8239c0f14bbc4",
+     "094274216be92fd9dfe4c58bdd22e0295e174eed6e50830f3c47d8d6e8e18a10"),
+    (["shellable", "tri.cx"], 0,
+     "1468b70f16a87777930f9ffa9b0fead5b6bc855c25f93cfd94f5a4eef511a7a4",
+     "00343ddb6ab87c8696d5c04a12785f229d8bcbfeb7d979eb684bda8c259dc00b"),
+    (["homology", "tri.cx"], 0,
+     "9cc02a17e8da1f096a7192635e7a1a30e041549fd4e3d093571d7a821bcb0acc",
+     "f8630207794ef5b22e61ef5c096f7c32cc0e8fd78b9f1b5949da76a6c126ccd2"),
+    (["matchings", "c6.edges", "--r", "2"], 0,
+     "183ae2a4f976e0106e20f20ce041d7d1e7eb422a46e0e32f6bc33bb978ace702",
+     "2cd7db4ab4d7695f24cdee444585f3d80a37022b96df7a8d1833dd8e7934ef3f"),
+    (["cover", "fig1.edges", "cover.json"], 0,
+     "7c8cf8126cc15c08fe03cddf5976c7df896e0e28e90b4b36e072c816a1be337f",
+     "1d2ab36c5b9af244cee5f0a12322be25b0f5e6b8e53b6e4131906dd6a07579b6"),
+    (["classg", "fig1.edges"], 1,
+     "2745134a03d5b2a866632171fd864751d5b3dc8cb2ed76953f52a326ea357b83",
+     "cf383fb8186656b5704bf486b3788d4ef8c6946e426543774bdf13f2b1f53179"),
+    (["classg", "c6.edges"], 0,
+     "ff2ac7384bb772c826122f20e88b405b6dda73616487b7a8ca5283bc9a6365e2",
+     "ba32e3cf267d31a4eed297a1786f659bb01b49230c06463c432977f637b7b1b4"),
+    (["harness", "--n-max", "4"], 0,
+     "060ca5f9773bdf4c198847b8fe2c7702624b9736635b9ac61ba04b38092e33ed",
+     "c15b367a33d3db0d341976105013fdb4887d4f731ed4efcaa091f2f9d99b778b"),
+    (["fixtures", "fig1"], 0,
+     "90ebb9302b7b61760cb5c4f3eac0a74a412b1e3ea9886fea1af06e7ed2649298",
+     "f57b8aacadf6d33bb832e9377b90543dc80cd9627867052095aaaee2e9343a30"),
+]
+
+_PINNED_STDERR = [
+    (["cm", "bad.edges"], "{dir}/bad.edges: line 2: vertex out of range 1..3"),
+    (["shellable", "bad.cx"], "{dir}/bad.cx: expected 2 facet lines, found 1"),
+    (
+        ["cover", "fig1.edges", "bad.json"],
+        "{dir}/bad.json: expected a JSON list of cliques: "
+        "Expecting ',' delimiter: line 1 column 13 (char 12)",
+    ),
+]
+
+
+def _pinned_argv(tmp_path, argv):
+    for name, text in _PINNED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / a) if a in _PINNED_INPUTS else a for a in argv]
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+@pytest.mark.parametrize(
+    "argv, code, compact, indented",
+    _PINNED_STDOUT,
+    ids=[f"{argv[0]}-{argv[1]}" for argv, *_ in _PINNED_STDOUT],
+)
+def test_every_subcommand_keeps_its_bytes(capsys, tmp_path, argv, code, compact, indented, pretty):
+    argv = _pinned_argv(tmp_path, argv) + (["--pretty"] if pretty else [])
+    got, out, err = run_cli(capsys, argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (indented if pretty else compact)
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+@pytest.mark.parametrize("argv, message", _PINNED_STDERR, ids=["graph", "complex", "cover"])
+def test_malformed_inputs_keep_their_messages(capsys, tmp_path, argv, message, pretty):
+    argv = _pinned_argv(tmp_path, argv) + (["--pretty"] if pretty else [])
+    assert run_cli(capsys, argv) == (2, "", f"cmgraph: error: {message.format(dir=tmp_path)}\n")

@@ -20,7 +20,7 @@ from cmgraph.cohen_macaulay import (
 from cmgraph.complexes import SimplicialComplex, independence_complex, is_shelling_order
 from cmgraph.graphs import Graph, _complement_masks, is_connected, r_partition
 from cmgraph.harness import GraphFilters, enumerate_graphs_up_to
-from cmgraph.homology import FieldSpec
+from cmgraph.homology import FieldSpec, boundary_matrices, rank_over, reduced_betti
 from test_complexes import RP2_FACETS, boundary_sphere
 
 Q = FieldSpec(0)
@@ -102,6 +102,26 @@ def test_profile_preserves_field_order_and_rejects_empty(fig1):
     assert [r.is_cm for r in reports] == [False, True, True]
     with pytest.raises(ValueError):
         cm_characteristic_profile(fig1, [])
+    # fields is read once, so a one-shot iterator gives the list's reports
+    assert cm_characteristic_profile(fig1, iter([F2, Q, F3])) == reports
+    with pytest.raises(ValueError, match="fields 5 is not iterable"):
+        cm_characteristic_profile(fig1, 5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g, cx: cm_characteristic_profile(g, [2]), "field 2 is"),
+        (lambda g, cx: cm_characteristic_profile(g, "ab"), "field 'a' is"),
+        (lambda g, cx: reisner_cm(cx, 2), "field 2 is"),
+        (lambda g, cx: reduced_betti(cx, 2), "field 2 is"),
+        (lambda g, cx: rank_over(boundary_matrices(cx)[0], 2), "field 2 is"),
+    ],
+    ids=["profile-int", "profile-str", "reisner_cm", "reduced_betti", "rank_over"],
+)
+def test_a_field_that_is_not_a_fieldspec_is_a_value_error(fig1, call, message):
+    with pytest.raises(ValueError, match=f"^{message} not a FieldSpec$"):
+        call(oracles.cycle_graph(4), independence_complex(fig1))
 
 
 def test_reisner_matches_brute_force_oracle():
@@ -576,6 +596,16 @@ def test_pair_rows_equal_the_rows_built_with_has_edge():
         ]
         assert cohen_macaulay._pair_rows(g, pairs) == rows, (g.edges, pairs)
         assert hh_conditions_hold(g, pairs) == oracles.hh_conditions_hold_reference(g, pairs)
+
+
+def test_hh_conditions_read_pairs_once_and_reject_what_is_not_pairs():
+    c4 = oracles.cycle_graph(4)
+    assert not hh_conditions_hold(c4, [(1, 2), (3, 4)])
+    assert not hh_conditions_hold(c4, (pair for pair in [(1, 2), (3, 4)]))
+    with pytest.raises(ValueError, match="^pairs 5 is not iterable$"):
+        hh_conditions_hold(c4, 5)
+    with pytest.raises(ValueError, match=r"^pair \(1,\) is not a pair$"):
+        hh_conditions_hold(c4, [(1,)])
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, "1", None])

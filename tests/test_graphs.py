@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from cmgraph import graphs
+from cmgraph.covers import alpha_clique_cover
 from cmgraph.graphs import (
     MAX_CANONICAL_N,
     Graph,
@@ -305,10 +306,31 @@ def test_pivot_scan_cut_keeps_every_pivot_on_3000_seeded_graphs():
 
 def test_independence_number_of_a_large_edgeless_graph_stops_each_pivot_scan_early():
     # every vertex is a candidate and none is excluded, so the first vertex
-    # of each scan covers all the others and ends the scan
+    # of each scan covers all the others and ends the scan; independence_number
+    # splits the graph into 1200 components, so the whole-graph search is
+    # asked for directly
     start = time.process_time()
     assert independence_number(Graph(1200)) == 1200
+    assert maximal_independent_sets(Graph(1200)) == [tuple(range(1, 1201))]
     assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "check, expected",
+    [
+        (independence_number, 12),
+        (is_unmixed, True),
+        (alpha_clique_cover, tuple((3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(12))),
+    ],
+    ids=["independence_number", "is_unmixed", "alpha_clique_cover"],
+)
+def test_twelve_disjoint_triangles_are_split_into_components(check, expected):
+    # the whole graph has 3^12 maximal independent sets; its components
+    # have three each
+    g = oracles.disjoint_triangles(12)
+    start = time.process_time()
+    assert check(g) == expected
+    assert time.process_time() - start < 0.25
 
 
 def test_independence_number_and_unmixed_match_brute():
