@@ -21,6 +21,8 @@ of the ensemble it reads, whether it runs once per characteristic, and a
 check that reduces a per-graph property record to a counterexample reason.
 Post-filters and records read one facts object per graph (_Facts), which
 computes each fact the first time it is asked for, at most once per graph.
+compute_records builds one record per isomorphism class of its graphs and
+gives each later graph of a class a copy with its own labelled fields.
 run_battery runs the whole table in one pass over its ensemble scan: it
 builds each graph's record as soon as the scan keeps the graph, from the
 facts the filters already filled, canonical forms from the enumeration
@@ -458,6 +460,13 @@ def enumerate_graphs_up_to(
     return _ensembles(n_max, [filters or GraphFilters()])[0]
 
 
+def _labelled(g: Graph, r: int) -> dict:
+    """The fields of g's record that depend on g's labelling, not only on
+    its isomorphism class: its own edge tuple and its degree-(r-1)
+    vertices."""
+    return {"edges": g.edges, "degree_r_minus_1": degree_r_minus_1_vertices(g, r)}
+
+
 def _graph_record(facts: _Facts, r: int, fields: list[FieldSpec]) -> tuple[str, dict]:
     """Everything the sweeps need to know about the graph of facts,
     JSON-ready.
@@ -470,7 +479,8 @@ def _graph_record(facts: _Facts, r: int, fields: list[FieldSpec]) -> tuple[str, 
     decides the rest; the "cm" map keys each verdict by str of its
     characteristic.  Records keep no witness.  The perfect r-matching
     search takes its r-cliques from the maximal cliques when no clique has
-    more than r vertices.
+    more than r vertices.  The fields that _labelled builds depend on g's
+    labelling; every other field is an isomorphism invariant.
     """
     g = facts.g
     canon = facts.key.decode("ascii")
@@ -490,17 +500,18 @@ def _graph_record(facts: _Facts, r: int, fields: list[FieldSpec]) -> tuple[str, 
     hh_exists: bool | None = None
     if r == 2 and r_partition(g, 2) is not None:
         hh_exists = bipartite_cm_ordering(g) is not None
+    labelled = _labelled(g, r)
     record = {
         "n": g.n,
         "m": len(g.edges),
-        "edges": g.edges,
+        "edges": labelled["edges"],
         "r": r,
         "connected": facts.connected,
         "unmixed": facts.unmixed,
         "perfect": facts.perfect,
         "independence_number": facts.alpha,
         "maximal_clique_sizes": facts.clique_sizes,
-        "degree_r_minus_1": degree_r_minus_1_vertices(g, r),
+        "degree_r_minus_1": labelled["degree_r_minus_1"],
         "has_alpha_clique_cover": facts.has_alpha_cover,
         "perfect_r_matching_exists": n_matchings > 0,
         "unique_perfect_r_matching": n_matchings == 1,
@@ -516,19 +527,47 @@ def _graph_record(facts: _Facts, r: int, fields: list[FieldSpec]) -> tuple[str, 
 def compute_records(
     graphs: tuple[Graph, ...], r: int, chars: tuple[int, ...]
 ) -> dict[Graph, tuple[str, dict]]:
-    """Per-graph records, keyed by graph, computed once per distinct graph.
+    """Per-graph records, keyed by graph, computed once per isomorphism
+    class within one call.
 
-    Each graph gets a _Facts of its own, and its record is computed before
-    the next graph's facts are built, so no facts outlive their record.
-    r and the FieldSpec of each char are checked once, before any record,
-    so an r below 1, an invalid char, or graphs or chars that are not
-    iterable raise ValueError even with no graphs.  With no chars the
+    The first graph of each class, by canonical form, gets its record from
+    _graph_record; every later graph of the class computes only its
+    canonical form and gets a copy of that record with its own "edges"
+    (its own edge tuple) and "degree_r_minus_1" (_labelled), and lists and
+    maps of its own, so no two records share a mutable value.  Each graph
+    gets a _Facts of its own, and a class's record is computed before the
+    next graph's facts are built, so no facts outlive their record.
+    Nothing is kept between calls.  r, the FieldSpec of each char (a char
+    given more than once is decided once) and every member of graphs are
+    checked once, before any record, so an r below 1, an invalid char, a
+    member that is not a Graph, or graphs or chars that are not iterable
+    raise ValueError even with no graphs; so does a graph on more than
+    MAX_CANONICAL_N vertices, through canonical_form.  With no chars the
     records carry an empty "cm" map.
     """
     _require_at_least(r, "r", 1)
-    fields = [FieldSpec(c) for c in _as_tuple(chars, "characteristics")]
+    chars = _as_tuple(chars, "characteristics")
+    fields = list(dict.fromkeys(FieldSpec(c) for c in chars))
     graphs = _as_tuple(graphs, "graphs")
-    return {g: _graph_record(_Facts(g), r, fields) for g in dict.fromkeys(graphs)}
+    for g in graphs:
+        if not isinstance(g, Graph):
+            raise ValueError(f"graph {g!r} is not a Graph")
+    classes: dict[bytes, tuple[str, dict]] = {}
+    records = {}
+    for g in dict.fromkeys(graphs):
+        facts = _Facts(g)
+        first = classes.get(facts.key)
+        if first is None:
+            records[g] = classes[facts.key] = _graph_record(facts, r, fields)
+        else:
+            canon, rec = first
+            records[g] = canon, {
+                **rec,
+                **_labelled(g, r),
+                "maximal_clique_sizes": list(rec["maximal_clique_sizes"]),
+                "cm": dict(rec["cm"]),
+            }
+    return records
 
 
 class Claim(_Value):

@@ -662,6 +662,76 @@ def test_records_equal_the_pinned_pool_digests():
     assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
 
 
+def _record_bytes(canon_record):
+    return json.dumps(list(canon_record), sort_keys=True)
+
+
+def test_records_are_built_once_per_class_and_equal_each_graphs_own(monkeypatch):
+    # the pool's 750 graphs fall into 624 classes; a seeded relabelling of
+    # each adds a second member to every class
+    pool = _pool_graphs(8)
+    rng = random.Random(40)
+    relabelled = []
+    for g, _ in pool:
+        perm = [0] + rng.sample(range(1, 10), 9)
+        relabelled.append(Graph(9, [(perm[u], perm[v]) for u, v in g.edges]))
+    graphs = tuple(g for g, _ in pool) + tuple(relabelled)
+    built = []
+    real_record = harness._graph_record
+
+    def counted_record(facts, r, fields):
+        built.append(facts.g)
+        return real_record(facts, r, fields)
+
+    monkeypatch.setattr(harness, "_graph_record", counted_record)
+    records = harness.compute_records(graphs, 3, (0, 2))
+    monkeypatch.setattr(harness, "_graph_record", real_record)
+    assert len(built) == len({canonical_form(g) for g in graphs}) == 624
+    assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
+    # a relabelling may equal a graph already given, which keeps its record
+    assert all(records[g][1]["edges"] is g.edges for g in records)
+    for g in graphs:
+        alone = harness.compute_records((g,), 3, (0, 2))[g]
+        assert _record_bytes(records[g]) == _record_bytes(alone), g.edges
+    # changing one record of a class leaves every other record of it as it was
+    members = {}
+    for g in records:
+        members.setdefault(records[g][0], []).append(records[g][1])
+    for recs in members.values():
+        before = [json.dumps(rec, sort_keys=True) for rec in recs]
+        for i, rec in enumerate(recs):
+            rec["cm"]["0"] = "changed"
+            rec["maximal_clique_sizes"].append(99)
+            for other, text in zip(recs[i + 1 :], before[i + 1 :]):
+                assert json.dumps(other, sort_keys=True) == text
+
+
+def test_a_repeated_characteristic_is_decided_once(monkeypatch):
+    g = oracles.path_graph(4)
+    once = harness.compute_records((g,), 2, (0,))
+    seen = []
+    real_cm = harness._graph_cm
+
+    def counted_cm(g, sets, fields, co):
+        seen.append(len(fields))
+        return real_cm(g, sets, fields, co)
+
+    monkeypatch.setattr(harness, "_graph_cm", counted_cm)
+    twice = harness.compute_records((g,), 2, (0, 0))
+    assert seen == [1]
+    assert _record_bytes(twice[g]) == _record_bytes(once[g])
+
+
+@pytest.mark.parametrize("member", [5, None])
+def test_a_member_that_is_not_a_graph_is_rejected_before_any_record(monkeypatch, member):
+    def refuse(*args):
+        raise AssertionError("a record was built before every member was checked")
+
+    monkeypatch.setattr(harness, "_graph_record", refuse)
+    with pytest.raises(ValueError, match=f"^graph {member!r} is not a Graph$"):
+        harness.compute_records((oracles.path_graph(4), member), 2, ())
+
+
 def _count_searches(monkeypatch):
     """Count calls on every module's binding of the two searches, as the
     record path may reach them through any module.  The independent sets
