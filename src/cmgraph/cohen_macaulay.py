@@ -17,10 +17,17 @@ holds: Ind(G) pure and G vertex decomposable by shedding vertices, which
 makes Ind(G) shellable and so CM over every field.  _shedding_alpha decides
 both on G's vertex masks, so cm_characteristic_profile builds Ind(G) only
 for graphs it does not certify; reisner_cm on a bare complex always scans.
-The harness records keep verdicts only, so _graph_cm first refutes CM over
-every field when G's maximal independent sets differ in size or a face
-found on G's vertex masks has a disconnected link of dimension 1 or more,
-and then tries the certificate and the scan.
+The harness records keep verdicts only, so _graph_cm decides on G's vertex
+masks in six steps, stopping at the first that decides: purity of the
+maximal independent sets, a disconnected link of dimension 1 or more, the
+certificate with shedding vertices found by domination, a negative entry
+in the h-vector of Ind(G), the certificate with every shedding vertex
+(Woodroofe's exact test), and only then the scan.  cm_characteristic_profile
+keeps the domination certificate only: where the exact search fails it
+costs far more than domination (fig1: about 3.3 ms against 0.014 ms), the
+records' graphs have at most MAX_CANONICAL_N vertices, which bounds their
+exact search, and the graphs cmgraph cm takes, up to 512 vertices, would
+need a step budget for it.
 """
 
 from __future__ import annotations
@@ -110,29 +117,68 @@ def cm_characteristic_profile(g: Graph, fields: Iterable[FieldSpec]) -> list[CMR
     return _reisner_scan(independence_complex(g), fields)
 
 
-def _graph_cm(
-    g: Graph, sets: list[tuple[int, ...]], fields: list[FieldSpec], co: list[int]
-) -> list[bool]:
+def _graph_cm(g: Graph, sets: list[int], fields: list[FieldSpec], co: list[int]) -> list[bool]:
     """The verdicts of cm_characteristic_profile(g, fields), with no
-    witness; sets holds g's maximal independent sets and co its complement
-    masks (graphs._complement_masks).
+    witness; sets holds the vertex masks of g's maximal independent sets
+    (bit v for vertex v), in any order, and co g's complement masks
+    (graphs._complement_masks).
 
-    Sets of different sizes make Ind(g) impure, and a face whose link has
-    dimension 1 or more and is disconnected fails Reisner's criterion in
-    degree 0 over every field; either settles every field as False before
-    the certificate and the scan decide the rest.  The face
-    _has_disconnected_link finds need not be the one the canonical scan
-    would name, which is why callers that print witnesses take
+    The steps below run in order, and the first that decides settles every
+    field:
+    1. sets of different sizes make Ind(g) impure: False;
+    2. a face whose link has dimension 1 or more and is disconnected fails
+       Reisner's criterion in degree 0 over every field: False;
+    3. the shedding-vertex certificate by domination: True;
+    4. a negative entry in the h-vector of Ind(g) (_h_vector): False, since
+       a CM complex has a nonnegative h-vector (Stanley, Combinatorics and
+       Commutative Algebra, 1996, ch. II);
+    5. the certificate with every shedding vertex (_shedding_alpha's exact
+       search): True;
+    6. otherwise one Reisner scan of Ind(g), the only step that builds the
+       facets as tuples.
+    The face _has_disconnected_link finds need not be the one the canonical
+    scan would name, which is why callers that print witnesses take
     cm_characteristic_profile.
     """
-    alpha = len(sets[0])
-    if any(len(s) != alpha for s in sets) or _has_disconnected_link(co, alpha - 1):
+    alpha = sets[0].bit_count()
+    if any(s.bit_count() != alpha for s in sets) or _has_disconnected_link(co, alpha - 1):
         return [False] * len(fields)
     if _shedding_alpha(g) is not None:
         return [True] * len(fields)
+    if min(_h_vector(co, alpha)) < 0:
+        return [False] * len(fields)
+    if _shedding_alpha(g, exact=True) is not None:
+        return [True] * len(fields)
     # the maximal independent sets are an antichain covering every vertex
-    cx = SimplicialComplex._antichain(g.n, sets)
+    cx = SimplicialComplex._antichain(g.n, sorted(map(_mask_to_tuple, sets)))
     return [report.is_cm for report in _reisner_scan(cx, fields)]
+
+
+def _h_vector(co: list[int], d: int) -> list[int]:
+    """The h-vector h_0..h_d of Ind(g), pure of dimension d - 1, for the
+    graph g whose complement has the neighbour masks co.
+
+    One walk over the cliques of the complement, each reached from the one
+    without its highest vertex, counts the independent sets of g by size:
+    c_i faces with i vertices, c_0 = 1 for the empty face.  h_k is the
+    coefficient of t^(d-k) in the sum over i of c_i (t - 1)^(d-i), which
+    Horner's rule in t - 1 builds: h is multiplied by t - 1, highest power
+    first, and c_i is added to its constant term, for i = 0, ..., d.
+    """
+    counts = [0] * (d + 1)
+    stack = [(_full_mask(len(co) - 1), 0)]
+    while stack:
+        cand, size = stack.pop()
+        counts[size] += 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            stack.append((cand & co[low.bit_length() - 1], size + 1))
+    h: list[int] = []
+    for c in counts:
+        h = [a - b for a, b in zip(h + [0], [0] + h)]
+        h[-1] += c
+    return h
 
 
 def _has_disconnected_link(co: list[int], dim: int) -> bool:
@@ -163,7 +209,7 @@ def _has_disconnected_link(co: list[int], dim: int) -> bool:
     return False
 
 
-def _shedding_alpha(g: Graph) -> int | None:
+def _shedding_alpha(g: Graph, exact: bool = False) -> int | None:
     """alpha(g) when Ind(g) is pure and g decomposes by this search over its
     vertex masks (bit v for vertex v), None otherwise: an induced subgraph
     is one mask.
@@ -171,16 +217,20 @@ def _shedding_alpha(g: Graph) -> int | None:
     Vertices isolated in a mask are cone points: each is dropped and adds 1
     to alpha, and an empty core (a mask with its cones dropped) answers 0.
     A vertex v of a core is a shedding vertex when N[u] <= N[v] inside the
-    core for some neighbour u (Woodroofe, 2009).  The facets of Ind(core)
-    are then those of Ind(core - v) plus v joined to those of
-    Ind(core - N[v]), so v decomposes the core into a pure complex iff both
-    halves answer and alpha(core - v) = alpha(core - N[v]) + 1.  Each
-    shedding vertex is tried in turn, and answers are memoised by core for
-    this call only.  None means no decomposition was found, or the cores
-    memoised or on the stack reached SHEDDING_MEMO_CAP; the caller then
-    scans.  The search keeps its own stack, one frame per core being
-    decided with the number of cones its parent dropped, so its depth is
-    not bounded by Python's recursion limit.
+    core for some neighbour u.  With exact, a vertex that fails this
+    domination test is still one when no independent S inside the core
+    minus N[v] has N(v) <= N(S) (_dominates_neighbours), which is exactly
+    when no face of its link is a facet of its deletion (Woodroofe, Proc.
+    AMS 137, 2009).  The facets of Ind(core) are then those of
+    Ind(core - v) plus v joined to those of Ind(core - N[v]), so v
+    decomposes the core into a pure complex iff both halves answer and
+    alpha(core - v) = alpha(core - N[v]) + 1.  Each shedding vertex is
+    tried in turn, and answers are memoised by core for this call only.
+    None means no decomposition was found, or the cores memoised or on the
+    stack reached SHEDDING_MEMO_CAP; the caller then scans.  The search
+    keeps its own stack, one frame per core being decided with the number
+    of cones its parent dropped, so its depth is not bounded by Python's
+    recursion limit.
     """
     masks = g._masks
     closed = [m | 1 << v for v, m in enumerate(masks)]
@@ -209,10 +259,13 @@ def _shedding_alpha(g: Graph) -> int | None:
                 u_bit = others & -others
                 others ^= u_bit
                 if not closed[u_bit.bit_length() - 1] & mask & ~nv:
-                    alpha = yield mask ^ low
-                    if alpha is not None and (yield mask & ~nv) == alpha - 1:
-                        return alpha
                     break
+            else:
+                if not exact or _dominates_neighbours(masks, closed, v, mask):
+                    continue
+            alpha = yield mask ^ low
+            if alpha is not None and (yield mask & ~nv) == alpha - 1:
+                return alpha
         return None
 
     memo: dict[int, int | None] = {}
@@ -240,6 +293,33 @@ def _shedding_alpha(g: Graph) -> int | None:
         alpha = memo[sub] if sub else 0
         answer = None if alpha is None else alpha + cones
     return answer
+
+
+def _dominates_neighbours(masks: tuple[int, ...], closed: list[int], v: int, mask: int) -> bool:
+    """Whether some independent S inside mask - N[v] has N(v) & mask inside
+    N(S), for the graph with neighbour masks masks and closed neighbourhoods
+    closed, v in mask.
+
+    The search picks, for the lowest neighbour w of v not yet dominated, a
+    vertex s of N(w) still free to join S, and s's closed neighbourhood
+    leaves the free vertices.  A later sibling s' leaves s out, since every
+    S holding s was tried below s.  The search keeps its own stack of
+    (undominated, free) masks.
+    """
+    stack = [(masks[v] & mask, mask & ~closed[v])]
+    while stack:
+        need, free = stack.pop()
+        if not need:
+            return True
+        low = need & -need
+        options = masks[low.bit_length() - 1] & free
+        while options:
+            s_bit = options & -options
+            options ^= s_bit
+            s = s_bit.bit_length() - 1
+            stack.append((need & ~masks[s], free & ~closed[s]))
+            free ^= s_bit
+    return False
 
 
 def _link_failures(lk: SimplicialComplex, fields: list[FieldSpec]) -> dict[FieldSpec, int | None]:

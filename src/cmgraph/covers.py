@@ -68,16 +68,28 @@ def perfect_r_matchings(
     if g.n % r != 0:
         return []
     return [
-        RMatching(r, c)
-        for c in _clique_covers(g, cliques_of_size(g, r), g.n // r, r, limit)
+        RMatching(r, cover)
+        for cover in _tuple_covers(g, cliques_of_size(g, r), g.n // r, r, limit)
     ]
 
 
-def _clique_covers(
+def _tuple_covers(
     g: Graph, cliques: list[tuple[int, ...]], most: int, r: int, limit: int | None
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """The covers of the vertices by at most most of the given cliques, in
-    search order, up to limit of them.
+    """_clique_covers on cliques given as increasing tuples, each cover
+    given back as tuples: the cliques become masks once, in their order, so
+    the covers come in the same order."""
+    masks = [sum(1 << v for v in c) for c in cliques]
+    covers = _clique_covers(g, masks, most, r, limit)
+    return [tuple(map(_mask_to_tuple, cover)) for cover in covers]
+
+
+def _clique_covers(
+    g: Graph, cliques: list[int], most: int, r: int, limit: int | None
+) -> list[tuple[int, ...]]:
+    """The covers of the vertices by at most most of the cliques, given as
+    vertex masks (bit v for vertex v), in search order, up to limit of them;
+    each cover is the tuple of its cliques' masks in the order chosen.
 
     The search branches on the lowest uncovered vertex, trying the cliques
     through it in their given order, and keeps its own stack, one frame per
@@ -93,21 +105,21 @@ def _clique_covers(
       clique size.
     """
     n = g.n
-    by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
-    for c in cliques:
-        m = 0
-        for v in c:
-            m |= 1 << v
-        for v in c[:1] if r else c:
-            by_vertex[v].append((m, c))
-    omega = 0 if r else max(map(len, cliques), default=0)
+    by_vertex: list[list[int]] = [[] for _ in range(n + 1)]
+    for m in cliques:
+        rest = m & -m if r else m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            by_vertex[low.bit_length() - 1].append(m)
+    omega = 0 if r else max((m.bit_count() for m in cliques), default=0)
     full = _full_mask(n)
-    out: list[tuple[tuple[int, ...], ...]] = []
-    chosen: list[tuple[int, ...]] = []
+    out: list[tuple[int, ...]] = []
+    chosen: list[int] = []
     # one frame per node with cliques to try: the mask it covers and the
     # cliques through its lowest uncovered vertex, in the disjoint mode only
     # those that avoid the mask
-    stack: list[tuple[int, Iterator[tuple[int, tuple[int, ...]]]]] = []
+    stack: list[tuple[int, Iterator[int]]] = []
     mask = 0
     while True:
         rest = full & ~mask
@@ -124,7 +136,7 @@ def _clique_covers(
         if expand:
             options = by_vertex[(rest & -rest).bit_length() - 1]
             if r:
-                options = [(m, c) for m, c in options if not m & mask]
+                options = [m for m in options if not m & mask]
             stack.append((mask, iter(options)))
         elif chosen:
             chosen.pop()
@@ -138,9 +150,8 @@ def _clique_covers(
                 chosen.pop()
         else:
             return out
-        m, c = step
-        chosen.append(c)
-        mask = base | m
+        chosen.append(step)
+        mask = base | step
 
 
 def _components_fit(g: Graph, rest: int, r: int) -> bool:
@@ -230,7 +241,7 @@ def alpha_clique_cover(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     vertex, as _clique_covers does in its overlapping mode; the first cover
     in the deterministic search order is returned.
     """
-    covers = _clique_covers(g, maximal_cliques(g), independence_number(g), 0, 1)
+    covers = _tuple_covers(g, maximal_cliques(g), independence_number(g), 0, 1)
     return covers[0] if covers else None
 
 

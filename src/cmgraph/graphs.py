@@ -380,13 +380,8 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     These are the maximal cliques of the complement, found by the pivoting
     Bron-Kerbosch search on non-neighbour masks.
     """
-    return _maximal_independent_sets(_complement_masks(g))
-
-
-def _maximal_independent_sets(co: list[int]) -> list[tuple[int, ...]]:
-    """maximal_independent_sets of the graph whose complement has the
-    neighbour masks co (_complement_masks)."""
-    return sorted(_mask_to_tuple(m) for m in _bron_kerbosch(co, _full_mask(len(co) - 1)))
+    co = _complement_masks(g)
+    return sorted(_mask_to_tuple(m) for m in _bron_kerbosch(co, _full_mask(g.n)))
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -395,35 +390,92 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     return sorted(_mask_to_tuple(m) for m in _bron_kerbosch(g._masks, full))
 
 
-def _component_set_sizes(g: Graph) -> Iterator[set[int]]:
-    """The sizes of the maximal independent sets of each connected component
-    of g, a component at a time.
-
-    A maximal independent set of g is one of each component, so only the
-    components' sets are listed: Bron-Kerbosch on g's complement masks,
-    restricted to the component's vertex mask.
-    """
-    co = _complement_masks(g)
+def _components(g: Graph) -> Iterator[int]:
+    """The vertex masks of g's connected components, lowest vertex first."""
     rest = _full_mask(g.n)
     while rest:
         comp = _component(g._masks, rest)[0]
         rest ^= comp
-        yield {m.bit_count() for m in _bron_kerbosch(co, comp)}
+        yield comp
 
 
 def independence_number(g: Graph) -> int:
     """The largest size of an independent set: the sum, over the connected
-    components, of each one's largest maximal independent set."""
-    return sum(max(sizes) for sizes in _component_set_sizes(g))
+    components, of the clique number of the complement on each
+    (_clique_number), with no list of independent sets."""
+    co = _complement_masks(g)
+    return sum(_clique_number(co, comp) for comp in _components(g))
+
+
+def _clique_number(nbr: Sequence[int], avail: int) -> int:
+    """The size of a largest clique inside the vertex mask avail of the
+    graph given by neighbour masks, by branch and bound with a greedy
+    colouring bound (Tomita & Kameda, J. Global Optim. 37, 2007).
+
+    The vertices of avail are first relabelled 0, 1, ... by decreasing
+    degree inside avail, so the greedy colourings, which take the lowest
+    label first, colour the vertices of most neighbours first.  A node
+    colours its candidates greedily (_colour_order) and branches on them
+    from the last coloured back.  The candidates up to colour k hold no
+    clique of more than k vertices, so a node whose clique plus the colour
+    of its next candidate cannot beat the best clique found is closed, with
+    every candidate it has left.  The search keeps its own stack, one frame
+    per chosen vertex: the clique size, the candidates not yet branched on
+    and their colour order.
+    """
+    order = sorted(_mask_to_tuple(avail), key=lambda v: -(nbr[v] & avail).bit_count())
+    bits = {v: 1 << i for i, v in enumerate(order)}
+    nbr = [sum(bits[u] for u in _mask_to_tuple(nbr[v] & avail)) for v in order]
+    avail = (1 << len(order)) - 1
+    best = 0
+    frames = [[0, avail, _colour_order(nbr, avail)]]
+    while frames:
+        frame = frames[-1]
+        size, cand, order = frame
+        if not order or size + order[-1][1] <= best:
+            frames.pop()
+            continue
+        v = order.pop()[0]
+        frame[1] = cand = cand ^ 1 << v
+        sub = cand & nbr[v]
+        if sub:
+            frames.append([size + 1, sub, _colour_order(nbr, sub)])
+        else:
+            best = max(best, size + 1)
+    return best
+
+
+def _colour_order(nbr: Sequence[int], cand: int) -> list[tuple[int, int]]:
+    """The vertices of the mask cand with their colours 1, 2, ... from a
+    greedy colouring, in colour order: each colour class takes, lowest
+    first, every vertex left that has no neighbour in the class so far."""
+    order = []
+    colour = 0
+    while cand:
+        colour += 1
+        q = cand
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            cand ^= low
+            q &= ~(nbr[v] | low)
+            order.append((v, colour))
+    return order
 
 
 def is_unmixed(g: Graph) -> bool:
     """True when all maximal independent sets have one common cardinality,
     that is, when each connected component's do.
 
-    Equivalently, all minimal vertex covers have the same size.
+    Equivalently, all minimal vertex covers have the same size.  A maximal
+    independent set of g is one of each component, so only the components'
+    sets are listed: Bron-Kerbosch on g's complement masks, restricted to
+    the component's vertex mask.
     """
-    return all(len(sizes) == 1 for sizes in _component_set_sizes(g))
+    co = _complement_masks(g)
+    return all(
+        len({m.bit_count() for m in _bron_kerbosch(co, comp)}) == 1 for comp in _components(g)
+    )
 
 
 def cliques_of_size(g: Graph, r: int) -> list[tuple[int, ...]]:

@@ -30,10 +30,11 @@ included, checks every claim whose ensemble holds the graph on that record,
 and renders the graph's report line, then lets the facts and the record go
 before the next graph.  No table of records is kept, so a sweep holds one
 graph's facts and record at a time.  A record keeps only CM verdicts, never
-a witness face, so it asks cohen_macaulay._graph_cm, which refutes most
-non-CM graphs by a disconnected link before any scan.  Reports are
-line-delimited JSON, one graph per line, sorted by canonical form once
-before they are written, byte-identical across runs.
+a witness face, so it asks cohen_macaulay._graph_cm, which decides the
+records' graphs by purity, a disconnected link, the h-vector and the
+shedding-vertex certificates, and scans only the graphs they leave.
+Reports are line-delimited JSON, one graph per line, sorted by canonical
+form once before they are written, byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -55,19 +56,19 @@ from .graphs import (
     _Value,
     _as_tuple,
     _augment,
+    _bron_kerbosch,
     _canonical,
     _child,
     _complement_masks,
     _free_classes,
+    _full_mask,
     _is_perfect,
     _mask_has_clique,
     _mask_to_tuple,
-    _maximal_independent_sets,
     _require_at_least,
     _twin_classes,
     canonical_form,
     is_connected,
-    maximal_cliques,
     r_partition,
 )
 from .homology import FieldSpec
@@ -336,14 +337,17 @@ class _Facts:
     """The facts of one graph that post-filters and records read, each
     computed on first use and at most once.
 
-    The independence number, unmixedness and the records' Ind(g) all come
-    from one list of maximal independent sets, and the alpha cover search
-    reuses the independence number and the maximal cliques.  The
-    independent sets, perfection and the records' disconnected-link search
-    read one list of complement masks.  The canonical form may be handed
-    over by the enumeration that computed it.  The scan hands each graph's
-    facts to its caller and keeps none, and run_battery drops them once the
-    graph's record is built.
+    The maximal independent sets and the maximal cliques are kept as the
+    vertex masks (bit v for vertex v) that graphs._bron_kerbosch returns,
+    in its order, and are never turned into tuples here.  The independence
+    number, unmixedness and the records' CM verdicts all come from the one
+    list of independent sets, the clique sizes from bit counts of the
+    cliques, and the alpha cover search reuses the independence number and
+    the clique masks.  The independent sets, perfection and the records'
+    disconnected-link search and h-vector read one list of complement
+    masks.  The canonical form may be handed over by the enumeration that
+    computed it.  The scan hands each graph's facts to its caller and keeps
+    none, and run_battery drops them once the graph's record is built.
     """
 
     def __init__(self, g: Graph, key: bytes | None = None):
@@ -360,24 +364,24 @@ class _Facts:
         return _complement_masks(self.g)
 
     @_once
-    def independent_sets(self) -> list[tuple[int, ...]]:
-        return _maximal_independent_sets(self.complement_masks)
+    def independent_sets(self) -> list[int]:
+        return _bron_kerbosch(self.complement_masks, _full_mask(self.g.n))
 
     @_once
-    def cliques(self) -> list[tuple[int, ...]]:
-        return maximal_cliques(self.g)
+    def cliques(self) -> list[int]:
+        return _bron_kerbosch(self.g._masks, _full_mask(self.g.n))
 
     @_once
     def alpha(self) -> int:
-        return max(len(s) for s in self.independent_sets)
+        return max(s.bit_count() for s in self.independent_sets)
 
     @_once
     def unmixed(self) -> bool:
-        return len({len(s) for s in self.independent_sets}) == 1
+        return len({s.bit_count() for s in self.independent_sets}) == 1
 
     @_once
     def clique_sizes(self) -> list[int]:
-        return sorted({len(c) for c in self.cliques})
+        return sorted({c.bit_count() for c in self.cliques})
 
     @_once
     def connected(self) -> bool:
@@ -473,11 +477,11 @@ def _graph_record(facts: _Facts, r: int, fields: list[FieldSpec]) -> tuple[str, 
 
     Every per-graph fact is read from facts.  The CM verdicts for all
     fields, which the caller builds once for all its graphs, come from
-    _graph_cm: a disconnected link found on g's masks or a non-pure Ind(g)
-    refutes every field, the shedding-vertex certificate confirms every
-    field, and one Reisner scan of Ind(g), built only then and not kept,
-    decides the rest; the "cm" map keys each verdict by str of its
-    characteristic.  Records keep no witness.  The perfect r-matching
+    _graph_cm on the independent-set masks: purity, a disconnected link or
+    a negative h-vector refutes every field, a shedding-vertex certificate
+    confirms every field, and one Reisner scan of Ind(g), built only then
+    and not kept, decides the rest; the "cm" map keys each verdict by str
+    of its characteristic.  Records keep no witness.  The perfect r-matching
     search takes its r-cliques from the maximal cliques when no clique has
     more than r vertices.  The fields that _labelled builds depend on g's
     labelling; every other field is an isomorphism invariant.
@@ -491,9 +495,9 @@ def _graph_record(facts: _Facts, r: int, fields: list[FieldSpec]) -> tuple[str, 
     )
     if facts.clique_sizes[-1] <= r and g.n % r == 0:
         # no clique outgrows r, so the r-cliques are the maximal cliques of
-        # size r, in lexicographic order as the search needs them; any
-        # other r goes to the public search
-        r_cliques = [c for c in facts.cliques if len(c) == r]
+        # size r; the number of matchings, capped at 2, does not depend on
+        # their order.  Any other r goes to the public search
+        r_cliques = [c for c in facts.cliques if c.bit_count() == r]
         n_matchings = len(_clique_covers(g, r_cliques, g.n // r, r, 2))
     else:
         n_matchings = len(perfect_r_matchings(g, r, limit=2))

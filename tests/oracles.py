@@ -25,7 +25,7 @@ from cmgraph.cohen_macaulay import (
     HomologyWitness,
     PurityWitness,
 )
-from cmgraph.complexes import link
+from cmgraph.complexes import independence_complex, link
 from cmgraph.covers import pairwise_part_matchings
 from cmgraph.graphs import Graph, all_r_partitions
 from cmgraph.homology import _betti
@@ -67,6 +67,14 @@ def disjoint_triangles(k: int) -> Graph:
     """k disjoint triangles: 3^k maximal independent sets, three per component."""
     triangle = ((1, 2), (1, 3), (2, 3))
     return Graph(3 * k, [(3 * i + a, 3 * i + b) for i in range(k) for a, b in triangle])
+
+
+def triangle_chain(k: int) -> Graph:
+    """k triangles joined in a chain by the k - 1 edges (3i, 3i + 1): one
+    component, with alpha = k and a number of maximal independent sets
+    exponential in k."""
+    chain = [(3 * i, 3 * i + 1) for i in range(1, k)]
+    return Graph(3 * k, list(disjoint_triangles(k).edges) + chain)
 
 
 def complete_graph(n: int) -> Graph:
@@ -227,8 +235,14 @@ def maximal_independent_sets_brute(g: Graph) -> list[tuple[int, ...]]:
 
 
 def independence_number_brute(g: Graph) -> int:
-    sets = maximal_independent_sets_brute(g)
-    return max((len(s) for s in sets), default=0)
+    """The largest k with an independent k-subset, trying k = n, n - 1, ...
+    over every k-subset, against one set of g's edges."""
+    es = _edge_set(g)
+    for k in range(g.n, 0, -1):
+        for vs in itertools.combinations(range(1, g.n + 1), k):
+            if all(frozenset(p) not in es for p in itertools.combinations(vs, 2)):
+                return k
+    return 0
 
 
 def is_unmixed_brute(g: Graph) -> bool:
@@ -589,19 +603,35 @@ def disconnected_link_brute(facets) -> bool:
 # shedding decompositions, read as shelling orders
 
 
-def shedding_shelling_order(g: Graph) -> list[tuple[int, ...]] | None:
+def shedding_shelling_order(g: Graph, exact: bool = False) -> list[tuple[int, ...]] | None:
     """A shelling order of Ind(g) read off a shedding decomposition of g, or
     None when no decomposition by shedding vertices exists.
 
-    A vertex v is taken as shedding when N[u] <= N[v] for some neighbour u
-    (Woodroofe, Proc. AMS 137, 2009); vertices without neighbours join every
-    facet.  The order is that of Ind(g - v), then v joined to each facet in
-    the order of Ind(g - N[v]) (Bjorner & Wachs, Trans. AMS 349, 1997).
-    Every shedding vertex is tried on vertex sets, so the search is
-    exhaustive; the caller checks the order with is_shelling_order.
+    A vertex v is taken as shedding when N[u] <= N[v] for some neighbour u;
+    with exact, also when no independent S outside N[v] has every neighbour
+    of v adjacent to a vertex of S, tested on every such subset S (Woodroofe,
+    Proc. AMS 137, 2009).  Vertices without neighbours join every facet.
+    The order is that of Ind(g - v), then v joined to each facet in the
+    order of Ind(g - N[v]) (Bjorner & Wachs, Trans. AMS 349, 1997).  Every
+    shedding vertex is tried on vertex sets, so the search is exhaustive;
+    the caller checks the order with is_shelling_order.
     """
 
     nb = neighbours(g)
+
+    def sheds(v: int, rest: frozenset[int]) -> bool:
+        nv = (nb[v] & rest) | {v}
+        if any((nb[u] & rest) | {u} <= nv for u in nb[v] & rest):
+            return True
+        if not exact:
+            return False
+        outside = sorted(rest - nv)
+        for k in range(len(outside) + 1):
+            for s in map(set, itertools.combinations(outside, k)):
+                independent = not any(nb[a] & s for a in s)
+                if independent and all(nb[w] & s for w in nb[v] & rest):
+                    return False
+        return True
 
     @functools.lru_cache(maxsize=None)
     def order(vs: frozenset[int]) -> tuple[tuple[int, ...], ...] | None:
@@ -610,9 +640,9 @@ def shedding_shelling_order(g: Graph) -> list[tuple[int, ...]] | None:
         if not rest:
             return (tuple(sorted(cones)),)
         for v in sorted(rest):
-            nv = (nb[v] & rest) | {v}
-            if not any((nb[u] & rest) | {u} <= nv for u in nb[v] & rest):
+            if not sheds(v, rest):
                 continue
+            nv = (nb[v] & rest) | {v}
             deletion, lk = order(rest - {v}), order(rest - nv)
             if deletion is not None and lk is not None:
                 facets = deletion + tuple(f + (v,) for f in lk)
@@ -621,6 +651,24 @@ def shedding_shelling_order(g: Graph) -> list[tuple[int, ...]] | None:
 
     found = order(frozenset(g.vertices))
     return None if found is None else list(found)
+
+
+def h_vector_brute(g: Graph) -> list[int]:
+    """The h-vector h_0..h_d of Ind(g), d = dim + 1, from the f-vector of
+    independence_complex(g): h_k is the coefficient of t^(d-k) in the
+    polynomial sum over i of f_(i-1) (t - 1)^(d-i), expanded by repeated
+    multiplication."""
+    f = independence_complex(g).f_vector()
+    d = len(f) - 1
+    poly = [0] * (d + 1)
+    for i, fi in enumerate(f):
+        term = [1]
+        for _ in range(d - i):
+            # times (t - 1), coefficients from t^0 up
+            term = [a - b for a, b in zip([0] + term, term + [0])]
+        for j, c in enumerate(term):
+            poly[j] += fi * c
+    return [poly[d - k] for k in range(d + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,18 @@ def test_unmixed_and_classg_on_twelve_disjoint_triangles_end_at_once(
     assert code == 0 and json.loads(out) == expected
 
 
+def test_classg_on_a_chain_of_fourteen_triangles_ends_at_once(capsys, tmp_path):
+    # one component with exponentially many maximal independent sets, so
+    # the component split does not help; the independence number comes from
+    # a maximum-clique search of the complement
+    path = write_graph(tmp_path, oracles.triangle_chain(14))
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, ["classg", path])
+    assert time.process_time() - start < 0.25
+    cover = [[3 * i + 1, 3 * i + 2, 3 * i + 3] for i in range(14)]
+    assert code == 0 and json.loads(out) == {"in_class": True, "cover": cover}
+
+
 def test_harness_subcommand(capsys, tmp_path):
     report = tmp_path / "report.jsonl"
     code, out, _ = run_cli(

@@ -19,7 +19,7 @@ from cmgraph.cohen_macaulay import (
 )
 from cmgraph.complexes import SimplicialComplex, independence_complex, is_shelling_order
 from cmgraph.graphs import Graph, _complement_masks, is_connected, r_partition
-from cmgraph.harness import GraphFilters, enumerate_graphs_up_to
+from cmgraph.harness import GraphFilters, enumerate_graphs, enumerate_graphs_up_to
 from cmgraph.homology import FieldSpec, boundary_matrices, rank_over, reduced_betti
 from test_complexes import RP2_FACETS, boundary_sphere
 
@@ -167,7 +167,7 @@ def assert_graph_path_matches_reference(g: Graph) -> None:
             fields,
         )
         verdicts = [ref[f].is_cm for f in fields]
-        sets, co = list(cx.facets), _complement_masks(g)
+        sets, co = [sum(1 << v for v in f) for f in cx.facets], _complement_masks(g)
         assert cohen_macaulay._graph_cm(g, sets, fields, co) == verdicts, (g.edges, fields)
 
 
@@ -403,6 +403,79 @@ def test_certificate_agrees_with_the_scan_and_the_oracles_on_graphs_up_to_7():
             assert sorted(order) == sorted(cx.facets), g.edges
             assert is_shelling_order(order), g.edges
     assert hits == 156
+
+
+def _census(graphs, monkeypatch) -> dict[str, int]:
+    """Check the records' verdicts and every step that gives them on each
+    graph, and count how many graphs each step settles.
+
+    _graph_cm equals is_cm_brute over chars 0 and 2.  The exact certificate
+    holds iff the scan says CM over Q, and then yields a shelling order of
+    Ind(g) found by the oracle's exact search; domination certifies a
+    subset of those graphs.  No graph is CM over one of Q, F_2 and F_3 but
+    not another.  On a pure Ind(g), _h_vector equals the oracle's h-vector,
+    and a negative entry comes only with a graph that is not CM.
+    """
+    real_scan = cohen_macaulay._reisner_scan
+    counts = {"graphs": 0, "domination": 0, "exact": 0, "h_negative": 0, "scans": 0}
+
+    def counted_scan(cx, fields):
+        counts["scans"] += 1
+        return real_scan(cx, fields)
+
+    monkeypatch.setattr(cohen_macaulay, "_reisner_scan", counted_scan)
+    for g in graphs:
+        counts["graphs"] += 1
+        cx = independence_complex(g)
+        sets, co = [sum(1 << v for v in f) for f in cx.facets], _complement_masks(g)
+        verdicts = cohen_macaulay._graph_cm(g, sets, [Q, F2], co)
+        assert verdicts == [oracles.is_cm_brute(g, 0), oracles.is_cm_brute(g, 2)], g.edges
+        q, f2, f3 = real_scan(cx, [Q, F2, F3])
+        assert q.is_cm == f2.is_cm == f3.is_cm, g.edges
+        alpha = cohen_macaulay._shedding_alpha(g, exact=True)
+        order = oracles.shedding_shelling_order(g, exact=True)
+        assert (alpha is not None) == q.is_cm == (cx.is_pure() and order is not None), g.edges
+        if alpha is not None:
+            counts["exact"] += 1
+            assert alpha == cx.dimension() + 1, g.edges
+            assert sorted(order) == sorted(cx.facets) and is_shelling_order(order), g.edges
+        if cohen_macaulay._shedding_alpha(g) is not None:
+            counts["domination"] += 1
+            assert alpha is not None, g.edges
+        if cx.is_pure():
+            h = cohen_macaulay._h_vector(co, cx.dimension() + 1)
+            assert h == oracles.h_vector_brute(g), g.edges
+            if min(h) < 0:
+                counts["h_negative"] += 1
+                assert not q.is_cm, g.edges
+    return counts
+
+
+def test_census_of_the_scan_free_verdicts_on_every_class_up_to_7(monkeypatch):
+    # of the 1,252 classes, the exact certificate takes all 186 CM ones and
+    # domination 156; 44 have a negative h-vector, and no verdict needs a
+    # scan
+    assert _census(enumerate_graphs_up_to(7).graphs, monkeypatch) == {
+        "graphs": 1252, "domination": 156, "exact": 186, "h_negative": 44, "scans": 0,
+    }
+
+
+@pytest.mark.extended
+def test_census_of_the_scan_free_verdicts_on_every_class_at_8(monkeypatch):
+    assert _census(enumerate_graphs(8).graphs, monkeypatch) == {
+        "graphs": 12346, "domination": 520, "exact": 723, "h_negative": 228, "scans": 0,
+    }
+
+
+def test_exact_certificate_takes_disjoint_c5s_that_domination_leaves():
+    # no vertex of C5 is dominated, yet each sheds: 8 disjoint C5s are
+    # certified with alpha 16 at once
+    edges = [(5 * i + j, 5 * i + j % 5 + 1) for i in range(8) for j in range(1, 6)]
+    g = Graph(40, edges)
+    assert cohen_macaulay._shedding_alpha(g) is None
+    start = time.process_time()
+    assert cohen_macaulay._shedding_alpha(g, exact=True) == 16
+    assert time.process_time() - start < 0.5
 
 
 def test_certificate_on_an_impure_and_on_edgeless_graphs():

@@ -339,6 +339,28 @@ def test_independence_number_and_unmixed_match_brute():
         assert is_unmixed(g) == oracles.is_unmixed_brute(g)
 
 
+def test_independence_number_equals_the_brute_force_on_labelled_and_seeded_graphs():
+    # every labelled graph up to 6 vertices, then seeded graphs on 8 to 12
+    # vertices at three edge densities
+    graphs = list(oracles.labelled_graphs(6))
+    for n in range(8, 13):
+        for i, p in enumerate((0.2, 0.5, 0.8)):
+            graphs += oracles.random_graphs(20, n, seed=4100 + 10 * n + i, p=p)
+    for g in graphs:
+        assert independence_number(g) == oracles.independence_number_brute(g), g.edges
+
+
+def test_independence_number_of_connected_graphs_lists_no_independent_set():
+    # chains of triangles and whiskered paths are single components with
+    # exponentially many maximal independent sets; once the vertices are
+    # ordered by degree, the colouring bound meets alpha and closes the
+    # search at the first clique of the complement it finds
+    graphs = [oracles.triangle_chain(14), oracles.triangle_chain(40), oracles.whiskered_path(64)]
+    start = time.process_time()
+    assert [independence_number(g) for g in graphs] == [14, 40, 64]
+    assert time.process_time() - start < 0.25
+
+
 def test_maximal_cliques_match_brute():
     for g in small_corpus(5) + tuple(seeded_corpus()):
         assert maximal_cliques(g) == oracles.maximal_cliques_brute(g)

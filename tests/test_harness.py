@@ -593,7 +593,7 @@ def _certified_and_cm(n_max, r):
         q, f2, f3 = cohen_macaulay._reisner_scan(cx, [Q, F2, F3])
         hit = cohen_macaulay._shedding_alpha(g) is not None
         assert q.is_cm == f2.is_cm == f3.is_cm == hit, g.edges
-        sets, co = list(cx.facets), _complement_masks(g)
+        sets, co = [sum(1 << v for v in f) for f in cx.facets], _complement_masks(g)
         assert cohen_macaulay._graph_cm(g, sets, [Q, F2, F3], co) == [hit] * 3, g.edges
         certified += hit
     return len(graphs), certified
@@ -659,6 +659,23 @@ def test_canonical_form_equals_the_twin_pruned_search_on_the_level_8_children():
 def test_records_equal_the_pinned_pool_digests():
     pool = _pool_graphs(8)
     records = harness.compute_records(tuple(g for g, _ in pool), 3, (0, 2))
+    assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
+
+
+def test_pool_records_need_no_reisner_scan(monkeypatch):
+    # purity, a disconnected link, domination, the h-vector and the exact
+    # shedding vertices decide every class of the pool's 750 graphs
+    scans = []
+    real_scan = cohen_macaulay._reisner_scan
+
+    def counted_scan(cx, fields):
+        scans.append(cx)
+        return real_scan(cx, fields)
+
+    monkeypatch.setattr(cohen_macaulay, "_reisner_scan", counted_scan)
+    pool = _pool_graphs(8)
+    records = harness.compute_records(tuple(g for g, _ in pool), 3, (0, 2))
+    assert len(scans) == 0
     assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
 
 
@@ -733,23 +750,24 @@ def test_a_member_that_is_not_a_graph_is_rejected_before_any_record(monkeypatch,
 
 
 def _count_searches(monkeypatch):
-    """Count calls on every module's binding of the two searches, as the
-    record path may reach them through any module.  The independent sets
-    are counted at the mask search that maximal_independent_sets wraps,
-    which the records call on their facts' complement masks."""
+    """Count the record searches: the calls of graphs._bron_kerbosch on
+    every module's binding, as the record path may reach it through any
+    module, split by the masks searched.  A graph's own neighbour masks
+    (Graph._masks, a tuple) give its maximal cliques, and its complement
+    masks (graphs._complement_masks, a list) its maximal independent
+    sets."""
     from cmgraph import cohen_macaulay, complexes, covers, graphs
 
-    calls = {"_maximal_independent_sets": 0, "maximal_cliques": 0}
-    for name in calls:
-        fn = getattr(graphs, name)
+    calls = {"independent_sets": 0, "cliques": 0}
+    fn = graphs._bron_kerbosch
 
-        def counted(arg, _fn=fn, _name=name):
-            calls[_name] += 1
-            return _fn(arg)
+    def counted(nbr, full):
+        calls["cliques" if isinstance(nbr, tuple) else "independent_sets"] += 1
+        return fn(nbr, full)
 
-        for mod in (graphs, complexes, covers, cohen_macaulay, harness):
-            if getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
+    for mod in (graphs, complexes, covers, cohen_macaulay, harness):
+        if getattr(mod, "_bron_kerbosch", None) is fn:
+            monkeypatch.setattr(mod, "_bron_kerbosch", counted)
     return calls
 
 
@@ -758,7 +776,7 @@ def test_records_compute_each_graph_fact_once(monkeypatch):
     pool = _pool_graphs(500)
     assert len(pool) == 12
     records = harness.compute_records(tuple(g for g, _ in pool), 3, (0, 2))
-    assert calls == {"_maximal_independent_sets": 12, "maximal_cliques": 12}
+    assert calls == {"independent_sets": 12, "cliques": 12}
     assert [_record_digest(records[g]) for g, _ in pool] == [d for _, d in pool]
 
 
@@ -770,7 +788,7 @@ def test_battery_records_reuse_the_facts_of_the_ensemble_scan(monkeypatch, tmp_p
     report = tmp_path / "report.jsonl"
     summary = run_battery(8, r=3, characteristics=(0, 2), report_path=str(report))
     assert summary["graphs_checked"] == 513
-    assert calls["_maximal_independent_sets"] == 513
+    assert calls["independent_sets"] == 513
     with open(os.path.join(os.path.dirname(POOL), "sweep-n8-r3.json"), encoding="ascii") as fh:
         pinned = json.load(fh)
     assert [_digest(line) for line in report.read_text().splitlines()] == pinned["lines"]

@@ -93,7 +93,7 @@ def test_graph_profile_equals_the_scan_and_certified_graphs_are_cm(g):
     fields = [F2, Q, F3, F2]
     assert cm_characteristic_profile(g, fields) == cohen_macaulay._reisner_scan(cx, fields)
     reference = [oracles.reisner_cm_reference(cx, f).is_cm for f in fields]
-    sets = list(cx.facets)
+    sets = [sum(1 << v for v in f) for f in cx.facets]
     assert cohen_macaulay._graph_cm(g, sets, fields, _complement_masks(g)) == reference
     if cohen_macaulay._shedding_alpha(g) is not None:
         assert all(reference)
